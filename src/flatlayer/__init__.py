@@ -43,15 +43,7 @@ from .metrics import (
     slice_relative_error,
     timing_fit,
 )
-from .regularizers import (
-    ModeSystem,
-    RegularizerConfig,
-    TsvdSolution,
-    assemble_mode_system,
-    choose_truncation,
-    tikhonov_solve,
-    tsvd_solve,
-)
+from .regularizers import RegularizerConfig
 from .spectral import ModeLattice, forward_xy, inverse_xy
 
 __version__ = "0.1.0"

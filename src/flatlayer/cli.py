@@ -1,8 +1,8 @@
 """Command-line batch runner.
 
 Subcommands: phantom, synthesize, invert, evaluate, bench. Exit codes:
-0 success, 2 configuration error, 3 numerical failure (forward divergence),
-4 I/O error.
+0 success, 2 configuration error, 3 numerical failure (forward divergence
+or non-convergence), 4 I/O error (including malformed field dumps).
 """
 
 from __future__ import annotations
@@ -12,7 +12,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .forward import DivergenceError
+from .fieldio import LafFormatError
+from .forward import ForwardError
 from .pipeline import run_bench, run_evaluate, run_invert, run_phantom, run_synthesize
 from .runconfig import ConfigError, RunConfig, load_config
 
@@ -103,10 +104,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except DivergenceError as exc:
+    except ForwardError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except OSError as exc:
+    except (OSError, LafFormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

@@ -20,6 +20,10 @@ MAGIC = b"LAF1"
 _HEADER = struct.Struct("<4sIII6d")
 
 
+class LafFormatError(ValueError):
+    """A binary field dump that is truncated or not in the LAF1 format."""
+
+
 def write_field(field: ComplexField, path: str | Path) -> None:
     """Write a complex field to the binary dump format."""
     g = field.grid
@@ -50,19 +54,23 @@ def read_field(path: str | Path) -> ComplexField:
     with open(path, "rb") as fh:
         raw = fh.read(_HEADER.size)
         if len(raw) != _HEADER.size:
-            raise ValueError(f"{path}: truncated header")
+            raise LafFormatError(f"{path}: truncated header")
         magic, nx, ny, nz, x0, x1, y0, y1, z0, z1 = _HEADER.unpack(raw)
         if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != 2 * nx * ny * nz:
-        raise ValueError(f"{path}: expected {2 * nx * ny * nz} samples, got {data.size}")
+            raise LafFormatError(f"{path}: bad magic {magic!r}")
+        body = fh.read()
+    if len(body) != 16 * nx * ny * nz:
+        raise LafFormatError(f"{path}: expected {16 * nx * ny * nz} bytes, got {len(body)}")
+    data = np.frombuffer(body, dtype="<f8")
     values = (data[0::2] + 1j * data[1::2]).reshape(nz, ny, nx).transpose(2, 1, 0)
-    grid = Grid3D(
-        x_min=x0, x_max=x1, y_min=y0, y_max=y1,
-        nx=nx, ny=ny, z_nodes=np.linspace(z0, z1, nz),
-    )
-    return ComplexField(grid, values)
+    try:
+        grid = Grid3D(
+            x_min=x0, x_max=x1, y_min=y0, y_max=y1,
+            nx=nx, ny=ny, z_nodes=np.linspace(z0, z1, nz),
+        )
+        return ComplexField(grid, values)
+    except ValueError as exc:  # header or samples outside the format's domain
+        raise LafFormatError(f"{path}: {exc}") from exc
 
 
 def export_slices_csv(field: ComplexField, directory: str | Path, stem: str) -> list[Path]:

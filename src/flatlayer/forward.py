@@ -24,7 +24,11 @@ from .spectral import forward_slab, inverse_slab, inverse_xy
 _GROWTH_LIMIT = 10
 
 
-class DivergenceError(RuntimeError):
+class ForwardError(RuntimeError):
+    """Born iteration gave no usable internal field."""
+
+
+class DivergenceError(ForwardError):
     """Born iteration left the contraction regime (residuals grow)."""
 
 

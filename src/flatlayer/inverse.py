@@ -60,7 +60,6 @@ def solve_modes(
     omega: float,
     reg: RegularizerConfig,
     scatterer_grid: Grid3D,
-    mode_chunk: int = 4096,
 ) -> tuple[SpectralField, ModeSolveStats]:
     """Solve the per-mode first-kind systems for the interaction spectrum.
 
@@ -73,8 +72,6 @@ def solve_modes(
     reg : RegularizerConfig
     scatterer_grid : Grid3D
         Grid carrying the unknown V (defines the output SpectralField).
-    mode_chunk : int
-        Modes solved per batched SVD call (memory/speed trade-off only).
 
     Returns
     -------
@@ -93,11 +90,8 @@ def solve_modes(
     v_values = np.zeros((n_modes, scatterer_grid.nz), dtype=complex)
     ranks = np.zeros(n_modes, dtype=int)
     failed = 0
-    for start in range(0, n_modes, mode_chunk):
-        stop = min(start + mode_chunk, n_modes)
-        # gather only this chunk of modes: (n_rows, n_cols, chunk) -> (chunk, rows, cols)
-        mats = kernel_xy.values[kernel_xy.offset_index, start:stop].transpose(2, 0, 1)
-        mats = mats * scale[None, None, :]
+    for start, stop in kernel_xy.mode_chunks():
+        mats = kernel_xy.mode_matrices(start, stop) * scale[None, None, :]
         rhs = w_spec.values[start:stop]
         try:
             x, k = solve_mode_block(mats, rhs, reg)

@@ -9,6 +9,7 @@ since entries depend on z - z' only.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,8 @@ from .spectral import ModeLattice, forward_slab
 
 # offsets closer than this are the same physical z-difference
 _OFFSET_DECIMALS = 10
+# bytes of mode matrices gathered at once by per-mode kernel operations
+_GATHER_BYTES = 1 << 20
 
 
 def green_point(rho, omega: float, c0: float = 1.0):
@@ -83,13 +86,16 @@ class GreenKernelTable:
     def n_modes(self) -> int:
         return self.values.shape[1]
 
-    def entry(self, k: int, l: int) -> np.ndarray:
-        """All-mode spectrum for the node pair (z_k, z'_l)."""
-        return self.values[self.offset_index[k, l]]
+    def mode_chunks(self) -> Iterator[tuple[int, int]]:
+        """(start, stop) ranges of modes whose matrices fit one gather budget."""
+        per_mode = self.n_rows * self.n_cols * self.values.itemsize
+        step = max(1, _GATHER_BYTES // per_mode)
+        for start in range(0, self.n_modes, step):
+            yield start, min(start + step, self.n_modes)
 
-    def mode_matrix(self, m: int) -> np.ndarray:
-        """Dense (n_rows, n_cols) kernel matrix for a single mode."""
-        return self.values[self.offset_index, m]
+    def mode_matrices(self, start: int, stop: int) -> np.ndarray:
+        """Dense kernel matrices of modes start..stop-1, shape (stop-start, rows, cols)."""
+        return self.values[self.offset_index, start:stop].transpose(2, 0, 1)
 
     def convolve(self, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Quadrature-weighted kernel application per mode.
@@ -113,10 +119,10 @@ class GreenKernelTable:
             )
         vw = v * weights[None, :]
         out = np.empty((self.n_modes, self.n_rows), dtype=complex)
-        # row-by-row gather keeps peak memory at one (n_cols, n_modes) block
-        for k in range(self.n_rows):
-            rows = self.values[self.offset_index[k]]  # (n_cols, n_modes)
-            out[:, k] = np.einsum("lm,ml->m", rows, vw)
+        for start, stop in self.mode_chunks():
+            out[start:stop] = np.einsum(
+                "mkl,ml->mk", self.mode_matrices(start, stop), vw[start:stop]
+            )
         return out
 
 

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
+import tempfile
 import time
+import zipfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -21,10 +24,11 @@ import numpy as np
 
 from .fieldio import export_slices_csv, read_field, write_field
 from .fields import ComplexField, Grid3D, make_grids
-from .forward import add_noise, born_iterate, scattered_data
+from .forward import ForwardError, ForwardResult, add_noise, born_iterate, scattered_data
 from .inverse import (
     InversionResult,
     ModeSolveStats,
+    XiExtraction,
     extract_xi_lsq,
     extract_xi_single,
     recompute_internal_field,
@@ -33,8 +37,12 @@ from .inverse import (
 from .manifest import ManifestBuilder, read_manifest
 from .medium import GreenKernelTable, build_green_kernel, incident_field_spectral
 from .metrics import TimingRecord, localization_report, slice_relative_error, timing_fit
+from .regularizers import RegularizerConfig
 from .runconfig import ConfigError, RunConfig
-from .spectral import ModeLattice, forward_xy, inverse_xy
+from .spectral import ModeLattice, SpectralField, forward_xy, inverse_xy
+
+# arrays of a cached kernel table, in GreenKernelTable field order
+_TABLE_KEYS = ("omega", "row_z", "col_z", "offsets", "offset_index", "values")
 
 
 def _kernel_cache_path(
@@ -45,6 +53,31 @@ def _kernel_cache_path(
     return cache_dir / f"kernel_{digest}.npz"
 
 
+def _load_kernel(
+    path: Path, src: Grid3D, recv: Grid3D, omega: float
+) -> GreenKernelTable | None:
+    """The cached table at path, or None if it is missing, unreadable or off-grid."""
+    try:
+        # np.load leaks the file it opens when the archive is corrupt
+        with open(path, "rb") as fh, np.load(fh) as data:
+            arrays = {key: data[key] for key in _TABLE_KEYS}
+        arrays["omega"] = float(arrays["omega"])
+        table = GreenKernelTable(**arrays)
+        fits = (
+            table.omega == omega
+            and np.array_equal(table.row_z, recv.z_nodes)
+            and np.array_equal(table.col_z, src.z_nodes)
+            and table.values.shape == (table.offsets.size, src.nx * src.ny)
+            and table.offset_index.shape == (table.n_rows, table.n_cols)
+            and np.allclose(table.offsets[table.offset_index],
+                            table.row_z[:, None] - table.col_z[None, :], rtol=0, atol=1e-9)
+        )
+    except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError,
+            zipfile.BadZipFile):
+        return None
+    return table if fits else None
+
+
 def get_kernel(
     src: Grid3D,
     recv: Grid3D,
@@ -52,33 +85,27 @@ def get_kernel(
     lattice: ModeLattice,
     cache_dir: Path | None = None,
 ) -> GreenKernelTable:
-    """Build a kernel table, loading/saving a disk cache when enabled."""
-    if cache_dir is not None:
-        path = _kernel_cache_path(cache_dir, src, recv, omega)
-        if path.exists():
-            with np.load(path) as data:
-                return GreenKernelTable(
-                    omega=float(data["omega"]),
-                    row_z=data["row_z"],
-                    col_z=data["col_z"],
-                    offsets=data["offsets"],
-                    offset_index=data["offset_index"],
-                    values=data["values"],
-                )
+    """Build a kernel table, loading/saving a disk cache when enabled.
+
+    A cache file that cannot be read or does not match the grids counts as
+    a miss and is rebuilt over. Each writer saves through its own temporary
+    file, so concurrent runs never read a partly written table.
+    """
+    if cache_dir is None:
+        return build_green_kernel(src, recv, omega, lattice)
+    path = _kernel_cache_path(cache_dir, src, recv, omega)
+    table = _load_kernel(path, src, recv, omega)
+    if table is not None:
+        return table
     table = build_green_kernel(src, recv, omega, lattice)
-    if cache_dir is not None:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(".tmp.npz")
-        np.savez(
-            tmp,
-            omega=table.omega,
-            row_z=table.row_z,
-            col_z=table.col_z,
-            offsets=table.offsets,
-            offset_index=table.offset_index,
-            values=table.values,
-        )
-        tmp.replace(path)
+    cache_dir.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            np.savez(fh, **{key: getattr(table, key) for key in _TABLE_KEYS})
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
     return table
 
 
@@ -114,14 +141,62 @@ def run_phantom(config: RunConfig, out_dir: str | Path) -> Path:
     return out
 
 
+FrequencyTables = tuple[GreenKernelTable, GreenKernelTable, SpectralField]
+
+
+def frequency_tables(
+    config: RunConfig,
+    omega: float,
+    grid_x: Grid3D,
+    grid_y: Grid3D,
+    lattice: ModeLattice,
+    cache: Path | None,
+) -> FrequencyTables:
+    """Scatterer and receiver kernel tables plus the incident spectrum at omega."""
+    kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
+    kernel_xy = get_kernel(grid_x, grid_y, omega, lattice, cache)
+    u0 = incident_field_spectral(config.sources, grid_x, omega, lattice)
+    return kernel_xx, kernel_xy, u0
+
+
+def forward_frequency(
+    config: RunConfig,
+    omega: float,
+    tables: FrequencyTables,
+    grid_y: Grid3D,
+    xi: np.ndarray,
+    seed: int,
+) -> tuple[ForwardResult, ComplexField]:
+    """Born solve and (optionally noisy) receiver data for one frequency.
+
+    Raises ForwardError when the iteration stops at max_iter short of its
+    tolerance, so no unconverged data is ever returned.
+    """
+    kernel_xx, kernel_xy, u0 = tables
+    fwd = born_iterate(
+        u0, kernel_xx, xi, omega,
+        tol=config.forward.tol, max_iter=config.forward.max_iter,
+    )
+    if not fwd.converged:
+        raise ForwardError(
+            f"Born iteration did not converge in {fwd.iterations} iterations "
+            f"(omega = {omega}, tol = {config.forward.tol:g})"
+        )
+    _, w_field = scattered_data(
+        kernel_xy, omega, grid_y, u_spec=fwd.u_spec, xi_samples=xi
+    )
+    return fwd, add_noise(w_field, config.delta, seed)
+
+
 def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     """Forward-solve each frequency and write (optionally noisy) data dumps.
 
-    One W dump per frequency; deterministic given config and seed. A Born
-    divergence propagates with the offending frequency in its message.
+    One W dump per frequency; deterministic given config and seed. Every
+    frequency is solved before anything is written, so a Born divergence
+    or non-convergence (raised with the offending frequency in its
+    message) leaves no data behind.
     """
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     grid_x, grid_y = make_grids(config.grid)
     lattice = ModeLattice.for_grid(grid_x)
     xi = config.phantom.sample_on(grid_x)
@@ -131,27 +206,19 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     manifest.set("grid_x", grid_x.content_key())
     manifest.set("grid_y", grid_y.content_key())
     manifest.set("noise", {"delta": config.delta, "seed": config.seed})
-    iterations = {}
-    data_files = []
+    solved = []
     for i, omega in enumerate(config.frequencies):
         t0 = time.perf_counter()
-        kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
-        kernel_xy = get_kernel(grid_x, grid_y, omega, lattice, cache)
-        u0 = incident_field_spectral(config.sources, grid_x, omega, lattice)
+        tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
         manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        fwd = born_iterate(
-            u0, kernel_xx, xi, omega,
-            tol=config.forward.tol, max_iter=config.forward.max_iter,
-        )
-        _, w_field = scattered_data(
-            kernel_xy, omega, grid_y, u_spec=fwd.u_spec, xi_samples=xi
-        )
-        w_out = add_noise(w_field, config.delta, config.seed + i)
+        solved.append(forward_frequency(config, omega, tables, grid_y, xi, config.seed + i))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
-        iterations[f"{omega:g}"] = fwd.iterations
 
+    out.mkdir(parents=True, exist_ok=True)
+    iterations, converged, data_files = {}, {}, []
+    for i, (omega, (fwd, w_out)) in enumerate(zip(config.frequencies, solved)):
         w_path = out / f"w_{i:03d}.laf"
         write_field(w_out, w_path)
         _write_csv(
@@ -159,9 +226,12 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
             ["iteration", "update_norm"],
             [(n + 1, repr(float(r))) for n, r in enumerate(fwd.residual_history)],
         )
+        iterations[f"{omega:g}"] = fwd.iterations
+        converged[f"{omega:g}"] = fwd.converged
         data_files.append({"index": i, "omega": omega, "file": w_path.name})
 
     manifest.set("forward_iterations", iterations)
+    manifest.set("forward_converged", converged)
     manifest.set("data_files", data_files)
     for p in sorted(out.glob("w_*.laf")) + sorted(out.glob("residuals_*.csv")):
         manifest.add_file(p, out)
@@ -180,19 +250,15 @@ class FrequencyInversion:
 
 
 def invert_frequency(
-    w_field: ComplexField,
-    config: RunConfig,
+    w_spec: SpectralField,
     omega: float,
+    tables: FrequencyTables,
+    reg: RegularizerConfig,
     grid_x: Grid3D,
-    lattice: ModeLattice,
-    cache: Path | None,
 ) -> FrequencyInversion:
     """Algorithm core for one frequency: mode solves plus field recomputation."""
-    kernel_xy = get_kernel(grid_x, w_field.grid, omega, lattice, cache)
-    kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
-    u0 = incident_field_spectral(config.sources, grid_x, omega, lattice)
-    w_spec = forward_xy(w_field)
-    v_spec, stats = solve_modes(w_spec, kernel_xy, omega, config.regularizer, grid_x)
+    kernel_xx, kernel_xy, u0 = tables
+    v_spec, stats = solve_modes(w_spec, kernel_xy, omega, reg, grid_x)
     u_spec = recompute_internal_field(v_spec, u0, kernel_xx, omega)
     return FrequencyInversion(
         omega=omega,
@@ -202,14 +268,22 @@ def invert_frequency(
     )
 
 
-def _write_xi_artifact(
-    out: Path, name: str, xi: np.ndarray, grid: Grid3D
-) -> Path:
-    field = ComplexField(grid, xi.astype(complex))
-    path = out / f"{name}.laf"
-    write_field(field, path)
+def _xi_artifact(
+    out: Path, name: str, invs: list[FrequencyInversion], ext: XiExtraction, grid: Grid3D
+) -> InversionResult:
+    """Write one xi dump plus its slice CSVs and return its inversion result."""
+    field = ComplexField(grid, ext.xi.astype(complex))
+    write_field(field, out / f"{name}.laf")
     export_slices_csv(field, out / f"slices_{name}", name)
-    return path
+    return InversionResult(
+        frequencies=tuple(inv.omega for inv in invs),
+        v_fields=tuple(inv.v_field for inv in invs),
+        u_fields=tuple(inv.u_field for inv in invs),
+        xi=ext.xi,
+        xi_imag_norm=ext.imag_norm,
+        masked_fraction=ext.masked_fraction,
+        mode_stats=tuple(inv.stats for inv in invs),
+    )
 
 
 def run_invert(
@@ -249,17 +323,18 @@ def run_invert(
     inversions: list[FrequencyInversion] = []
     for entry in entries:
         w_field = read_field(data_dir / entry["file"])
-        if w_field.grid.nx != grid_x.nx:
+        if w_field.grid.content_key() != grid_y.content_key():
             raise ConfigError(
-                f"data dump {entry['file']} has N={w_field.grid.nx}, "
-                f"config expects N={grid_x.nx}"
+                f"data dump {entry['file']} lies on {w_field.grid.content_key()}, "
+                f"config expects {grid_y.content_key()}"
             )
         t0 = time.perf_counter()
-        inv = invert_frequency(
-            w_field, config, entry["omega"], grid_x, lattice, cache
+        omega = entry["omega"]
+        tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
+        inversions.append(
+            invert_frequency(forward_xy(w_field), omega, tables, config.regularizer, grid_x)
         )
         manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
-        inversions.append(inv)
 
     diag_rows = []
     rank_stats = {}
@@ -267,16 +342,7 @@ def run_invert(
     for i, inv in enumerate(inversions):
         ext = extract_xi_single(inv.v_field, inv.u_field, config.extraction.eps_div)
         name = f"xi_{i:03d}"
-        results[name] = InversionResult(
-            frequencies=(inv.omega,),
-            v_fields=(inv.v_field,),
-            u_fields=(inv.u_field,),
-            xi=ext.xi,
-            xi_imag_norm=ext.imag_norm,
-            masked_fraction=ext.masked_fraction,
-            mode_stats=(inv.stats,),
-        )
-        _write_xi_artifact(out, name, ext.xi, grid_x)
+        results[name] = _xi_artifact(out, name, [inv], ext, grid_x)
         _write_csv(
             out / f"rank_hist_{i:03d}.csv",
             ["rank", "modes"],
@@ -304,16 +370,7 @@ def run_invert(
             [inv.u_field for inv in inversions],
             config.extraction.eps_div,
         )
-        results["xi_combined"] = InversionResult(
-            frequencies=tuple(inv.omega for inv in inversions),
-            v_fields=tuple(inv.v_field for inv in inversions),
-            u_fields=tuple(inv.u_field for inv in inversions),
-            xi=ext.xi,
-            xi_imag_norm=ext.imag_norm,
-            masked_fraction=ext.masked_fraction,
-            mode_stats=tuple(inv.stats for inv in inversions),
-        )
-        _write_xi_artifact(out, "xi_combined", ext.xi, grid_x)
+        results["xi_combined"] = _xi_artifact(out, "xi_combined", inversions, ext, grid_x)
         diag_rows.append(
             ("xi_combined", "all", repr(ext.imag_norm), repr(ext.masked_fraction), 0)
         )
@@ -383,41 +440,6 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     return out
 
 
-def invert_wall_seconds(config: RunConfig, w_fields: list[ComplexField]) -> float:
-    """Wall time of the inverse-stage compute (mode solves, recomputation,
-    extraction) at the config's grids; kernel construction and I/O excluded
-    since tables are cacheable across runs."""
-    grid_x, _ = make_grids(config.grid)
-    lattice = ModeLattice.for_grid(grid_x)
-    cache = _cache_dir(config)
-    kernels = {}
-    u0s = {}
-    specs = {}
-    for omega, w_field in zip(config.frequencies, w_fields):
-        kernels[omega] = (
-            get_kernel(grid_x, w_field.grid, omega, lattice, cache),
-            get_kernel(grid_x, grid_x, omega, lattice, cache),
-        )
-        u0s[omega] = incident_field_spectral(config.sources, grid_x, omega, lattice)
-        specs[omega] = forward_xy(w_field)
-
-    t0 = time.perf_counter()
-    vs, us = [], []
-    for omega in config.frequencies:
-        kernel_xy, kernel_xx = kernels[omega]
-        v_spec, _ = solve_modes(
-            specs[omega], kernel_xy, omega, config.regularizer, grid_x
-        )
-        u_spec = recompute_internal_field(v_spec, u0s[omega], kernel_xx, omega)
-        vs.append(inverse_xy(v_spec))
-        us.append(inverse_xy(u_spec))
-    if len(vs) == 1:
-        extract_xi_single(vs[0], us[0], config.extraction.eps_div)
-    else:
-        extract_xi_lsq(vs, us, config.extraction.eps_div)
-    return time.perf_counter() - t0
-
-
 def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path) -> Path:
     """Time the inverse solve over a sweep of transverse sizes N.
 
@@ -440,20 +462,24 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
         lattice = ModeLattice.for_grid(grid_x)
         xi = cfg_n.phantom.sample_on(grid_x)
         cache = _cache_dir(cfg_n)
-        w_fields = []
+        prepared = []
         for omega in cfg_n.frequencies:
-            kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
-            kernel_xy = get_kernel(grid_x, grid_y, omega, lattice, cache)
-            u0 = incident_field_spectral(cfg_n.sources, grid_x, omega, lattice)
-            fwd = born_iterate(
-                u0, kernel_xx, xi, omega,
-                tol=cfg_n.forward.tol, max_iter=cfg_n.forward.max_iter,
-            )
-            _, w_field = scattered_data(
-                kernel_xy, omega, grid_y, u_spec=fwd.u_spec, xi_samples=xi
-            )
-            w_fields.append(add_noise(w_field, cfg_n.delta, cfg_n.seed))
-        seconds = invert_wall_seconds(cfg_n, w_fields)
+            tables = frequency_tables(cfg_n, omega, grid_x, grid_y, lattice, cache)
+            _, w_field = forward_frequency(cfg_n, omega, tables, grid_y, xi, cfg_n.seed)
+            prepared.append((omega, tables, forward_xy(w_field)))
+
+        # timed: mode solves, recomputation and extraction on prebuilt tables
+        t0 = time.perf_counter()
+        invs = [
+            invert_frequency(w_spec, omega, tables, cfg_n.regularizer, grid_x)
+            for omega, tables, w_spec in prepared
+        ]
+        extract_xi_lsq(
+            [inv.v_field for inv in invs],
+            [inv.u_field for inv in invs],
+            cfg_n.extraction.eps_div,
+        )
+        seconds = time.perf_counter() - t0
         records.append(
             TimingRecord(
                 n=n, m=cfg_n.grid.scatterer_nz, m1=cfg_n.grid.receiver_nz,

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .medium import GreenKernelTable, trapezoid_weights
-from .spectral import ModeLattice
-
 
 @dataclass(frozen=True)
 class RegularizerConfig:
@@ -46,134 +43,6 @@ class RegularizerConfig:
             raise ValueError("discrepancy policy requires a noise level")
 
 
-@dataclass(frozen=True)
-class ModeSystem:
-    """Dense system for one transverse mode: A x = b."""
-
-    matrix: np.ndarray  # (n_recv, n_src) complex
-    rhs: np.ndarray | None
-    mode: int
-    omega: float
-
-
-@dataclass(frozen=True)
-class TsvdSolution:
-    x: np.ndarray
-    rank: int
-    singular_values: np.ndarray
-
-
-def assemble_mode_system(
-    kernel_xy: GreenKernelTable,
-    mode: int,
-    omega: float,
-    quadrature: np.ndarray | None = None,
-    rhs: np.ndarray | None = None,
-) -> ModeSystem:
-    """Build A^(m) = [omega^2 * mu_l * G_hat(z_k - z'_l, Omega^(m))].
-
-    quadrature defaults to trapezoid weights on the table's source z-nodes.
-    """
-    if not 0 <= mode < kernel_xy.n_modes:
-        raise ValueError(f"mode {mode} outside table with {kernel_xy.n_modes} modes")
-    mu = trapezoid_weights(kernel_xy.col_z) if quadrature is None else quadrature
-    if mu.shape != (kernel_xy.n_cols,):
-        raise ValueError("quadrature weights must match the source z-nodes")
-    if rhs is not None and rhs.shape != (kernel_xy.n_rows,):
-        raise ValueError("rhs length must match the receiver z-nodes")
-    a = omega * omega * kernel_xy.mode_matrix(mode) * mu[None, :]
-    return ModeSystem(matrix=a, rhs=rhs, mode=mode, omega=float(omega))
-
-
-def tsvd_solve(
-    a: np.ndarray, b: np.ndarray, rel_threshold: float = 1e-7, rank: int | None = None
-) -> TsvdSolution:
-    """Minimal-norm least-squares solution over the retained singular subspace.
-
-    Retains singular values sigma_i >= rel_threshold * sigma_max (or exactly
-    `rank` leading components if given) and returns
-    x = sum (u_i^H b / sigma_i) v_i. All components below threshold yields
-    the zero vector with rank 0 -- a signal, not a failure.
-    """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.size == 0:
-        raise ValueError("matrix must be a nonempty 2D array")
-    if not np.any(a):
-        # nothing to retain: the rank-0 zero solution is a signal, not a failure
-        return TsvdSolution(
-            x=np.zeros(a.shape[1], dtype=complex),
-            rank=0,
-            singular_values=np.zeros(min(a.shape)),
-        )
-    u, s, vh = np.linalg.svd(a, full_matrices=False)
-    if rank is None:
-        keep = s >= rel_threshold * s[0]
-        k = int(np.count_nonzero(keep))
-    else:
-        k = int(min(rank, s.size))
-    beta = u.conj().T @ b
-    x = np.zeros(a.shape[1], dtype=complex)
-    if k > 0:
-        x = vh[:k].conj().T @ (beta[:k] / s[:k])
-    return TsvdSolution(x=x, rank=k, singular_values=s)
-
-
-def tikhonov_solve(a: np.ndarray, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Unique minimizer of ||A x - b||^2 + alpha ||x||^2 via normal equations."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    a = np.asarray(a)
-    ah = a.conj().T
-    lhs = ah @ a + alpha * np.eye(a.shape[1])
-    return np.linalg.solve(lhs, ah @ b)
-
-
-def choose_truncation(
-    singular_values: np.ndarray,
-    beta: np.ndarray,
-    b_norm: float,
-    delta: float,
-) -> tuple[int, bool]:
-    """Discrepancy-principle rank: smallest k with ||A x_k - b|| <= delta ||b||.
-
-    beta holds the coefficients u_i^H b; the residual after keeping k
-    components is sqrt(||b||^2 - sum_{i<k} |beta_i|^2). Returns (k, reached);
-    reached is False when even full rank misses the target, in which case
-    full rank is returned.
-    """
-    s = np.asarray(singular_values)
-    if np.any(np.diff(s) > 0):
-        raise ValueError("singular values must be sorted descending")
-    target2 = (delta * b_norm) ** 2
-    resid2 = b_norm * b_norm - np.cumsum(np.abs(beta[: s.size]) ** 2)
-    resid2 = np.concatenate([[b_norm * b_norm], resid2])  # k = 0 first
-    # numerical cancellation can push tiny residuals below zero
-    resid2 = np.maximum(resid2, 0.0)
-    hits = np.nonzero(resid2 <= target2)[0]
-    if hits.size == 0:
-        return int(s.size), False
-    return int(hits[0]), True
-
-
-def mode_spectrum_rows(
-    kernel_xy: GreenKernelTable,
-    omega: float,
-    lattice: ModeLattice,
-    mode_stride: int = 1,
-):
-    """Singular-value spectra of the per-mode systems, for diagnostic dumps.
-
-    Yields (mode index, |Omega|, sigma_1, ..., sigma_min) tuples, one per
-    sampled mode; mode_stride subsamples the lattice to keep dumps small.
-    """
-    mu = trapezoid_weights(kernel_xy.col_z)
-    mag = lattice.magnitude()
-    for m in range(0, kernel_xy.n_modes, mode_stride):
-        a = omega * omega * kernel_xy.mode_matrix(m) * mu[None, :]
-        s = np.linalg.svd(a, compute_uv=False)
-        yield (m, float(mag[m]), *(float(v) for v in s))
-
-
 def solve_mode_block(
     matrices: np.ndarray,
     rhs: np.ndarray,
@@ -192,9 +61,10 @@ def solve_mode_block(
     (x, rank) : (n_sys, n_src) solutions and (n_sys,) retained ranks
         (for Tikhonov the rank reported is the full minimum dimension).
 
-    Semantics per system match tsvd_solve / tikhonov_solve with the
-    configured truncation policy; all-zero systems yield zero solutions
-    with rank 0.
+    TSVD returns the minimal-norm least-squares solution over the singular
+    values kept by the configured truncation policy; Tikhonov returns the
+    unique minimizer of ||A x - b||^2 + alpha ||x||^2 from the normal
+    equations. All-zero systems yield zero solutions with rank 0.
     """
     n_sys, n_recv, n_src = matrices.shape
     x = np.zeros((n_sys, n_src), dtype=complex)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -85,33 +85,12 @@ class RunConfig:
                 {"position": list(map(float, p)), "amplitude": [a.real, a.imag]}
                 for p, a in zip(self.sources.positions, self.sources.amplitudes)
             ],
-            "phantom": {
-                "amplitude": self.phantom.amplitude,
-                "bumps": [
-                    {
-                        "center": list(b.center),
-                        "radius": b.radius,
-                        "weight": b.weight,
-                        "cross_xy": b.cross_xy,
-                        "cross_xz": b.cross_xz,
-                        "cross_yz": b.cross_yz,
-                    }
-                    for b in self.phantom.bumps
-                ],
-            },
+            # every field of these records affects computed results
+            "phantom": asdict(self.phantom),
             "noise": {"delta": self.delta, "seed": self.seed},
-            "regularizer": {
-                "method": self.regularizer.method,
-                "tsvd_rel_threshold": self.regularizer.tsvd_rel_threshold,
-                "tikhonov_alpha": self.regularizer.tikhonov_alpha,
-                "selection_policy": self.regularizer.selection_policy,
-                "noise_delta": self.regularizer.noise_delta,
-            },
-            "extraction": {
-                "combine": self.extraction.combine,
-                "eps_div": self.extraction.eps_div,
-            },
-            "forward": {"tol": self.forward.tol, "max_iter": self.forward.max_iter},
+            "regularizer": asdict(self.regularizer),
+            "extraction": asdict(self.extraction),
+            "forward": asdict(self.forward),
         }
 
     def config_hash(self) -> str:

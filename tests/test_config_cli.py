@@ -1,4 +1,4 @@
-import json
+import importlib.util
 from pathlib import Path
 
 import numpy as np
@@ -248,3 +248,73 @@ def test_cli_bench_smoke(tmp_path, monkeypatch):
     assert all(float(r.split(",")[3]) > 0 for r in rows[1:])
     # empty/odd n lists are config errors
     assert main(["bench", "--config", str(cfg), "--out", "b2", "--n-list", "7"]) == 2
+
+
+def test_cli_malformed_dump_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
+    dump = tmp_path / "data" / "w_000.laf"
+    good = dump.read_bytes()
+    dump.write_bytes(good[:-3])  # not a whole number of samples
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r1"]) == 4
+    dump.write_bytes(b"NOPE" + good[4:])
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r2"]) == 4
+
+
+def test_cli_corrupt_kernel_cache_is_rebuilt(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(
+        tmp_path, output={"kernel_cache": True, "kernel_cache_dir": "cache"}
+    )
+    assert main(["synthesize", "--config", str(cfg), "--out", "fresh"]) == 0
+    tables = sorted((tmp_path / "cache").glob("*.npz"))
+    assert len(tables) == 2
+    tables[0].write_bytes(tables[0].read_bytes()[:-100])  # truncated zip
+    tables[1].write_bytes(b"not a table")
+    for out in ("healed", "warm"):
+        assert main(["synthesize", "--config", str(cfg), "--out", out]) == 0
+        assert (tmp_path / out / "w_000.laf").read_bytes() == (
+            tmp_path / "fresh" / "w_000.laf"
+        ).read_bytes()
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
+        p.name for p in tables
+    ]
+
+
+def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config_dict(forward={"tol": 1e-13, "max_iter": 2})
+    # N = 32 so the coarse lattice resolves the bumps and Born needs > 2 steps
+    data["grid"]["n_transverse"] = 32
+    cfg = tmp_path / "capped.yaml"
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 3
+    assert not (tmp_path / "d").exists()
+    data["forward"]["max_iter"] = 1000
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["synthesize", "--config", str(cfg), "--out", "ok"]) == 0
+    manifest = read_manifest(tmp_path / "ok" / "manifest.json")
+    assert manifest["forward_converged"] == {"2": True}
+    assert manifest["forward_iterations"]["2"] > 2
+
+
+def test_benchmark_hook_points_exist():
+    """Every pipeline attribute the benchmark's tracer wraps exists and is restored."""
+    path = Path(__file__).resolve().parent.parent / "flbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("flbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer("t")
+    spans.install(tracer)
+    patched = list(tracer._patches)
+    try:
+        assert patched
+        for module, attr, original in patched:
+            assert getattr(module, attr) is not original
+    finally:
+        tracer.restore()
+    for module, attr, original in patched:
+        assert getattr(module, attr) is original

@@ -3,6 +3,7 @@ import pytest
 
 import flatlayer as fl
 from flatlayer.forward import interaction_spectral
+from flatlayer.medium import trapezoid_weights
 
 
 def test_zero_data_gives_zero_interaction(desk):
@@ -24,10 +25,11 @@ def test_forward_then_invert_recovers_rowspace_interaction(desk):
     gx, gy = desk["grid_x"], desk["grid_y"]
     lat, omega, table = desk["lattice"], desk["omega"], desk["kernel_xy"]
     rng = np.random.default_rng(12)
+    mu = trapezoid_weights(gx.z_nodes)
     prop = np.nonzero(lat.magnitude() < omega)[0]
     v_values = np.zeros((lat.n_modes, gx.nz), dtype=complex)
     for m in prop:
-        a = fl.assemble_mode_system(table, int(m), omega).matrix
+        a = omega ** 2 * table.mode_matrices(m, m + 1)[0] * mu
         y = rng.standard_normal(gy.nz) + 1j * rng.standard_normal(gy.nz)
         v_values[m] = a.conj().T @ y
     v_in = fl.SpectralField(gx, v_values)
@@ -66,9 +68,9 @@ def test_discrepancy_solves_meet_per_mode_residual_target(desk):
     resid = np.linalg.norm(resynth - w_spec.values, axis=1)
     b_norm = np.linalg.norm(w_spec.values, axis=1)
 
-    # gathered as (rows, cols, modes); quadrature scales the column axis
-    mats = omega ** 2 * table.values[table.offset_index] * mu[None, :, None]
-    a_norm = np.linalg.norm(mats.reshape(gy.nz * gx.nz, -1), axis=0)
+    # (modes, rows, cols); quadrature scales the column axis
+    mats = omega ** 2 * table.mode_matrices(0, table.n_modes) * mu
+    a_norm = np.linalg.norm(mats.reshape(table.n_modes, -1), axis=1)
     x_norm = np.linalg.norm(v_spec.values, axis=1)
     eps = np.finfo(float).eps
     allowance = 64 * eps * (a_norm * x_norm + b_norm)

@@ -3,7 +3,7 @@ import pytest
 
 import flatlayer as fl
 from flatlayer.fields import Grid3D
-from flatlayer.medium import green_cell_average, sample_green_slabs
+from flatlayer.medium import green_cell_average, sample_green_slabs, trapezoid_weights
 from flatlayer.spectral import forward_slab
 
 
@@ -47,8 +47,9 @@ def test_kernel_translation_invariance(tiny_grids):
     lat = fl.ModeLattice.for_grid(gx)
     table = fl.build_green_kernel(gx, gx, 2.0, lat)
     # equal z-differences share one table row, so entries agree exactly
-    assert np.array_equal(table.entry(3, 1), table.entry(4, 2))
-    assert np.array_equal(table.entry(0, 2), table.entry(4, 6))
+    mats = table.mode_matrices(0, table.n_modes)
+    assert np.array_equal(mats[:, 3, 1], mats[:, 4, 2])
+    assert np.array_equal(mats[:, 0, 2], mats[:, 4, 6])
 
 
 def test_kernel_even_in_mode(tiny_grids):
@@ -56,7 +57,7 @@ def test_kernel_even_in_mode(tiny_grids):
     lat = fl.ModeLattice.for_grid(gx)
     table = fl.build_green_kernel(gx, gx, 2.0, lat)
     n = gx.nx
-    vals = table.entry(2, 0).reshape(n, n)
+    vals = table.mode_matrices(0, table.n_modes)[:, 2, 0].reshape(n, n)
     for k1, k2 in [(1, 3), (2, 2), (5, 0)]:
         assert vals[(-k1) % n, (-k2) % n] == pytest.approx(vals[k1, k2], rel=1e-12)
 
@@ -90,6 +91,21 @@ def test_kernel_static_limit_against_refined_quadrature(tiny_grids):
     r = np.sqrt(x[:, None] ** 2 + x[None, :] ** 2 + dz * dz)
     oracle = np.sum(-np.exp(1j * omega * r) / (4 * np.pi * r)) * h * h
     assert abs(built - oracle) / abs(oracle) < 0.02
+
+
+def test_convolve_chunks_match_dense_mode_matrices(desk):
+    table = desk["kernel_xy"]
+    chunks = list(table.mode_chunks())
+    assert len(chunks) > 1
+    assert chunks[0][0] == 0 and chunks[-1][1] == table.n_modes
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
+    rng = np.random.default_rng(19)
+    shape = (table.n_modes, table.n_cols)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    mu = trapezoid_weights(table.col_z)
+    # chunking changes which modes share a gather, not the arithmetic
+    dense = np.einsum("mkl,ml->mk", table.mode_matrices(0, table.n_modes), v * mu)
+    assert np.array_equal(table.convolve(v, mu), dense)
 
 
 def test_kernel_rejects_mismatched_transverse_lattice(tiny_grids):

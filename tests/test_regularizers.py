@@ -1,8 +1,15 @@
+"""Regularized per-mode solves, all through solve_mode_block.
+
+Single systems are solved as one-system stacks, the way solve_modes hands
+any chunk of modes to the solver, and checked against numpy oracles.
+"""
+
 import numpy as np
 import pytest
 
 import flatlayer as fl
-from flatlayer.regularizers import choose_truncation, solve_mode_block
+from flatlayer.medium import trapezoid_weights
+from flatlayer.regularizers import solve_mode_block
 
 
 def random_system(rng, rows, cols):
@@ -11,18 +18,38 @@ def random_system(rng, rows, cols):
     return a, b
 
 
+def solve_one(a, b, reg):
+    """Solution and retained rank of one system, solved as a one-system stack."""
+    x, rank = solve_mode_block(np.asarray(a)[None], np.asarray(b)[None], reg)
+    return x[0], int(rank[0])
+
+
+def tsvd(threshold=1e-7):
+    return fl.RegularizerConfig(method="tsvd", tsvd_rel_threshold=threshold)
+
+
+def tikhonov(alpha):
+    return fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=alpha)
+
+
+def discrepancy(delta):
+    return fl.RegularizerConfig(
+        method="tsvd", selection_policy="discrepancy", noise_delta=delta
+    )
+
+
 def test_tsvd_identity_matrix():
     b = np.array([1.0 + 2.0j, -3.0, 0.5j])
-    sol = fl.tsvd_solve(np.eye(3), b, rel_threshold=1e-12)
-    assert sol.rank == 3
-    assert np.allclose(sol.x, b, rtol=1e-14)
+    x, rank = solve_one(np.eye(3), b, tsvd(1e-12))
+    assert rank == 3
+    assert np.allclose(x, b, rtol=1e-14)
 
 
 def test_tsvd_matches_pseudo_inverse():
     rng = np.random.default_rng(0)
     a, b = random_system(rng, 10, 6)
-    sol = fl.tsvd_solve(a, b, rel_threshold=1e-15)
-    assert np.allclose(sol.x, np.linalg.pinv(a) @ b, rtol=1e-10)
+    x, _ = solve_one(a, b, tsvd(1e-15))
+    assert np.allclose(x, np.linalg.pinv(a) @ b, rtol=1e-10)
 
 
 def test_tsvd_rank_one_orthogonal_data():
@@ -35,14 +62,14 @@ def test_tsvd_rank_one_orthogonal_data():
     # data orthogonal to the only left singular vector
     b = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     b -= (u.conj() @ b) * u
-    sol = fl.tsvd_solve(a, b)
-    assert np.max(np.abs(sol.x)) < 1e-12
+    x, _ = solve_one(a, b, tsvd())
+    assert np.max(np.abs(x)) < 1e-12
 
 
 def test_tsvd_zero_matrix_signals_rank_zero():
-    sol = fl.tsvd_solve(np.zeros((4, 3)), np.ones(4))
-    assert sol.rank == 0
-    assert np.all(sol.x == 0)
+    x, rank = solve_one(np.zeros((4, 3)), np.ones(4), tsvd())
+    assert rank == 0
+    assert np.all(x == 0)
 
 
 def test_tsvd_minimal_norm_over_retained_subspace():
@@ -55,14 +82,17 @@ def test_tsvd_minimal_norm_over_retained_subspace():
         for k in range(1, min(rows, cols) + 1):
             truncated = (u[:, :k] * s[:k]) @ vh[:k]
             oracle = np.linalg.pinv(truncated) @ b
-            sol = fl.tsvd_solve(a, b, rank=k)
-            assert np.allclose(sol.x, oracle, rtol=1e-9, atol=1e-12)
+            # a threshold strictly between sigma_k and sigma_{k+1} keeps k
+            cut = np.sqrt(s[k - 1] * s[k]) if k < s.size else 0.5 * s[k - 1]
+            x, rank = solve_one(a, b, tsvd(cut / s[0]))
+            assert rank == k
+            assert np.allclose(x, oracle, rtol=1e-9, atol=1e-12)
 
 
 def test_tikhonov_penalty_dominance():
     rng = np.random.default_rng(3)
     a, b = random_system(rng, 6, 4)
-    norms = [np.linalg.norm(fl.tikhonov_solve(a, b, al)) for al in [1e-2, 1, 1e2, 1e4]]
+    norms = [np.linalg.norm(solve_one(a, b, tikhonov(al))[0]) for al in [1e-2, 1, 1e2, 1e4]]
     assert all(n1 > n2 for n1, n2 in zip(norms, norms[1:]))
 
 
@@ -71,7 +101,7 @@ def test_tikhonov_orthonormal_columns_closed_form():
     q, _ = np.linalg.qr(rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4)))
     b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     alpha = 0.37
-    x = fl.tikhonov_solve(q, b, alpha)
+    x, _ = solve_one(q, b, tikhonov(alpha))
     assert np.allclose(x, q.conj().T @ b / (1 + alpha), rtol=1e-12)
 
 
@@ -79,30 +109,40 @@ def test_tikhonov_normal_equation_residual():
     rng = np.random.default_rng(5)
     a, b = random_system(rng, 8, 5)
     alpha = 1e-3
-    x = fl.tikhonov_solve(a, b, alpha)
+    x, _ = solve_one(a, b, tikhonov(alpha))
     residual = a.conj().T @ (a @ x - b) + alpha * x
     assert np.linalg.norm(residual) / np.linalg.norm(a.conj().T @ b) < 1e-12
 
 
 def test_tikhonov_rejects_nonpositive_alpha():
     with pytest.raises(ValueError, match="positive"):
-        fl.tikhonov_solve(np.eye(2), np.ones(2), 0.0)
+        tikhonov(0.0)
 
 
 def test_tikhonov_tsvd_consistency_as_alpha_vanishes():
     rng = np.random.default_rng(6)
     a, b = random_system(rng, 9, 5)
     smax = np.linalg.norm(a, 2)
-    x_tik = fl.tikhonov_solve(a, b, 1e-12 * smax ** 2)
+    x_tik, _ = solve_one(a, b, tikhonov(1e-12 * smax ** 2))
     x_ls = np.linalg.pinv(a) @ b
     assert np.allclose(x_tik, x_ls, rtol=1e-8)
 
 
+def planted_system(rng, s, rows):
+    """Real rows x s.size system U[:, :n] diag(s) V^T with random orthogonal U, V."""
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((s.size, s.size)))
+    a = (u[:, : s.size] * s) @ v.T
+    return a, u, v
+
+
 def test_choose_truncation_large_delta_keeps_nothing():
     s = np.array([1.0, 0.5])
-    beta = np.array([0.3, 0.1])
-    k, reached = choose_truncation(s, beta, b_norm=1.0, delta=2.0)
-    assert k == 0 and reached
+    a, u, _ = planted_system(np.random.default_rng(17), s, 3)
+    b = 0.3 * u[:, 0] + 0.1 * u[:, 1] + np.sqrt(0.9) * u[:, 2]  # ||b|| = 1
+    x, rank = solve_one(a, b, discrepancy(2.0))
+    assert rank == 0
+    assert np.all(x == 0)
 
 
 def test_choose_truncation_exact_data_full_rank():
@@ -110,27 +150,20 @@ def test_choose_truncation_exact_data_full_rank():
     a = rng.standard_normal((5, 5)) + np.eye(5) * 3  # well conditioned
     x_true = rng.standard_normal(5)
     b = a @ x_true
-    u, s, vh = np.linalg.svd(a)
-    beta = u.conj().T @ b
-    k, reached = choose_truncation(s, beta, float(np.linalg.norm(b)), delta=1e-13)
-    assert k == 5 and reached
+    x, rank = solve_one(a, b, discrepancy(1e-13))
+    assert rank == 5
+    assert np.allclose(x, x_true, rtol=1e-10)
 
 
 def test_choose_truncation_planted_gap():
     rng = np.random.default_rng(8)
-    u, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-    v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     s = np.array([1.0, 0.6, 0.3, 1e-9, 1e-10, 1e-11])
+    a, u, v = planted_system(rng, s, 8)
     coeffs = np.array([0.5, 0.4, 0.3, 0.0, 0.0, 0.0])
     b = u[:, :6] @ coeffs + 1e-4 * u[:, :6] @ np.array([0, 0, 0, 1.0, 1.0, 1.0])
-    beta = u[:, :6].conj().T @ b
-    k, reached = choose_truncation(s, beta, float(np.linalg.norm(b)), delta=5e-4)
-    assert k == 3 and reached
-
-
-def test_choose_truncation_rejects_unsorted():
-    with pytest.raises(ValueError, match="descending"):
-        choose_truncation(np.array([0.1, 1.0]), np.array([1.0, 1.0]), 1.0, 0.1)
+    x, rank = solve_one(a, b, discrepancy(5e-4))
+    assert rank == 3
+    assert np.allclose(x, v[:, :3] @ (coeffs[:3] / s[:3]), rtol=1e-9)
 
 
 def toy_table():
@@ -143,35 +176,47 @@ def toy_table():
     return gx, gy, fl.build_green_kernel(gx, gy, 2.0, lat)
 
 
+def toy_data(gy, seed=18):
+    rng = np.random.default_rng(seed)
+    shape = (gy.nx * gy.ny, gy.nz)
+    return fl.SpectralField(gy, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def test_assemble_mode_system_entrywise():
-    gx, gy, table = toy_table()
-    omega = 2.0
-    mu = np.array([0.25, 0.5, 0.25])  # trapezoid on 3 nodes, h = 0.5
-    system = fl.assemble_mode_system(table, mode=5, omega=omega)
-    assert system.matrix.shape == (2, 3)
+    _, _, table = toy_table()
+    mats = table.mode_matrices(4, 7)
+    assert mats.shape == (3, 2, 3)
     for k in range(2):
         for l in range(3):
-            expected = omega ** 2 * mu[l] * table.entry(k, l)[5]
-            assert system.matrix[k, l] == pytest.approx(expected, rel=1e-14)
+            j = np.nonzero(np.isclose(table.offsets, table.row_z[k] - table.col_z[l]))[0]
+            assert j.size == 1
+            assert np.array_equal(mats[:, k, l], table.values[j[0], 4:7])
 
 
 def test_assemble_mode_system_zero_frequency_prefactor():
-    _, _, table = toy_table()
-    system = fl.assemble_mode_system(table, mode=0, omega=0.0)
-    assert np.all(system.matrix == 0)
+    gx, gy, table = toy_table()
+    v_spec, stats = fl.solve_modes(toy_data(gy), table, 0.0, tsvd(), gx)
+    assert np.all(v_spec.values == 0)
+    assert np.all(stats.ranks == 0)
 
 
 def test_assemble_mode_system_prefactor_scaling():
-    _, _, table = toy_table()
-    a1 = fl.assemble_mode_system(table, mode=3, omega=1.0).matrix
-    a2 = fl.assemble_mode_system(table, mode=3, omega=2.0).matrix
-    assert np.allclose(a2, 4.0 * a1, rtol=1e-14)
+    gx, gy, table = toy_table()
+    w_spec = toy_data(gy)
+    v1, stats1 = fl.solve_modes(w_spec, table, 1.0, tsvd(), gx)
+    v2, stats2 = fl.solve_modes(w_spec, table, 2.0, tsvd(), gx)
+    assert np.array_equal(stats1.ranks, stats2.ranks)
+    assert np.allclose(v2.values, v1.values / 4.0, rtol=1e-14)
 
 
 def test_assemble_mode_system_rejects_bad_quadrature():
-    _, _, table = toy_table()
-    with pytest.raises(ValueError, match="quadrature"):
-        fl.assemble_mode_system(table, mode=0, omega=1.0, quadrature=np.ones(5))
+    _, gy, table = toy_table()
+    other, _ = fl.make_grids(fl.GridConfig(
+        n_transverse=16, scatterer_z=(0.0, 1.0), scatterer_nz=5,
+        receiver_z=(2.0, 3.0), receiver_nz=2,
+    ))
+    with pytest.raises(ValueError, match="scatterer grid"):
+        fl.solve_modes(toy_data(gy), table, 1.0, tsvd(), other)
 
 
 def test_solve_mode_block_matches_scalar_tsvd():
@@ -179,12 +224,13 @@ def test_solve_mode_block_matches_scalar_tsvd():
     mats = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
     rhs = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     mats[3] = 0.0  # a dead mode
-    reg = fl.RegularizerConfig(method="tsvd", tsvd_rel_threshold=1e-7)
-    x, ranks = solve_mode_block(mats, rhs, reg)
+    x, ranks = solve_mode_block(mats, rhs, tsvd(1e-7))
     for i in range(6):
-        sol = fl.tsvd_solve(mats[i], rhs[i], rel_threshold=1e-7)
-        assert np.allclose(x[i], sol.x, rtol=1e-11, atol=1e-13)
-        assert ranks[i] == sol.rank
+        x_one, rank_one = solve_one(mats[i], rhs[i], tsvd(1e-7))
+        assert np.allclose(x[i], x_one, rtol=1e-11, atol=1e-13)
+        assert ranks[i] == rank_one
+        if i != 3:
+            assert np.allclose(x[i], np.linalg.pinv(mats[i]) @ rhs[i], rtol=1e-10)
     assert ranks[3] == 0
 
 
@@ -192,10 +238,11 @@ def test_solve_mode_block_matches_scalar_tikhonov():
     rng = np.random.default_rng(10)
     mats = rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5))
     rhs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    reg = fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=1e-3)
-    x, _ = solve_mode_block(mats, rhs, reg)
+    x, _ = solve_mode_block(mats, rhs, tikhonov(1e-3))
     for i in range(4):
-        assert np.allclose(x[i], fl.tikhonov_solve(mats[i], rhs[i], 1e-3), rtol=1e-11)
+        ah = mats[i].conj().T
+        oracle = np.linalg.solve(ah @ mats[i] + 1e-3 * np.eye(5), ah @ rhs[i])
+        assert np.allclose(x[i], oracle, rtol=1e-11)
 
 
 def test_solve_mode_block_discrepancy_policy():
@@ -203,18 +250,12 @@ def test_solve_mode_block_discrepancy_policy():
     mats = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
     x_true = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     rhs = np.einsum("nij,nj->ni", mats, x_true)
-    reg = fl.RegularizerConfig(
-        method="tsvd", selection_policy="discrepancy", noise_delta=1e-12
-    )
-    x, ranks = solve_mode_block(mats, rhs, reg)
+    x, ranks = solve_mode_block(mats, rhs, discrepancy(1e-12))
     # consistent data and tiny delta: full rank reproduces the solution
     assert np.all(ranks == 6)
     assert np.allclose(x, x_true, rtol=1e-8)
     # delta larger than the data: nothing retained
-    reg_loose = fl.RegularizerConfig(
-        method="tsvd", selection_policy="discrepancy", noise_delta=2.0
-    )
-    x0, ranks0 = solve_mode_block(mats, rhs, reg_loose)
+    x0, ranks0 = solve_mode_block(mats, rhs, discrepancy(2.0))
     assert np.all(ranks0 == 0)
     assert np.all(x0 == 0)
 
@@ -230,38 +271,15 @@ def test_regularizer_config_validation():
         fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=-1.0)
 
 
-def test_mode_spectrum_rows_dump():
-    import csv
-    import io
-
-    from flatlayer.regularizers import mode_spectrum_rows
-
-    gx, gy, table = toy_table()
-    lat = fl.ModeLattice.for_grid(gx)
-    rows = list(mode_spectrum_rows(table, 2.0, lat, mode_stride=64))
-    assert len(rows) == lat.n_modes // 64
-    for row in rows:
-        m, mag = row[0], row[1]
-        sigmas = row[2:]
-        assert mag == pytest.approx(lat.magnitude()[m])
-        assert len(sigmas) == min(table.n_rows, table.n_cols)
-        assert sorted(sigmas, reverse=True) == list(sigmas)
-        system = fl.assemble_mode_system(table, m, 2.0)
-        expected = np.linalg.svd(system.matrix, compute_uv=False)
-        assert np.allclose(sigmas, expected, rtol=1e-12)
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    assert buffer.getvalue().count("\n") == len(rows)
-
-
 def test_physical_mode_systems_decay_beyond_k0(desk):
     """Singular values of evanescent-mode systems collapse superlinearly."""
     lat = desk["lattice"]
     omega = desk["omega"]
     table = desk["kernel_xy"]
+    mu = trapezoid_weights(table.col_z)
     mag = lat.magnitude()
     beyond = np.nonzero((mag > omega) & (mag < omega + 1.5))[0][:6]
     for m in beyond:
-        system = fl.assemble_mode_system(table, int(m), omega)
-        s = np.linalg.svd(system.matrix, compute_uv=False)
+        a = omega ** 2 * table.mode_matrices(m, m + 1)[0] * mu
+        s = np.linalg.svd(a, compute_uv=False)
         assert s[9] / s[0] < 1e-6
