@@ -17,7 +17,6 @@ from .fields import (
 )
 from .forward import DivergenceError, ForwardResult, add_noise, born_iterate, scattered_data
 from .inverse import (
-    InversionResult,
     XiExtraction,
     extract_xi_lsq,
     extract_xi_single,

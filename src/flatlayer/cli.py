@@ -1,8 +1,9 @@
 """Command-line batch runner.
 
 Subcommands: phantom, synthesize, invert, evaluate, bench. Exit codes:
-0 success, 2 configuration error, 3 numerical failure (forward divergence
-or non-convergence), 4 I/O error (including malformed field dumps).
+0 success, 2 configuration error (including unknown keys), 3 numerical
+failure (forward divergence or non-convergence), 4 I/O error (including
+malformed field dumps and stage manifests).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 from .fieldio import LafFormatError
 from .forward import ForwardError
+from .manifest import ManifestError
 from .pipeline import run_bench, run_evaluate, run_invert, run_phantom, run_synthesize
 from .runconfig import ConfigError, RunConfig, load_config
 
@@ -107,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
     except ForwardError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (OSError, LafFormatError) as exc:
+    except (OSError, LafFormatError, ManifestError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK

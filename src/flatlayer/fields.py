@@ -97,6 +97,14 @@ class Grid3D:
         iz = int(np.rint((z - self.z_nodes[0]) / self.hz))
         return ix, iy, iz
 
+    def centred(self) -> "Grid3D":
+        """This grid with its transverse window moved to [-Lx/2, Lx/2) x [-Ly/2, Ly/2).
+
+        Periods, spacing and z nodes are unchanged; node (N/2, N/2) is the origin.
+        """
+        lx, ly = self.x_max - self.x_min, self.y_max - self.y_min
+        return Grid3D(-lx / 2, lx / 2, -ly / 2, ly / 2, self.nx, self.ny, self.z_nodes)
+
     def same_transverse_lattice(self, other: "Grid3D") -> bool:
         return (
             self.nx == other.nx

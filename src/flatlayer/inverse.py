@@ -41,19 +41,6 @@ class XiExtraction:
     masked_fraction: float  # fraction of nodes masked to the background
 
 
-@dataclass(frozen=True)
-class InversionResult:
-    """All per-frequency reconstruction pieces plus the extracted coefficient."""
-
-    frequencies: tuple[float, ...]
-    v_fields: tuple[ComplexField, ...]
-    u_fields: tuple[ComplexField, ...]
-    xi: np.ndarray
-    xi_imag_norm: float
-    masked_fraction: float
-    mode_stats: tuple[ModeSolveStats, ...]
-
-
 def solve_modes(
     w_spec: SpectralField,
     kernel_xy: GreenKernelTable,

@@ -50,6 +50,17 @@ class ManifestBuilder:
             fh.write("\n")
 
 
-def read_manifest(path: str | Path) -> dict:
+class ManifestError(ValueError):
+    """A stage manifest that is not a JSON object holding the keys its reader needs."""
+
+
+def read_manifest(path: str | Path, *required: str) -> dict:
+    """The manifest at path; ManifestError if it is malformed or lacks a required key."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:  # invalid JSON or text encoding
+            raise ManifestError(f"{path}: not a valid manifest: {exc}") from exc
+    if not isinstance(data, dict) or any(key not in data for key in required):
+        raise ManifestError(f"{path}: not a JSON object holding {', '.join(required)}")
+    return data

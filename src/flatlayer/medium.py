@@ -1,10 +1,13 @@
 """Green's function, spectral kernel tables, point sources, and the model medium.
 
-The free-space outgoing-wave kernel is G(rho, w) = -exp(i*w*rho/c0)/(4*pi*rho).
-Its transverse spectrum G_hat(dz, w, Omega) is built numerically: sample G on
-the (truncated, periodized) transverse lattice at fixed z-offset and apply the
-slab Fourier transform. Tables store one spectrum slab per distinct z-offset,
-since entries depend on z - z' only.
+Units fix the background sound speed c0 = 1, so the wavenumber equals the
+angular frequency. The free-space outgoing-wave kernel G (green_point) depends
+on node differences only. Its transverse spectrum G_hat(dz, w, Omega) is built
+numerically: sample G on the centred copy of the (truncated, periodized)
+transverse lattice at fixed z-offset and apply the slab Fourier transform.
+Tables store one spectrum slab per distinct z-offset, since entries depend on
+z - z' only; they depend on N, the transverse periods, the z nodes and omega,
+never on where the window sits.
 """
 
 from __future__ import annotations
@@ -19,42 +22,39 @@ from .spectral import ModeLattice, forward_slab
 
 # offsets closer than this are the same physical z-difference
 _OFFSET_DECIMALS = 10
-# bytes of mode matrices gathered at once by per-mode kernel operations
+# bytes of transient arrays per batch, in table construction and per-mode operations
 _GATHER_BYTES = 1 << 20
 
 
-def green_point(rho, omega: float, c0: float = 1.0):
-    """Free-space Green's function -exp(i*omega*rho/c0) / (4*pi*rho).
+def green_point(rho, omega: float):
+    """Free-space Green's function -exp(i*omega*rho) / (4*pi*rho).
 
     Parameters
     ----------
     rho : float or ndarray
         Source-observer distance, strictly positive.
     omega : float
-        Angular frequency (rad per unit time).
-    c0 : float
-        Background sound speed.
+        Angular frequency (rad per unit time), equal to the wavenumber.
     """
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0.0):
         raise ValueError("green_point requires rho > 0 (singular at rho = 0)")
-    out = -np.exp(1j * omega * rho / c0) / (4.0 * np.pi * rho)
+    out = -np.exp(1j * omega * rho) / (4.0 * np.pi * rho)
     return out if out.ndim else complex(out)
 
 
-def green_cell_average(cell_area: float, omega: float, c0: float = 1.0) -> complex:
+def green_cell_average(cell_area: float, omega: float) -> complex:
     """Mean of G over a disk with the given area, centred on the singularity.
 
-    Closed form of (1/(pi a^2)) * int_0^a -exp(i k rho)/(4 pi rho) 2 pi rho drho;
+    Closed form of (1/(pi a^2)) * int_0^a -exp(i omega rho)/(4 pi rho) 2 pi rho drho;
     replaces the untabulatable rho = 0 sample while preserving the integrable
     singularity's cell average.
     """
     a = np.sqrt(cell_area / np.pi)
-    k = omega / c0
-    if abs(k * a) < 1e-8:
-        integral = a * (1.0 + 0.5j * k * a)
+    if abs(omega * a) < 1e-8:
+        integral = a * (1.0 + 0.5j * omega * a)
     else:
-        integral = (np.exp(1j * k * a) - 1.0) / (1j * k)
+        integral = (np.exp(1j * omega * a) - 1.0) / (1j * omega)
     return complex(-integral / (2.0 * np.pi * a * a))
 
 
@@ -134,29 +134,24 @@ def trapezoid_weights(z_nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def sample_green_slabs(
-    grid: Grid3D, dz_list: np.ndarray, omega: float, c0: float = 1.0
-) -> np.ndarray:
-    """Sample G on the transverse lattice for each z-offset in dz_list.
+def sample_green_slabs(grid: Grid3D, dz_list: np.ndarray, omega: float) -> np.ndarray:
+    """Sample G on grid.centred()'s transverse lattice for each z-offset in dz_list.
 
-    The rho = 0 sample (possible only at zero offset with the origin on the
-    lattice) is replaced by the analytic disk average of G over one cell.
+    Its nodes are the minimum-image offsets of the periodic lattice, with
+    the origin at node (N/2, N/2). At zero offset the rho = 0 sample there
+    is replaced by the analytic disk average of G over one cell.
     """
-    x = grid.x_coords()
-    y = grid.y_coords()
+    centred = grid.centred()
+    x = centred.x_coords()
+    y = centred.y_coords()
     rho2 = x[:, None] ** 2 + y[None, :] ** 2
-    iox = int(np.argmin(np.abs(x)))
-    ioy = int(np.argmin(np.abs(y)))
-    origin_on_lattice = abs(x[iox]) < 1e-12 and abs(y[ioy]) < 1e-12
-
     dz = np.asarray(dz_list, dtype=float)
     r = np.sqrt(rho2[None, :, :] + dz[:, None, None] ** 2)
-    singular = (np.abs(dz) < 1e-14) & origin_on_lattice
-    if np.any(singular):
-        r[singular, iox, ioy] = 1.0  # placeholder, overwritten below
-    slabs = -np.exp(1j * (omega / c0) * r) / (4.0 * np.pi * r)
-    if np.any(singular):
-        slabs[singular, iox, ioy] = green_cell_average(grid.hx * grid.hy, omega, c0)
+    singular = np.abs(dz) < 1e-14
+    origin = (singular, grid.nx // 2, grid.ny // 2)
+    r[origin] = 1.0  # placeholder, overwritten below
+    slabs = green_point(r, omega)
+    slabs[origin] = green_cell_average(grid.hx * grid.hy, omega)
     return slabs
 
 
@@ -165,13 +160,14 @@ def build_green_kernel(
     grid_recv: Grid3D,
     omega: float,
     lattice: ModeLattice,
-    c0: float = 1.0,
 ) -> GreenKernelTable:
     """Tabulate G_hat(z_k - z'_l, omega, Omega) for all needed node pairs.
 
     One routine serves both the scatterer-to-scatterer and the
     scatterer-to-receiver tables; the grids must share the transverse
-    lattice. Construction batches the slab FFTs over unique offsets.
+    lattice. G is sampled and transformed on the centred copy of that
+    lattice, so shifting the window leaves the table unchanged.
+    Construction batches the slab FFTs over unique offsets.
     """
     if not grid_src.same_transverse_lattice(grid_recv):
         raise ValueError("source and receiver grids must share the transverse lattice")
@@ -184,14 +180,13 @@ def build_green_kernel(
     offsets, inverse = np.unique(diff, return_inverse=True)
     offset_index = inverse.reshape(diff.shape).astype(np.intp)
 
-    n = grid_src.nx
-    n_modes = n * n
+    centred = grid_src.centred()
+    n_modes = grid_src.nx * grid_src.ny
     values = np.empty((offsets.size, n_modes), dtype=complex)
-    block = max(1, 4_000_000 // n_modes)  # cap transient FFT batch memory
+    block = max(1, _GATHER_BYTES // (n_modes * values.itemsize))
     for start in range(0, offsets.size, block):
         chunk = offsets[start : start + block]
-        slabs = sample_green_slabs(grid_src, chunk, omega, c0)
-        spec = forward_slab(slabs, grid_src)
+        spec = forward_slab(sample_green_slabs(centred, chunk, omega), centred)
         values[start : start + chunk.size] = spec.reshape(chunk.size, n_modes)
 
     for arr in (row_z, col_z, offsets, offset_index, values):
@@ -238,35 +233,24 @@ def incident_field_spectral(
     grid: Grid3D,
     omega: float,
     lattice: ModeLattice,
-    c0: float = 1.0,
 ) -> SpectralField:
     """Spectrum of the incident field u0 = sum_m A_m G(|x - x_m|) on a grid.
 
-    Samples the superposed point-source field slab by slab, then transforms.
+    Samples the superposed point-source field on every node, then transforms.
     A source coinciding with a grid node would make u0 singular there and is
     rejected.
     """
     if lattice.nx != grid.nx:
         raise ValueError("mode lattice does not match the grid")
-    for p in sources.positions:
-        ix, iy, iz = grid.nearest_index(*p)
-        if 0 <= ix < grid.nx and 0 <= iy < grid.ny and 0 <= iz < grid.nz:
-            node = (
-                grid.x_coords()[ix],
-                grid.y_coords()[iy],
-                grid.z_nodes[iz],
-            )
-            if np.allclose(p, node, rtol=0.0, atol=1e-13):
-                raise ValueError(f"source at {tuple(p)} coincides with a grid node")
-
     x = grid.x_coords()
     y = grid.y_coords()
     slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)
     for p, a in zip(sources.positions, sources.amplitudes):
         dist2_xy = (x[:, None] - p[0]) ** 2 + (y[None, :] - p[1]) ** 2
-        for iz, z in enumerate(grid.z_nodes):
-            r = np.sqrt(dist2_xy + (z - p[2]) ** 2)
-            slabs[iz] += a * (-np.exp(1j * (omega / c0) * r) / (4.0 * np.pi * r))
+        r = np.sqrt(dist2_xy[None, :, :] + ((grid.z_nodes - p[2]) ** 2)[:, None, None])
+        if r.min() < 1e-13:
+            raise ValueError(f"source at {tuple(p)} coincides with a grid node")
+        slabs += a * green_point(r, omega)
     spec = forward_slab(slabs, grid)
     return SpectralField(grid, spec.reshape(grid.nz, grid.nx * grid.ny).T)
 
@@ -351,21 +335,19 @@ class Phantom:
         return best
 
 
-def contrast(phantom: Phantom, c0: float = 1.0) -> float:
-    """Relative peak sound-speed deviation max{1/sqrt(1 - c0^2 xi)} - 1."""
+def contrast(phantom: Phantom) -> float:
+    """Relative peak sound-speed deviation max{1/sqrt(1 - xi)} - 1 (c0 = 1)."""
     m = phantom.max_value()
-    if c0 * c0 * m >= 1.0:
-        raise ValueError(
-            f"max xi = {m} reaches 1/c0^2; sound speed undefined for this amplitude"
-        )
-    return 1.0 / np.sqrt(1.0 - c0 * c0 * m) - 1.0
+    if m >= 1.0:
+        raise ValueError(f"max xi = {m} reaches 1; sound speed undefined for this amplitude")
+    return 1.0 / np.sqrt(1.0 - m) - 1.0
 
 
-def xi_to_speed(xi: np.ndarray, c0: float = 1.0) -> np.ndarray:
-    """Convert the inhomogeneity coefficient to sound speed c = (c0^-2 - xi)^-1/2."""
+def xi_to_speed(xi: np.ndarray) -> np.ndarray:
+    """Convert the inhomogeneity coefficient to sound speed c = (1 - xi)^-1/2 (c0 = 1)."""
     xi = np.asarray(xi, dtype=float)
-    radicand = c0 ** (-2) - xi
+    radicand = 1.0 - xi
     if np.any(radicand <= 0.0):
         idx = tuple(int(i) for i in np.argwhere(radicand <= 0.0)[0])
-        raise ValueError(f"nonpositive radicand at node {idx}: xi too large for c0")
+        raise ValueError(f"nonpositive radicand at node {idx}: xi must stay below 1")
     return 1.0 / np.sqrt(radicand)

@@ -4,9 +4,9 @@ and timing benchmarks.
 Every stage writes its artifacts plus a manifest (JSON, stable key order)
 recording the config hash, wall times, diagnostics, and a checksummed file
 inventory, so any reconstruction can be traced to the exact inputs that
-produced it. Kernel tables are cached on disk keyed by grid geometry and
-frequency; construction dominates setup cost and the tables are reusable
-across noise levels and regularizer sweeps.
+produced it. Kernel tables are cached on disk keyed by lattice period, z
+nodes and frequency; construction dominates setup cost and the tables are
+reusable across noise levels, regularizer sweeps and window positions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .fieldio import export_slices_csv, read_field, write_field
 from .fields import ComplexField, Grid3D, make_grids
 from .forward import ForwardError, ForwardResult, add_noise, born_iterate, scattered_data
 from .inverse import (
-    InversionResult,
     ModeSolveStats,
     XiExtraction,
     extract_xi_lsq,
@@ -48,6 +47,8 @@ _TABLE_KEYS = ("omega", "row_z", "col_z", "offsets", "offset_index", "values")
 def _kernel_cache_path(
     cache_dir: Path, src: Grid3D, recv: Grid3D, omega: float
 ) -> Path:
+    # the table does not depend on where the window sits: key on the centred grids
+    src, recv = src.centred(), recv.centred()
     key = f"{src.content_key()}|{recv.content_key()}|omega={omega:.12g}"
     digest = hashlib.sha256(key.encode()).hexdigest()[:24]
     return cache_dir / f"kernel_{digest}.npz"
@@ -268,37 +269,24 @@ def invert_frequency(
     )
 
 
-def _xi_artifact(
-    out: Path, name: str, invs: list[FrequencyInversion], ext: XiExtraction, grid: Grid3D
-) -> InversionResult:
-    """Write one xi dump plus its slice CSVs and return its inversion result."""
+def _xi_artifact(out: Path, name: str, ext: XiExtraction, grid: Grid3D) -> None:
+    """Write one xi dump plus its slice CSVs."""
     field = ComplexField(grid, ext.xi.astype(complex))
     write_field(field, out / f"{name}.laf")
     export_slices_csv(field, out / f"slices_{name}", name)
-    return InversionResult(
-        frequencies=tuple(inv.omega for inv in invs),
-        v_fields=tuple(inv.v_field for inv in invs),
-        u_fields=tuple(inv.u_field for inv in invs),
-        xi=ext.xi,
-        xi_imag_norm=ext.imag_norm,
-        masked_fraction=ext.masked_fraction,
-        mode_stats=tuple(inv.stats for inv in invs),
-    )
 
 
-def run_invert(
-    config: RunConfig, data_dir: str | Path, out_dir: str | Path
-) -> dict[str, InversionResult]:
+def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Path:
     """Reconstruct the coefficient from a synthesize stage's artifacts.
 
     Consumes the data manifest plus W dumps, checks grid compatibility
     before any compute, and writes xi dumps (per frequency, plus the
     least-squares combination when configured), slice CSVs, diagnostics,
-    and a manifest. Returns the inversion results keyed by artifact name.
+    and a manifest.
     """
     data_dir = Path(data_dir)
     out = Path(out_dir)
-    data_manifest = read_manifest(data_dir / "manifest.json")
+    data_manifest = read_manifest(data_dir / "manifest.json", "data_files")
     grid_x, grid_y = make_grids(config.grid)
     if data_manifest.get("grid_x") != grid_x.content_key() or data_manifest.get(
         "grid_y"
@@ -338,11 +326,12 @@ def run_invert(
 
     diag_rows = []
     rank_stats = {}
-    results: dict[str, InversionResult] = {}
+    names = []
     for i, inv in enumerate(inversions):
         ext = extract_xi_single(inv.v_field, inv.u_field, config.extraction.eps_div)
         name = f"xi_{i:03d}"
-        results[name] = _xi_artifact(out, name, [inv], ext, grid_x)
+        _xi_artifact(out, name, ext, grid_x)
+        names.append(name)
         _write_csv(
             out / f"rank_hist_{i:03d}.csv",
             ["rank", "modes"],
@@ -370,7 +359,8 @@ def run_invert(
             [inv.u_field for inv in inversions],
             config.extraction.eps_div,
         )
-        results["xi_combined"] = _xi_artifact(out, "xi_combined", inversions, ext, grid_x)
+        _xi_artifact(out, "xi_combined", ext, grid_x)
+        names.append("xi_combined")
         diag_rows.append(
             ("xi_combined", "all", repr(ext.imag_norm), repr(ext.masked_fraction), 0)
         )
@@ -381,20 +371,14 @@ def run_invert(
         diag_rows,
     )
     manifest.set("rank_stats", rank_stats)
-    manifest.set(
-        "artifacts",
-        [
-            {"name": name, "file": f"{name}.laf"}
-            for name in results
-        ],
-    )
+    manifest.set("artifacts", [{"name": name, "file": f"{name}.laf"} for name in names])
     for p in sorted(out.glob("xi_*.laf")) + sorted(out.glob("*.csv")):
         manifest.add_file(p, out)
     for d in sorted(out.glob("slices_*")):
         for p in sorted(d.glob("*.csv")):
             manifest.add_file(p, out)
     manifest.write(out / "manifest.json")
-    return results
+    return out
 
 
 def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) -> Path:
@@ -402,7 +386,7 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     recon_dir = Path(recon_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    recon_manifest = read_manifest(recon_dir / "manifest.json")
+    recon_manifest = read_manifest(recon_dir / "manifest.json", "artifacts")
     grid_x, _ = make_grids(config.grid)
     xi_exact = config.phantom.sample_on(grid_x)
 

@@ -68,24 +68,18 @@ class RunConfig:
             raise ConfigError(f"invalid grids: {exc}") from exc
 
     def canonical_dict(self) -> dict:
-        """Plain dict of everything that affects computed results."""
-        g = self.grid
+        """Plain dict of everything that affects computed results.
+
+        Every field of the grid, phantom, regularizer, extraction and forward
+        records does; tuples serialize as JSON lists.
+        """
         return {
-            "grid": {
-                "x_bounds": list(g.x_bounds),
-                "y_bounds": list(g.y_bounds),
-                "n_transverse": g.n_transverse,
-                "scatterer_z": list(g.scatterer_z),
-                "scatterer_nz": g.scatterer_nz,
-                "receiver_z": list(g.receiver_z),
-                "receiver_nz": g.receiver_nz,
-            },
+            "grid": asdict(self.grid),
             "frequencies": list(self.frequencies),
             "sources": [
                 {"position": list(map(float, p)), "amplitude": [a.real, a.imag]}
                 for p, a in zip(self.sources.positions, self.sources.amplitudes)
             ],
-            # every field of these records affects computed results
             "phantom": asdict(self.phantom),
             "noise": {"delta": self.delta, "seed": self.seed},
             "regularizer": asdict(self.regularizer),
@@ -98,19 +92,42 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
+# keys read by the longer config sections
+_BUMP_KEYS = ("center", "radius", "weight", "cross_xy", "cross_xz", "cross_yz")
+_TOP_KEYS = ("grid", "frequencies", "sources", "phantom", "noise", "regularizer",
+             "extraction", "forward", "output", "bench")
+_GRID_KEYS = ("x_bounds", "y_bounds", "n_transverse", "scatterer_z", "scatterer_nz",
+              "receiver_z", "receiver_nz")
+_REGULARIZER_KEYS = ("method", "tsvd_rel_threshold", "tikhonov_alpha",
+                     "selection_policy", "noise_delta")
+_OUTPUT_KEYS = ("kernel_cache", "kernel_cache_dir")
+
+
+def _section(raw, name: str, keys: tuple[str, ...]) -> dict:
+    """raw as a mapping, rejecting any key the section does not read."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{name} must be a mapping")
+    unknown = [str(key) for key in raw if key not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key(s) in {name}: {', '.join(unknown)}")
+    return raw
+
+
 def _parse_sources(raw: dict | list) -> SourceSet:
     if isinstance(raw, dict) and "line_y" in raw:
-        spec = raw["line_y"]
+        spec = _section(raw, "sources", ("line_y",))["line_y"]
+        spec = _section(spec, "sources.line_y", ("y_values", "x", "z", "amplitude"))
         return SourceSet.line_y(
             y_values=np.asarray(spec["y_values"], dtype=float),
             x=float(spec.get("x", 0.0)),
             z=float(spec.get("z", 6.0)),
             amplitude=_parse_amplitude(spec.get("amplitude", 1.0)),
         )
-    if isinstance(raw, dict) and "points" in raw:
-        raw = raw["points"]
+    if isinstance(raw, dict):
+        raw = _section(raw, "sources", ("points",)).get("points")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("sources must be a nonempty points list or a line_y spec")
+    raw = [_section(entry, "sources.points", ("position", "amplitude")) for entry in raw]
     positions = [entry["position"] for entry in raw]
     amplitudes = [_parse_amplitude(entry.get("amplitude", 1.0)) for entry in raw]
     return SourceSet(np.asarray(positions, dtype=float), np.asarray(amplitudes))
@@ -125,8 +142,10 @@ def _parse_amplitude(raw) -> complex:
 
 
 def _parse_phantom(raw: dict) -> Phantom:
+    raw = _section(raw, "phantom", ("amplitude", "bumps"))
     bumps = []
     for entry in raw.get("bumps", []):
+        entry = _section(entry, "phantom.bumps", _BUMP_KEYS)
         bumps.append(
             Bump(
                 center=tuple(float(v) for v in entry["center"]),
@@ -141,9 +160,14 @@ def _parse_phantom(raw: dict) -> Phantom:
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    """Build and validate a RunConfig from parsed YAML data."""
+    """Build and validate a RunConfig from parsed YAML data.
+
+    A key that its section does not read is a ConfigError, so a misspelt
+    option never runs silently on the default.
+    """
     try:
-        g = data["grid"]
+        data = _section(data, "config", _TOP_KEYS)
+        g = _section(data["grid"], "grid", _GRID_KEYS)
         grid = GridConfig(
             x_bounds=tuple(float(v) for v in g.get("x_bounds", (-10.0, 10.0))),
             y_bounds=tuple(float(v) for v in g.get("y_bounds", (-10.0, 10.0))),
@@ -153,8 +177,8 @@ def config_from_dict(data: dict) -> RunConfig:
             receiver_z=tuple(float(v) for v in g["receiver_z"]),
             receiver_nz=int(g["receiver_nz"]),
         )
-        noise = data.get("noise", {})
-        reg_raw = data.get("regularizer", {})
+        noise = _section(data.get("noise", {}), "noise", ("delta", "seed"))
+        reg_raw = _section(data.get("regularizer", {}), "regularizer", _REGULARIZER_KEYS)
         reg = RegularizerConfig(
             method=reg_raw.get("method", "tsvd"),
             tsvd_rel_threshold=float(reg_raw.get("tsvd_rel_threshold", 1e-7)),
@@ -164,9 +188,10 @@ def config_from_dict(data: dict) -> RunConfig:
                 float(reg_raw["noise_delta"]) if "noise_delta" in reg_raw else None
             ),
         )
-        ext_raw = data.get("extraction", {})
-        fwd_raw = data.get("forward", {})
-        out_raw = data.get("output", {})
+        ext_raw = _section(data.get("extraction", {}), "extraction", ("combine", "eps_div"))
+        fwd_raw = _section(data.get("forward", {}), "forward", ("tol", "max_iter"))
+        out_raw = _section(data.get("output", {}), "output", _OUTPUT_KEYS)
+        bench = _section(data.get("bench", {}), "bench", ("n_values",))
         return RunConfig(
             grid=grid,
             frequencies=tuple(float(w) for w in data["frequencies"]),
@@ -187,7 +212,7 @@ def config_from_dict(data: dict) -> RunConfig:
                 kernel_cache=bool(out_raw.get("kernel_cache", True)),
                 kernel_cache_dir=str(out_raw.get("kernel_cache_dir", "kernel-cache")),
             ),
-            bench_n=tuple(int(n) for n in data.get("bench", {}).get("n_values", (32, 64, 128))),
+            bench_n=tuple(int(n) for n in bench.get("n_values", (32, 64, 128))),
         )
     except ConfigError:
         raise

@@ -1,4 +1,5 @@
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,12 +7,26 @@ import pytest
 import yaml
 
 import flatlayer as fl
+from flatlayer import pipeline
 from flatlayer.cli import main
 from flatlayer.fieldio import read_field
 from flatlayer.manifest import read_manifest
 from flatlayer.runconfig import ConfigError, config_from_dict, load_config
 
-PRESET_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+PRESET_DIR = ROOT / "configs"
+
+# config_hash() of each preset; it changes only when a physics input of the
+# preset does, never with the code that consumes it
+PRESET_HASHES = {
+    "bench": "7bef108459076f860305f0a7e9354230d8551250a09e38f074ac8d421a83fabb",
+    "desk-smoke": "0802649d0c6107d55000fb50dab24dfef8171846ceb809cb2db598f481bb6d39",
+    "thick-delta1e-5": "c120f1f2e32a811c1d0126847f9f72824c798e444dccbdf960d8deee62bb2428",
+    "thick-delta1e-7": "c411f818bcfccd4099a76afe63e2a3c646ecbc15c3498b101e5a5d4666bcbb2e",
+    "thick-exact": "5cb41c9b93f69c41e8d02bf4674e200b6ba38478ffab5eb27eed8773a376569c",
+    "thin-exact": "a900916e85356a35a79f7a26c41b35ae6dd174f5062b4c5af4bdd14feae798a0",
+    "three-frequency": "df95b6cd365fdcd5cb585eeb049ab902fa58125274a0652d2bcf25f6ca4f4fd0",
+}
 
 
 def tiny_config_dict(**overrides):
@@ -78,6 +93,11 @@ def test_preset_parameters_match_experiment_setup():
     assert multi.extraction.combine == "least_squares"
 
 
+def test_preset_config_hashes_are_stable():
+    hashes = {p.stem: load_config(p).config_hash() for p in sorted(PRESET_DIR.glob("*.yaml"))}
+    assert hashes == PRESET_HASHES
+
+
 def test_config_hash_tracks_physics_only(tmp_path):
     c1 = config_from_dict(tiny_config_dict())
     c2 = config_from_dict(tiny_config_dict())
@@ -96,6 +116,48 @@ def test_config_validation_errors():
     del bad_grid["grid"]["n_transverse"]
     with pytest.raises(ConfigError, match="invalid configuration"):
         config_from_dict(bad_grid)
+
+
+def test_unknown_config_keys_rejected(tmp_path, monkeypatch):
+    def misspelt(path, key):
+        data = tiny_config_dict(
+            regularizer={"method": "tsvd"}, extraction={}, forward={}, bench={}
+        )
+        section = data
+        for part in path:
+            section = section[part]
+        section[key] = 1
+        return data
+
+    cases = [
+        ((), "frequency"), (("grid",), "recever_nz"), (("sources",), "points"),
+        (("sources", "line_y"), "y_value"), (("phantom",), "bump"),
+        (("phantom", "bumps", 0), "cross_zy"), (("noise",), "sede"),
+        (("regularizer",), "tikhonov_alfa"), (("extraction",), "eps"),
+        (("forward",), "max_iters"), (("output",), "cache"), (("bench",), "n_value"),
+    ]
+    for path, key in cases:
+        with pytest.raises(ConfigError, match=f"unknown key.*{key}"):
+            config_from_dict(misspelt(path, key))
+    points = tiny_config_dict(sources={"points": [{"position": [0, 0, 6], "amp": 1.0}]})
+    with pytest.raises(ConfigError, match="unknown key.*amp"):
+        config_from_dict(points)
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, forward={"tol": 1e-13, "max_iters": 5})
+    assert main(["synthesize", "--config", str(cfg), "--out", "o"]) == 2
+    assert not (tmp_path / "o").exists()
+
+
+def test_benchmark_workload_configs_parse(tmp_path, monkeypatch):
+    path = ROOT / "flbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("flbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    for work in workloads.WORKLOADS.values():
+        for inversion in (None,) + work.inversions:
+            config = config_from_dict(work.config(inversion, tmp_path, complex(1.0)))
+            assert config.grid.n_transverse == work.n
 
 
 def test_cli_full_pipeline(tmp_path, monkeypatch):
@@ -141,29 +203,28 @@ def test_cli_zero_phantom_gives_zero_data(tmp_path, monkeypatch):
     assert np.all(w.values == 0)
 
 
-def test_run_invert_returns_inversion_results(tmp_path, monkeypatch):
-    from flatlayer.pipeline import run_invert, run_synthesize
-    from flatlayer.runconfig import config_from_dict
-
+def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     data = tiny_config_dict(frequencies=[1.0, 2.0])
     data["grid"]["n_transverse"] = 32
     data["extraction"] = {"combine": "least_squares"}
     config = config_from_dict(data)
-    run_synthesize(config, tmp_path / "data")
-    results = run_invert(config, tmp_path / "data", tmp_path / "recon")
-    assert set(results) == {"xi_000", "xi_001", "xi_combined"}
-    combined = results["xi_combined"]
-    assert combined.frequencies == (1.0, 2.0)
-    assert len(combined.v_fields) == len(combined.u_fields) == 2
-    assert combined.xi.dtype.kind == "f"
-    assert np.all(np.isfinite(combined.xi))
-    assert combined.xi_imag_norm >= 0
-    assert len(combined.mode_stats) == 2
-    # one xi dump and slice directory per artifact
-    for name in results:
-        assert (tmp_path / "recon" / f"{name}.laf").exists()
-        assert any((tmp_path / "recon" / f"slices_{name}").glob("*.csv"))
+    pipeline.run_synthesize(config, tmp_path / "data")
+    recon = pipeline.run_invert(config, tmp_path / "data", tmp_path / "recon")
+    assert recon == tmp_path / "recon"
+    manifest = read_manifest(recon / "manifest.json")
+    names = [a["name"] for a in manifest["artifacts"]]
+    assert names == ["xi_000", "xi_001", "xi_combined"]
+    assert set(manifest["rank_stats"]) == {"1", "2"}
+    for name in names:
+        # one real, finite xi dump and one slice directory per artifact
+        xi = read_field(recon / f"{name}.laf").values
+        assert np.all(xi.imag == 0) and np.all(np.isfinite(xi.real))
+        assert any((recon / f"slices_{name}").glob("*.csv"))
+    rows = (recon / "diagnostics.csv").read_text().splitlines()
+    assert rows[0].split(",")[:3] == ["artifact", "omega", "imag_norm"]
+    assert [r.split(",")[0] for r in rows[1:]] == names
+    assert all(float(r.split(",")[2]) >= 0 for r in rows[1:])
 
 
 def test_cli_rerun_reproduces_checksums(tmp_path, monkeypatch):
@@ -262,6 +323,39 @@ def test_cli_malformed_dump_exit_code(tmp_path, monkeypatch):
     assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r2"]) == 4
 
 
+def test_cli_malformed_manifest_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r"]) == 0
+    recon = tmp_path / "r" / "manifest.json"
+    recon.write_text(recon.read_text().replace('"artifacts"', '"artefacts"'))
+    assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 4
+    data = tmp_path / "data" / "manifest.json"
+    data.write_text(data.read_text()[:-20])  # truncated JSON
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r2"]) == 4
+
+
+def test_shifted_window_reuses_kernel_cache(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    output = {"kernel_cache": True, "kernel_cache_dir": "cache"}
+    cfg = write_config(tmp_path, output=output)
+    assert main(["synthesize", "--config", str(cfg), "--out", "centred"]) == 0
+    tables = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
+    assert len(tables) == 2
+    shifted = tiny_config_dict(output=output)
+    shifted["grid"].update(x_bounds=[-5.0, 15.0], y_bounds=[-11.25, 8.75])
+    cfg = tmp_path / "shifted.yaml"
+    cfg.write_text(yaml.safe_dump(shifted))
+
+    def rebuild(*args):
+        raise AssertionError("a shifted window rebuilt a cached kernel table")
+
+    monkeypatch.setattr(pipeline, "build_green_kernel", rebuild)
+    assert main(["synthesize", "--config", str(cfg), "--out", "shifted"]) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == tables
+
+
 def test_cli_corrupt_kernel_cache_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(
@@ -303,7 +397,7 @@ def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
 
 def test_benchmark_hook_points_exist():
     """Every pipeline attribute the benchmark's tracer wraps exists and is restored."""
-    path = Path(__file__).resolve().parent.parent / "flbench" / "spans.py"
+    path = ROOT / "flbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("flbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)

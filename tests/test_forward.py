@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,39 @@ def test_scattered_data_linearity(small_setup):
     w2, _ = fl.scattered_data(kyx, omega, gy, v_spec=v2)
     rhs = a * w1.values + b * w2.values
     assert np.max(np.abs(lhs.values - rhs)) / np.max(np.abs(rhs)) < 1e-12
+
+
+def _translated_receiver_data(shift):
+    """Receiver data with window, phantom centres and sources moved by (shift, shift)."""
+    bounds = (-10.0 + shift, 10.0 + shift)
+    cfg = fl.GridConfig(
+        x_bounds=bounds, y_bounds=bounds, n_transverse=32, scatterer_nz=11, receiver_nz=5
+    )
+    gx, gy = fl.make_grids(cfg)
+    lat = fl.ModeLattice.for_grid(gx)
+    base = fl.Phantom.three_bumps(0.3)
+    phantom = fl.Phantom(base.amplitude, tuple(
+        replace(b, center=(b.center[0] + shift, b.center[1] + shift, b.center[2]))
+        for b in base.bumps
+    ))
+    sources = fl.SourceSet.line_y(np.arange(-5.0, 5.5, 1.0) + shift, x=shift)
+    omega = 2.0
+    kxx = fl.build_green_kernel(gx, gx, omega, lat)
+    kxy = fl.build_green_kernel(gx, gy, omega, lat)
+    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
+    fwd = fl.born_iterate(u0, kxx, phantom, omega)
+    assert fwd.converged
+    _, w = fl.scattered_data(kxy, omega, gy, u_spec=fwd.u_spec,
+                             xi_samples=phantom.sample_on(gx))
+    return w.values
+
+
+def test_receiver_data_invariant_under_translation():
+    reference = _translated_receiver_data(0.0)
+    for shift in (5.0, -1.25):
+        moved = _translated_receiver_data(shift)
+        rel = np.linalg.norm(moved - reference) / np.linalg.norm(reference)
+        assert rel < 1e-12, (shift, rel)
 
 
 def test_receiver_data_snapshot(desk):

@@ -52,6 +52,24 @@ def test_kernel_translation_invariance(tiny_grids):
     assert np.array_equal(mats[:, 0, 2], mats[:, 4, 6])
 
 
+def test_kernel_table_independent_of_window_position():
+    # G depends on node differences only, so moving the window over the same
+    # periods must leave the table unchanged
+    def table(bounds):
+        cfg = fl.GridConfig(
+            x_bounds=bounds, y_bounds=bounds, n_transverse=32,
+            scatterer_nz=5, receiver_nz=3,
+        )
+        gx, gy = fl.make_grids(cfg)
+        return fl.build_green_kernel(gx, gy, 2.0, fl.ModeLattice.for_grid(gx))
+
+    centred = table((-10.0, 10.0))
+    for bounds in [(-5.0, 15.0), (-10.1, 9.9)]:
+        shifted = table(bounds)
+        assert np.array_equal(shifted.offsets, centred.offsets)
+        assert np.array_equal(shifted.values, centred.values), bounds
+
+
 def test_kernel_even_in_mode(tiny_grids):
     gx, _ = tiny_grids
     lat = fl.ModeLattice.for_grid(gx)
