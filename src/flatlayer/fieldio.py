@@ -8,7 +8,6 @@ fastest. The format is self-describing enough to rebuild the uniform grid.
 
 from __future__ import annotations
 
-import csv
 import struct
 from pathlib import Path
 
@@ -74,24 +73,23 @@ def read_field(path: str | Path) -> ComplexField:
 
 
 def export_slices_csv(field: ComplexField, directory: str | Path, stem: str) -> list[Path]:
-    """Write one CSV per z-slice with columns x, y, re, im."""
+    """Write one CSV per z-slice with columns x, y, re, im.
+
+    Values are written with repr, rows ix-major and CRLF-terminated, as the
+    csv module writes them.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     g = field.grid
-    x = g.x_coords()
-    y = g.y_coords()
+    ys = [repr(y) for y in g.y_coords().tolist()]
+    prefixes = [f"{x!r},{y}," for x in g.x_coords().tolist() for y in ys]
     paths = []
-    for iz, z in enumerate(g.z_nodes):
+    for iz in range(g.nz):
         path = directory / f"{stem}_z{iz:03d}.csv"
+        slab = field.values[:, :, iz]
+        rows = map("{}{!r},{!r}".format, prefixes,
+                   slab.real.ravel().tolist(), slab.imag.ravel().tolist())
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "re", "im"])
-            for ix in range(g.nx):
-                for iy in range(g.ny):
-                    v = field.values[ix, iy, iz]
-                    writer.writerow(
-                        [repr(float(x[ix])), repr(float(y[iy])),
-                         repr(float(v.real)), repr(float(v.imag))]
-                    )
+            fh.write("x,y,re,im\r\n" + "\r\n".join(rows) + "\r\n")
         paths.append(path)
     return paths

@@ -91,12 +91,6 @@ class Grid3D:
             return np.meshgrid(x, y, indexing="ij") + [self.z_nodes[iz]]
         return np.meshgrid(x, y, self.z_nodes, indexing="ij")
 
-    def nearest_index(self, x: float, y: float, z: float) -> tuple[int, int, int]:
-        ix = int(np.rint((x - self.x_min) / self.hx))
-        iy = int(np.rint((y - self.y_min) / self.hy))
-        iz = int(np.rint((z - self.z_nodes[0]) / self.hz))
-        return ix, iy, iz
-
     def centred(self) -> "Grid3D":
         """This grid with its transverse window moved to [-Lx/2, Lx/2) x [-Ly/2, Ly/2).
 

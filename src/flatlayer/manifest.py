@@ -51,16 +51,37 @@ class ManifestBuilder:
 
 
 class ManifestError(ValueError):
-    """A stage manifest that is not a JSON object holding the keys its reader needs."""
+    """A stage manifest that is not a JSON object holding the entries its reader needs."""
 
 
-def read_manifest(path: str | Path, *required: str) -> dict:
-    """The manifest at path; ManifestError if it is malformed or lacks a required key."""
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def read_manifest(path: str | Path, listing: str | None = None, **fields: type) -> dict:
+    """The manifest at path; ManifestError if it is malformed.
+
+    With listing given, the manifest must hold that key as a list of JSON
+    objects whose fields have the given types: int, float (any JSON number)
+    or str, where true and false count as neither integers nor numbers.
+    """
     with open(path) as fh:
         try:
             data = json.load(fh)
         except ValueError as exc:  # invalid JSON or text encoding
             raise ManifestError(f"{path}: not a valid manifest: {exc}") from exc
-    if not isinstance(data, dict) or any(key not in data for key in required):
-        raise ManifestError(f"{path}: not a JSON object holding {', '.join(required)}")
+    if not isinstance(data, dict):
+        raise ManifestError(f"{path}: not a JSON object")
+    if listing is None:
+        return data
+    entries = data.get(listing)
+    if not isinstance(entries, list):
+        raise ManifestError(f"{path}: {listing} is not a list")
+    for i, entry in enumerate(entries):
+        for name, kind in fields.items():
+            value = entry.get(name) if isinstance(entry, dict) else None
+            accepted = (int, float) if kind is float else kind
+            if isinstance(value, bool) or not isinstance(value, accepted):
+                raise ManifestError(
+                    f"{path}: {listing}[{i}] needs {name!r} as {_TYPE_NAMES[kind]}"
+                )
     return data

@@ -86,15 +86,20 @@ class GreenKernelTable:
     def n_modes(self) -> int:
         return self.values.shape[1]
 
-    def mode_chunks(self) -> Iterator[tuple[int, int]]:
-        """(start, stop) ranges of modes whose matrices fit one gather budget."""
-        per_mode = self.n_rows * self.n_cols * self.values.itemsize
+    def mode_chunks(self, count: int | None = None, width: int = 0) -> Iterator[tuple[int, int]]:
+        """(start, stop) ranges over count mode matrices (default: every mode) that fit
+        one gather budget, together with width right-hand sides and solutions each."""
+        count = self.n_modes if count is None else count
+        per_mode = (self.n_rows + width) * (self.n_cols + width) * self.values.itemsize
         step = max(1, _GATHER_BYTES // per_mode)
-        for start in range(0, self.n_modes, step):
-            yield start, min(start + step, self.n_modes)
+        for start in range(0, count, step):
+            yield start, min(start + step, count)
 
-    def mode_matrices(self, start: int, stop: int) -> np.ndarray:
-        """Dense kernel matrices of modes start..stop-1, shape (stop-start, rows, cols)."""
+    def mode_matrices(self, start: int | np.ndarray, stop: int | None = None) -> np.ndarray:
+        """Dense kernel matrices, shape (n, rows, cols), of modes start..stop-1, or of
+        the modes listed in the index array start when stop is omitted."""
+        if stop is None:
+            return self.values[self.offset_index[..., None], start].transpose(2, 0, 1)
         return self.values[self.offset_index, start:stop].transpose(2, 0, 1)
 
     def convolve(self, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -167,11 +172,14 @@ def build_green_kernel(
     scatterer-to-receiver tables; the grids must share the transverse
     lattice. G is sampled and transformed on the centred copy of that
     lattice, so shifting the window leaves the table unchanged.
-    Construction batches the slab FFTs over unique offsets.
+    Construction batches the slab FFTs over unique offsets. Every mode's
+    column is a copy of its symmetry class representative's
+    (ModeLattice.symmetry_classes), so modes of one class share one matrix
+    bit for bit rather than to rounding.
     """
     if not grid_src.same_transverse_lattice(grid_recv):
         raise ValueError("source and receiver grids must share the transverse lattice")
-    if lattice.nx != grid_src.nx:
+    if (lattice.nx, lattice.hx, lattice.hy) != (grid_src.nx, grid_src.hx, grid_src.hy):
         raise ValueError("mode lattice does not match the grids")
 
     row_z = np.asarray(grid_recv.z_nodes, dtype=float)
@@ -182,12 +190,15 @@ def build_green_kernel(
 
     centred = grid_src.centred()
     n_modes = grid_src.nx * grid_src.ny
+    rep, class_of = lattice.symmetry_classes()
+    fold = rep[class_of]
     values = np.empty((offsets.size, n_modes), dtype=complex)
     block = max(1, _GATHER_BYTES // (n_modes * values.itemsize))
     for start in range(0, offsets.size, block):
         chunk = offsets[start : start + block]
         spec = forward_slab(sample_green_slabs(centred, chunk, omega), centred)
-        values[start : start + chunk.size] = spec.reshape(chunk.size, n_modes)
+        np.take(spec.reshape(chunk.size, n_modes), fold, axis=1,
+                out=values[start : start + chunk.size])
 
     for arr in (row_z, col_z, offsets, offset_index, values):
         arr.setflags(write=False)

@@ -286,7 +286,9 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
     """
     data_dir = Path(data_dir)
     out = Path(out_dir)
-    data_manifest = read_manifest(data_dir / "manifest.json", "data_files")
+    data_manifest = read_manifest(
+        data_dir / "manifest.json", "data_files", index=int, omega=float, file=str
+    )
     grid_x, grid_y = make_grids(config.grid)
     if data_manifest.get("grid_x") != grid_x.content_key() or data_manifest.get(
         "grid_y"
@@ -386,7 +388,7 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     recon_dir = Path(recon_dir)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    recon_manifest = read_manifest(recon_dir / "manifest.json", "artifacts")
+    recon_manifest = read_manifest(recon_dir / "manifest.json", "artifacts", name=str, file=str)
     grid_x, _ = make_grids(config.grid)
     xi_exact = config.phantom.sample_on(grid_x)
 

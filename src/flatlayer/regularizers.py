@@ -48,27 +48,30 @@ def solve_mode_block(
     rhs: np.ndarray,
     reg: RegularizerConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Regularized solve of a stack of per-mode systems.
+    """Regularized solve of a stack of per-mode systems, several right-hand sides each.
 
     Parameters
     ----------
     matrices : (n_sys, n_recv, n_src) complex ndarray
-    rhs : (n_sys, n_recv) complex ndarray
+    rhs : (n_sys, n_recv, n_rhs) complex ndarray
     reg : RegularizerConfig
 
     Returns
     -------
-    (x, rank) : (n_sys, n_src) solutions and (n_sys,) retained ranks
-        (for Tikhonov the rank reported is the full minimum dimension).
+    (x, rank) : (n_sys, n_src, n_rhs) solutions and (n_sys, n_rhs) retained
+        ranks (for Tikhonov the rank reported is the full minimum dimension).
 
     TSVD returns the minimal-norm least-squares solution over the singular
-    values kept by the configured truncation policy; Tikhonov returns the
-    unique minimizer of ||A x - b||^2 + alpha ||x||^2 from the normal
-    equations. All-zero systems yield zero solutions with rank 0.
+    values kept by the configured truncation policy, chosen per right-hand
+    side from one SVD per system; Tikhonov returns the unique minimizer of
+    ||A x - b||^2 + alpha ||x||^2 from the normal equations, solved once per
+    system for all its right-hand sides. All-zero systems yield zero
+    solutions with rank 0.
     """
     n_sys, n_recv, n_src = matrices.shape
-    x = np.zeros((n_sys, n_src), dtype=complex)
-    ranks = np.zeros(n_sys, dtype=int)
+    n_rhs = rhs.shape[2]
+    x = np.zeros((n_sys, n_src, n_rhs), dtype=complex)
+    ranks = np.zeros((n_sys, n_rhs), dtype=int)
 
     nonzero = np.any(matrices.reshape(n_sys, -1), axis=1)
     if not np.any(nonzero):
@@ -78,27 +81,27 @@ def solve_mode_block(
         sub = np.nonzero(nonzero)[0]
         ah = np.conj(np.transpose(matrices[sub], (0, 2, 1)))
         lhs = ah @ matrices[sub] + reg.tikhonov_alpha * np.eye(n_src)
-        x[sub] = np.linalg.solve(lhs, (ah @ rhs[sub, :, None]))[..., 0]
+        x[sub] = np.linalg.solve(lhs, ah @ rhs[sub])
         ranks[sub] = min(n_recv, n_src)
         return x, ranks
 
     u, s, vh = np.linalg.svd(matrices[nonzero], full_matrices=False)
-    beta = np.einsum("nij,ni->nj", np.conj(u), rhs[nonzero])
+    beta = np.conj(np.transpose(u, (0, 2, 1))) @ rhs[nonzero]  # (n, r, n_rhs)
     r = s.shape[1]
     if reg.selection_policy == "fixed":
-        keep = s >= reg.tsvd_rel_threshold * s[:, :1]
+        keep = (s >= reg.tsvd_rel_threshold * s[:, :1])[:, :, None]
     else:
-        b_norm2 = np.sum(np.abs(rhs[nonzero]) ** 2, axis=1)
+        b_norm2 = np.sum(np.abs(rhs[nonzero]) ** 2, axis=1)  # (n, n_rhs)
         target2 = (reg.noise_delta ** 2) * b_norm2
-        resid2 = b_norm2[:, None] - np.cumsum(np.abs(beta) ** 2, axis=1)
+        resid2 = b_norm2[:, None, :] - np.cumsum(np.abs(beta) ** 2, axis=1)
         resid2 = np.maximum(resid2, 0.0)  # guard cancellation below zero
-        met = resid2 <= target2[:, None]
+        met = resid2 <= target2[:, None, :]
         # smallest rank whose residual meets delta*||b||; full rank if none
         k = np.where(met.any(axis=1), met.argmax(axis=1) + 1, r)
         k = np.where(b_norm2 <= target2, 0, k)  # the empty solution suffices
-        keep = np.arange(r)[None, :] < k[:, None]
-    keep &= s > 0.0
-    coef = np.where(keep, beta / np.where(s > 0.0, s, 1.0), 0.0)
-    x[nonzero] = np.einsum("nj,nji->ni", coef, np.conj(vh))
+        keep = np.arange(r)[None, :, None] < k[:, None, :]
+    keep = keep & (s > 0.0)[:, :, None]
+    coef = np.where(keep, beta / np.where(s > 0.0, s, 1.0)[:, :, None], 0.0)
+    x[nonzero] = np.conj(np.transpose(vh, (0, 2, 1))) @ coef
     ranks[nonzero] = keep.sum(axis=1)
     return x, ranks

@@ -54,6 +54,24 @@ class ModeLattice:
         """|Omega| per mode; modes with |Omega| < k0 propagate."""
         return np.hypot(self.omega1, self.omega2)
 
+    def symmetry_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rep, class_of): one representative mode per class, and each mode's class.
+
+        A kernel sampled on the centred lattice is even in each of k1 and
+        k2, and symmetric under swapping them when hx == hy, so a mode's
+        class is (|k1|, |k2|), taken as (min, max) when the spacings are
+        equal. The representative is the class's lowest mode index; classes
+        are numbered in order of (|k1|, |k2|). (N/2+1)(N/2+2)/2 classes with
+        equal spacings, (N/2+1)^2 otherwise.
+        """
+        n = self.nx
+        k = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
+        a1, a2 = np.repeat(k, n), np.tile(k, n)  # |k1|, |k2| of mode k1*N + k2
+        if self.hx == self.hy:
+            a1, a2 = np.minimum(a1, a2), np.maximum(a1, a2)
+        _, rep, class_of = np.unique(a1 * (n + 1) + a2, return_index=True, return_inverse=True)
+        return rep, class_of
+
 
 def _phase_factors(grid: Grid3D) -> tuple[np.ndarray, np.ndarray]:
     # exp(+i O1 x_min) and exp(+i O2 y_min) along each transverse axis

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -334,6 +336,66 @@ def test_cli_malformed_manifest_exit_code(tmp_path, monkeypatch):
     data = tmp_path / "data" / "manifest.json"
     data.write_text(data.read_text()[:-20])  # truncated JSON
     assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r2"]) == 4
+
+
+@pytest.fixture(scope="module")
+def staged_run(tmp_path_factory):
+    """A tiny synthesize + invert run whose stage directories tests copy and edit."""
+    root = tmp_path_factory.mktemp("staged")
+    cfg = write_config(root)
+    assert main(["synthesize", "--config", str(cfg), "--out", str(root / "data")]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", str(root / "data"),
+                 "--out", str(root / "r")]) == 0
+    return root
+
+
+def _drop(key):
+    def edit(entries):
+        del entries[0][key]
+    return edit
+
+
+def _set(key, value):
+    def edit(entries):
+        entries[0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("stage, listing, edit", [
+    pytest.param("data", "data_files", None, id="data-intact"),
+    pytest.param("data", "data_files", _drop("omega"), id="no-omega"),
+    pytest.param("data", "data_files", _set("omega", "2.0"), id="text-omega"),
+    pytest.param("data", "data_files", _set("index", 0.0), id="float-index"),
+    pytest.param("data", "data_files", _set("index", True), id="bool-index"),
+    pytest.param("data", "data_files", _set("file", 7), id="number-file"),
+    pytest.param("data", "data_files", "object", id="data-files-object"),
+    pytest.param("data", "data_files", "strings", id="data-files-strings"),
+    pytest.param("r", "artifacts", None, id="recon-intact"),
+    pytest.param("r", "artifacts", _drop("name"), id="no-name"),
+    pytest.param("r", "artifacts", _set("name", 0), id="number-name"),
+    pytest.param("r", "artifacts", _set("file", None), id="null-file"),
+    pytest.param("r", "artifacts", "object", id="artifacts-object"),
+])
+def test_cli_malformed_manifest_entries_exit_code(staged_run, tmp_path, monkeypatch, stage,
+                                                  listing, edit):
+    monkeypatch.chdir(tmp_path)
+    shutil.copytree(staged_run / stage, stage)
+    path = tmp_path / stage / "manifest.json"
+    manifest = json.loads(path.read_text())
+    entries = manifest[listing]
+    if edit == "object":  # one entry where a list belongs
+        manifest[listing] = entries[0]
+    elif edit == "strings":
+        manifest[listing] = [e["file"] for e in entries]
+    elif edit is not None:
+        edit(entries)
+    path.write_text(json.dumps(manifest))
+    cfg = str(staged_run / "run.yaml")
+    if stage == "data":
+        code = main(["invert", "--config", cfg, "--data", stage, "--out", "out"])
+    else:
+        code = main(["evaluate", "--config", cfg, "--recon", stage, "--out", "out"])
+    assert code == (0 if edit is None else 4)
 
 
 def test_shifted_window_reuses_kernel_cache(tmp_path, monkeypatch):

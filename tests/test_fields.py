@@ -49,15 +49,6 @@ def test_grid_validation():
         Grid3D(-1, 1, -1, 1, 16, 32, np.linspace(0, 1, 3))
 
 
-def test_grid_node_round_trip(tiny_grids):
-    gx, _ = tiny_grids
-    for ix, iy, iz in [(0, 0, 0), (3, 7, 2), (15, 1, 6)]:
-        x = gx.x_coords()[ix]
-        y = gx.y_coords()[iy]
-        z = gx.z_nodes[iz]
-        assert gx.nearest_index(x, y, z) == (ix, iy, iz)
-
-
 def unit_cell_grid():
     # hx = hy = hz = 1
     return Grid3D(0.0, 4.0, 0.0, 4.0, 4, 4, np.array([0.0, 1.0, 2.0]))

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import flatlayer as fl
+from flatlayer import inverse
 from flatlayer.forward import interaction_spectral
 from flatlayer.medium import trapezoid_weights
+from flatlayer.regularizers import solve_mode_block
 
 
 def test_zero_data_gives_zero_interaction(desk):
@@ -80,6 +82,91 @@ def test_discrepancy_solves_meet_per_mode_residual_target(desk):
     assert np.all(met | (stats.ranks == full_rank))
     # the target is genuinely reachable within rounding on most modes
     assert np.count_nonzero(resid <= delta * b_norm * (1 + 1e-9)) > 0.8 * met.size
+
+
+def desk_mode_systems(desk, data):
+    """Every mode's matrix scaled as solve_modes scales it, and its data."""
+    table, omega = desk["kernel_xy"], desk["omega"]
+    scale = omega * omega * trapezoid_weights(desk["grid_x"].z_nodes)
+    return table.mode_matrices(0, table.n_modes) * scale, fl.forward_xy(data).values
+
+
+def test_class_solves_match_tsvd_per_mode(desk):
+    """One SVD per symmetry class gives every member mode its own pinv solution."""
+    reg = fl.RegularizerConfig(method="tsvd", tsvd_rel_threshold=1e-7)
+    mats, rhs = desk_mode_systems(desk, desk["w_field"])
+    v_spec, stats = fl.solve_modes(
+        fl.SpectralField(desk["grid_y"], rhs), desk["kernel_xy"], desk["omega"],
+        reg, desk["grid_x"],
+    )
+    assert stats.failed_modes == 0
+    for m in range(mats.shape[0]):
+        s = np.linalg.svd(mats[m], compute_uv=False)
+        assert stats.ranks[m] == np.count_nonzero(s >= reg.tsvd_rel_threshold * s[0])
+        want = np.linalg.pinv(mats[m], rcond=reg.tsvd_rel_threshold) @ rhs[m]
+        err = np.linalg.norm(v_spec.values[m] - want) / np.linalg.norm(want)
+        assert err <= 1e-8, (m, err)
+
+
+def test_class_solves_meet_tikhonov_normal_equations(desk):
+    alpha = 1e-8
+    reg = fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=alpha)
+    noisy = fl.add_noise(desk["w_field"], 1e-7, 56)
+    mats, rhs = desk_mode_systems(desk, noisy)
+    v_spec, stats = fl.solve_modes(
+        fl.SpectralField(desk["grid_y"], rhs), desk["kernel_xy"], desk["omega"],
+        reg, desk["grid_x"],
+    )
+    assert stats.failed_modes == 0
+    x = v_spec.values
+    ah = np.conj(np.transpose(mats, (0, 2, 1)))
+    r = np.einsum("mij,mj->mi", ah, np.einsum("mij,mj->mi", mats, x) - rhs) + alpha * x
+    backward = np.linalg.norm(r, axis=1) / (
+        (np.linalg.norm(ah @ mats, 2, axis=(1, 2)) + alpha) * np.linalg.norm(x, axis=1)
+    )
+    assert np.max(backward) <= 1e-8
+
+
+def test_class_solves_keep_discrepancy_ranks_per_mode(desk):
+    delta = 1e-5
+    reg = fl.RegularizerConfig(method="tsvd", selection_policy="discrepancy", noise_delta=delta)
+    noisy = fl.add_noise(desk["w_field"], delta, 55)
+    mats, rhs = desk_mode_systems(desk, noisy)
+    _, stats = fl.solve_modes(
+        fl.SpectralField(desk["grid_y"], rhs), desk["kernel_xy"], desk["omega"],
+        reg, desk["grid_x"],
+    )
+    for m in range(mats.shape[0]):
+        _, rank = solve_mode_block(mats[m][None], rhs[m][None, :, None], reg)
+        assert stats.ranks[m] == rank[0, 0], m
+
+
+def test_failed_class_zero_fills_every_member_mode(desk, monkeypatch):
+    table, omega, gx = desk["kernel_xy"], desk["omega"], desk["grid_x"]
+    w_spec = fl.forward_xy(desk["w_field"])
+    reg = fl.RegularizerConfig()
+    v_ok, stats_ok = fl.solve_modes(w_spec, table, omega, reg, gx)
+
+    batches = []
+
+    def failing(mats, rhs, reg):
+        # the first chunk raises, batched and per class alike
+        if mats.shape[0] > 1:
+            batches.append(mats.shape[0])
+        if len(batches) == 1:
+            raise np.linalg.LinAlgError("injected")
+        return solve_mode_block(mats, rhs, reg)
+
+    monkeypatch.setattr(inverse, "solve_mode_block", failing)
+    v_spec, stats = fl.solve_modes(w_spec, table, omega, reg, gx)
+
+    rep, class_of = desk["lattice"].symmetry_classes()
+    lost = class_of < batches[0]  # member modes of the first chunk's classes
+    assert 0 < np.count_nonzero(lost) < lost.size
+    assert stats.failed_modes == np.count_nonzero(lost)
+    assert np.all(v_spec.values[lost] == 0) and np.all(stats.ranks[lost] == 0)
+    assert np.array_equal(v_spec.values[~lost], v_ok.values[~lost])
+    assert np.array_equal(stats.ranks[~lost], stats_ok.ranks[~lost])
 
 
 def test_inversion_error_grows_with_noise(desk):

@@ -80,6 +80,28 @@ def test_kernel_even_in_mode(tiny_grids):
         assert vals[(-k1) % n, (-k2) % n] == pytest.approx(vals[k1, k2], rel=1e-12)
 
 
+@pytest.mark.parametrize("y_bounds, classes", [((-10.0, 10.0), 9 * 10 // 2), ((-6.0, 6.0), 9 * 9)])
+def test_kernel_tables_equal_their_class_representatives(y_bounds, classes):
+    # every mode holds its symmetry class representative's column bit for bit;
+    # a rectangular window (Lx != Ly) keeps the sign classes only
+    cfg = fl.GridConfig(
+        y_bounds=y_bounds, n_transverse=16, scatterer_z=(-0.5, 1.5), scatterer_nz=5,
+        receiver_z=(6.01, 6.5), receiver_nz=3,
+    )
+    gx, gy = fl.make_grids(cfg)
+    lat = fl.ModeLattice.for_grid(gx)
+    rep, class_of = lat.symmetry_classes()
+    assert rep.size == classes  # (N/2+1)(N/2+2)/2 square, (N/2+1)^2 rectangular
+    for recv in (gx, gy):
+        table = fl.build_green_kernel(gx, recv, 2.0, lat)
+        assert np.array_equal(table.values, table.values[:, rep[class_of]])
+        # the copies move a column only by the rounding of its own transform
+        unfolded = forward_slab(sample_green_slabs(gx.centred(), table.offsets, 2.0), gx.centred())
+        unfolded = unfolded.reshape(table.values.shape)
+        scale = np.max(np.abs(unfolded), axis=1, keepdims=True)
+        assert np.max(np.abs(table.values - unfolded) / scale) < 1e-13
+
+
 def test_kernel_reciprocity_between_tables():
     # grids arranged so an offset of exactly 1.0 appears in both tables
     cfg = fl.GridConfig(

@@ -20,8 +20,8 @@ def random_system(rng, rows, cols):
 
 def solve_one(a, b, reg):
     """Solution and retained rank of one system, solved as a one-system stack."""
-    x, rank = solve_mode_block(np.asarray(a)[None], np.asarray(b)[None], reg)
-    return x[0], int(rank[0])
+    x, rank = solve_mode_block(np.asarray(a)[None], np.asarray(b)[None, :, None], reg)
+    return x[0, :, 0], int(rank[0, 0])
 
 
 def tsvd(threshold=1e-7):
@@ -224,7 +224,8 @@ def test_solve_mode_block_matches_scalar_tsvd():
     mats = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
     rhs = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     mats[3] = 0.0  # a dead mode
-    x, ranks = solve_mode_block(mats, rhs, tsvd(1e-7))
+    x, ranks = solve_mode_block(mats, rhs[..., None], tsvd(1e-7))
+    x, ranks = x[..., 0], ranks[:, 0]
     for i in range(6):
         x_one, rank_one = solve_one(mats[i], rhs[i], tsvd(1e-7))
         assert np.allclose(x[i], x_one, rtol=1e-11, atol=1e-13)
@@ -238,7 +239,7 @@ def test_solve_mode_block_matches_scalar_tikhonov():
     rng = np.random.default_rng(10)
     mats = rng.standard_normal((4, 6, 5)) + 1j * rng.standard_normal((4, 6, 5))
     rhs = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-    x, _ = solve_mode_block(mats, rhs, tikhonov(1e-3))
+    x = solve_mode_block(mats, rhs[..., None], tikhonov(1e-3))[0][..., 0]
     for i in range(4):
         ah = mats[i].conj().T
         oracle = np.linalg.solve(ah @ mats[i] + 1e-3 * np.eye(5), ah @ rhs[i])
@@ -250,14 +251,34 @@ def test_solve_mode_block_discrepancy_policy():
     mats = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
     x_true = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     rhs = np.einsum("nij,nj->ni", mats, x_true)
-    x, ranks = solve_mode_block(mats, rhs, discrepancy(1e-12))
+    x, ranks = solve_mode_block(mats, rhs[..., None], discrepancy(1e-12))
+    x = x[..., 0]
     # consistent data and tiny delta: full rank reproduces the solution
     assert np.all(ranks == 6)
     assert np.allclose(x, x_true, rtol=1e-8)
     # delta larger than the data: nothing retained
-    x0, ranks0 = solve_mode_block(mats, rhs, discrepancy(2.0))
+    x0, ranks0 = solve_mode_block(mats, rhs[..., None], discrepancy(2.0))
     assert np.all(ranks0 == 0)
     assert np.all(x0 == 0)
+
+
+@pytest.mark.parametrize("reg", [tsvd(1e-3), tikhonov(1e-3), discrepancy(0.3)])
+def test_solve_mode_block_columns_match_single_rhs(reg):
+    # one factorization per system serves every right-hand side column
+    rng = np.random.default_rng(20)
+    mats = rng.standard_normal((5, 7, 6)) + 1j * rng.standard_normal((5, 7, 6))
+    mats[2] = 0.0  # a dead mode
+    rhs = rng.standard_normal((5, 7, 4)) + 1j * rng.standard_normal((5, 7, 4))
+    rhs[:, :, 3] = 0.0  # a zero-padded column
+    x, ranks = solve_mode_block(mats, rhs, reg)
+    assert x.shape == (5, 6, 4) and ranks.shape == (5, 4)
+    for i in range(5):
+        for j in range(4):
+            x_one, rank_one = solve_one(mats[i], rhs[i, :, j], reg)
+            assert np.allclose(x[i, :, j], x_one, rtol=1e-11, atol=1e-13)
+            assert ranks[i, j] == rank_one
+    assert np.all(x[:, :, 3] == 0)
+    assert np.all(x[2] == 0) and np.all(ranks[2] == 0)
 
 
 def test_regularizer_config_validation():

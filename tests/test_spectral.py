@@ -133,3 +133,21 @@ def test_parseval(tiny_grids):
         gx.nx * gx.ny * gx.hx * gx.hy
     )
     assert mode_energy == pytest.approx(slab_energy, rel=1e-12)
+
+
+@pytest.mark.parametrize("y_bounds, classes", [((-10.0, 10.0), 561), ((-7.5, 7.5), 1089)])
+def test_symmetry_classes(y_bounds, classes):
+    gx, _ = fl.make_grids(fl.GridConfig(n_transverse=64, y_bounds=y_bounds))
+    lat = fl.ModeLattice.for_grid(gx)
+    rep, class_of = lat.symmetry_classes()
+    assert rep.size == classes and class_of.shape == (lat.n_modes,)
+    assert np.array_equal(class_of[rep], np.arange(rep.size))
+    first = np.full(classes, lat.n_modes)
+    np.minimum.at(first, class_of, np.arange(lat.n_modes))
+    assert np.array_equal(rep, first)  # the lowest mode index of each class
+    # a class is one value of (|O1|, |O2|), unordered when hx == hy
+    key = np.abs(np.column_stack([lat.omega1, lat.omega2]))
+    if lat.hx == lat.hy:
+        key = np.sort(key, axis=1)
+    assert np.array_equal(key[rep[class_of]], key)
+    assert np.unique(key, axis=0).shape[0] == classes
