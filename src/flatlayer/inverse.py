@@ -18,7 +18,6 @@ import numpy as np
 from .fields import ComplexField, Grid3D, SpectralField
 from .medium import GreenKernelTable, trapezoid_weights
 from .regularizers import RegularizerConfig, solve_mode_block
-from .spectral import ModeLattice
 
 
 @dataclass(frozen=True)
@@ -67,51 +66,40 @@ def solve_modes(
         per-mode diagnostics. Modes whose solve fails are zero-filled and
         counted rather than aborting the remaining modes.
 
-    Modes of one symmetry class (ModeLattice.symmetry_classes) share one
-    matrix in the table, so each class is factorized once, at its
-    representative, and solved for all its member modes' data together.
+    Modes of one symmetry class share one matrix in the table, so each
+    class is factorized once and solved for all its member modes' data
+    together (GreenKernelTable.stack_members).
     """
     n_modes = kernel_xy.n_modes
     if w_spec.values.shape != (n_modes, kernel_xy.n_rows):
         raise ValueError("data spectrum does not match the kernel table")
-    rep, class_of = ModeLattice.for_grid(scatterer_grid).symmetry_classes()
-    if kernel_xy.n_cols != scatterer_grid.nz or class_of.size != n_modes:
+    if kernel_xy.n_cols != scatterer_grid.nz or scatterer_grid.nx * scatterer_grid.ny != n_modes:
         raise ValueError("kernel table does not cover the scatterer grid")
-
-    # members[c] lists the modes of class c, padded with -1 to the widest class
-    order = np.argsort(class_of, kind="stable")
-    sizes = np.bincount(class_of)
-    slot = np.arange(n_modes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    members = np.full((rep.size, sizes.max()), -1)
-    members[class_of[order], slot] = order
 
     mu = trapezoid_weights(scatterer_grid.z_nodes)
     scale = omega * omega * mu  # column scaling of every mode matrix
     v_values = np.zeros((n_modes, scatterer_grid.nz), dtype=complex)
     ranks = np.zeros(n_modes, dtype=int)
     failed = 0
-    for start, stop in kernel_xy.mode_chunks(rep.size, members.shape[1]):
-        mats = kernel_xy.mode_matrices(rep[start:stop]) * scale[None, None, :]
-        mem = members[start:stop]
-        valid = mem >= 0
-        rhs = np.zeros(mem.shape + (kernel_xy.n_rows,), dtype=complex)
-        rhs[valid] = w_spec.values[mem[valid]]
-        rhs = rhs.transpose(0, 2, 1)  # (classes, rows, members)
+    for start, stop in kernel_xy.mode_chunks():
+        mats = kernel_xy.mode_matrices(start, stop) * scale[None, None, :]
+        # (classes, rows, members)
+        rhs = kernel_xy.stack_members(start, stop, w_spec.values).transpose(0, 2, 1)
         try:
             x, k = solve_mode_block(mats, rhs, reg)
         except np.linalg.LinAlgError:
             # batched solve failed: fall back per class, zero-filling losers
-            x = np.zeros((stop - start, scatterer_grid.nz, mem.shape[1]), dtype=complex)
-            k = np.zeros(mem.shape, dtype=int)
+            x = np.zeros((stop - start, scatterer_grid.nz, rhs.shape[2]), dtype=complex)
+            k = np.zeros((stop - start, rhs.shape[2]), dtype=int)
             for c in range(stop - start):
                 try:
                     x[c : c + 1], k[c : c + 1] = solve_mode_block(
                         mats[c : c + 1], rhs[c : c + 1], reg
                     )
                 except np.linalg.LinAlgError:
-                    failed += int(np.count_nonzero(valid[c]))
-        v_values[mem[valid]] = x.transpose(0, 2, 1)[valid]
-        ranks[mem[valid]] = k[valid]
+                    failed += int(np.count_nonzero(kernel_xy.members[start + c] >= 0))
+        kernel_xy.scatter_members(start, stop, x.transpose(0, 2, 1), v_values)
+        kernel_xy.scatter_members(start, stop, k, ranks)
     stats = ModeSolveStats(ranks=ranks, failed_modes=failed)
     return SpectralField(scatterer_grid, v_values), stats
 

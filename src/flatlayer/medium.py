@@ -5,15 +5,15 @@ angular frequency. The free-space outgoing-wave kernel G (green_point) depends
 on node differences only. Its transverse spectrum G_hat(dz, w, Omega) is built
 numerically: sample G on the centred copy of the (truncated, periodized)
 transverse lattice at fixed z-offset and apply the slab Fourier transform.
-Tables store one spectrum slab per distinct z-offset, since entries depend on
-z - z' only; they depend on N, the transverse periods, the z nodes and omega,
-never on where the window sits.
+Tables store one spectrum row per distinct z-offset, since entries depend on
+z - z' only, and one column per symmetry class of modes; they depend on N,
+the transverse periods, the z nodes and omega, never on where the window sits.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +24,8 @@ from .spectral import ModeLattice, forward_slab
 _OFFSET_DECIMALS = 10
 # bytes of transient arrays per batch, in table construction and per-mode operations
 _GATHER_BYTES = 1 << 20
+# a point source closer than this to a grid node lies on it
+SOURCE_NODE_TOL = 1e-13
 
 
 def green_point(rho, omega: float):
@@ -60,11 +62,16 @@ def green_cell_average(cell_area: float, omega: float) -> complex:
 
 @dataclass(frozen=True)
 class GreenKernelTable:
-    """Spectral Green's kernel G_hat(z_k - z'_l, omega, Omega) per mode.
+    """Spectral Green's kernel G_hat(z_k - z'_l, omega, Omega), one column per class.
 
-    values[j, m] holds the mode-m spectrum for unique offset offsets[j];
-    offset_index[k, l] maps a (receiver, source) node pair to its offset row.
-    Tables are immutable and safe for concurrent reads.
+    Modes of one symmetry class (ModeLattice.symmetry_classes) share one
+    kernel matrix, so the table stores each class once: values[j, c] holds
+    the spectrum of class c at unique offset offsets[j], class_of[m] is the
+    class of mode m, and offset_index[k, l] maps a (receiver, source) node
+    pair to its offset row. members[c] lists the modes of class c, padded
+    with -1 to the widest class; per-mode operations stack those modes'
+    vectors and apply each class matrix to them in one product. Tables are
+    immutable and safe for concurrent reads.
     """
 
     omega: float
@@ -72,7 +79,18 @@ class GreenKernelTable:
     col_z: np.ndarray  # source z-nodes
     offsets: np.ndarray  # unique z-differences, shape (n_off,)
     offset_index: np.ndarray  # shape (n_rows, n_cols) -> row of `values`
-    values: np.ndarray  # shape (n_off, n_modes)
+    values: np.ndarray  # shape (n_off, n_classes)
+    class_of: np.ndarray  # shape (n_modes,) -> column of `values`
+    members: np.ndarray = field(init=False, repr=False)  # shape (n_classes, width)
+
+    def __post_init__(self):
+        sizes = np.bincount(self.class_of, minlength=self.n_classes)
+        order = np.argsort(self.class_of, kind="stable")
+        slot = np.arange(self.n_modes) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        members = np.full((self.n_classes, sizes.max()), -1)
+        members[self.class_of[order], slot] = order
+        members.setflags(write=False)
+        object.__setattr__(self, "members", members)
 
     @property
     def n_rows(self) -> int:
@@ -84,30 +102,48 @@ class GreenKernelTable:
 
     @property
     def n_modes(self) -> int:
+        return self.class_of.size
+
+    @property
+    def n_classes(self) -> int:
         return self.values.shape[1]
 
-    def mode_chunks(self, count: int | None = None, width: int = 0) -> Iterator[tuple[int, int]]:
-        """(start, stop) ranges over count mode matrices (default: every mode) that fit
-        one gather budget, together with width right-hand sides and solutions each."""
-        count = self.n_modes if count is None else count
-        per_mode = (self.n_rows + width) * (self.n_cols + width) * self.values.itemsize
-        step = max(1, _GATHER_BYTES // per_mode)
-        for start in range(0, count, step):
-            yield start, min(start + step, count)
+    def mode_chunks(self) -> Iterator[tuple[int, int]]:
+        """(start, stop) ranges of classes whose matrices fit one gather budget,
+        together with their members' stacked vectors on both sides."""
+        width = self.members.shape[1]
+        per_class = (self.n_rows + width) * (self.n_cols + width) * self.values.itemsize
+        step = max(1, _GATHER_BYTES // per_class)
+        for start in range(0, self.n_classes, step):
+            yield start, min(start + step, self.n_classes)
 
-    def mode_matrices(self, start: int | np.ndarray, stop: int | None = None) -> np.ndarray:
-        """Dense kernel matrices, shape (n, rows, cols), of modes start..stop-1, or of
-        the modes listed in the index array start when stop is omitted."""
-        if stop is None:
-            return self.values[self.offset_index[..., None], start].transpose(2, 0, 1)
-        return self.values[self.offset_index, start:stop].transpose(2, 0, 1)
+    def mode_matrices(self, start: int, stop: int) -> np.ndarray:
+        """Dense kernel matrices, shape (n, rows, cols), of classes start..stop-1."""
+        return self.values[:, start:stop].T[:, self.offset_index]
+
+    def stack_members(self, start: int, stop: int, per_mode: np.ndarray) -> np.ndarray:
+        """Rows of per_mode for the members of classes start..stop-1, shape
+        (n, width, ...), zero where a class has fewer members than the widest."""
+        mem = self.members[start:stop]
+        valid = mem >= 0
+        out = np.zeros(mem.shape + per_mode.shape[1:], dtype=per_mode.dtype)
+        out[valid] = per_mode[mem[valid]]
+        return out
+
+    def scatter_members(self, start: int, stop: int, stacked: np.ndarray,
+                        per_mode: np.ndarray) -> None:
+        """Inverse of stack_members: write stacked's member rows into per_mode."""
+        mem = self.members[start:stop]
+        valid = mem >= 0
+        per_mode[mem[valid]] = stacked[valid]
 
     def convolve(self, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Quadrature-weighted kernel application per mode.
 
-        Computes out[m, k] = sum_l values[offset_index[k, l], m] * weights[l]
-        * v[m, l], i.e. the discretized integral over z' for every mode and
-        receiver node. The omega^2 prefactor is the caller's.
+        Computes out[m, k] = sum_l values[offset_index[k, l], class_of[m]]
+        * weights[l] * v[m, l], i.e. the discretized integral over z' for
+        every mode and receiver node, one matrix product per class. The
+        omega^2 prefactor is the caller's.
 
         Parameters
         ----------
@@ -125,9 +161,9 @@ class GreenKernelTable:
         vw = v * weights[None, :]
         out = np.empty((self.n_modes, self.n_rows), dtype=complex)
         for start, stop in self.mode_chunks():
-            out[start:stop] = np.einsum(
-                "mkl,ml->mk", self.mode_matrices(start, stop), vw[start:stop]
-            )
+            stacked = self.stack_members(start, stop, vw).transpose(0, 2, 1)
+            product = self.mode_matrices(start, stop) @ stacked
+            self.scatter_members(start, stop, product.transpose(0, 2, 1), out)
         return out
 
 
@@ -172,8 +208,8 @@ def build_green_kernel(
     scatterer-to-receiver tables; the grids must share the transverse
     lattice. G is sampled and transformed on the centred copy of that
     lattice, so shifting the window leaves the table unchanged.
-    Construction batches the slab FFTs over unique offsets. Every mode's
-    column is a copy of its symmetry class representative's
+    Construction batches the slab FFTs over unique offsets and keeps the
+    column of each symmetry class representative
     (ModeLattice.symmetry_classes), so modes of one class share one matrix
     bit for bit rather than to rounding.
     """
@@ -191,16 +227,15 @@ def build_green_kernel(
     centred = grid_src.centred()
     n_modes = grid_src.nx * grid_src.ny
     rep, class_of = lattice.symmetry_classes()
-    fold = rep[class_of]
-    values = np.empty((offsets.size, n_modes), dtype=complex)
+    values = np.empty((offsets.size, rep.size), dtype=complex)
     block = max(1, _GATHER_BYTES // (n_modes * values.itemsize))
     for start in range(0, offsets.size, block):
         chunk = offsets[start : start + block]
         spec = forward_slab(sample_green_slabs(centred, chunk, omega), centred)
-        np.take(spec.reshape(chunk.size, n_modes), fold, axis=1,
+        np.take(spec.reshape(chunk.size, n_modes), rep, axis=1,
                 out=values[start : start + chunk.size])
 
-    for arr in (row_z, col_z, offsets, offset_index, values):
+    for arr in (row_z, col_z, offsets, offset_index, values, class_of):
         arr.setflags(write=False)
     return GreenKernelTable(
         omega=float(omega),
@@ -209,6 +244,7 @@ def build_green_kernel(
         offsets=offsets,
         offset_index=offset_index,
         values=values,
+        class_of=class_of,
     )
 
 
@@ -259,7 +295,7 @@ def incident_field_spectral(
     for p, a in zip(sources.positions, sources.amplitudes):
         dist2_xy = (x[:, None] - p[0]) ** 2 + (y[None, :] - p[1]) ** 2
         r = np.sqrt(dist2_xy[None, :, :] + ((grid.z_nodes - p[2]) ** 2)[:, None, None])
-        if r.min() < 1e-13:
+        if r.min() < SOURCE_NODE_TOL:
             raise ValueError(f"source at {tuple(p)} coincides with a grid node")
         slabs += a * green_point(r, omega)
     spec = forward_slab(slabs, grid)

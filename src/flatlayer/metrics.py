@@ -10,6 +10,9 @@ import numpy as np
 from .fields import Grid3D
 from .medium import Phantom
 
+# bumps are located within this distance of their true centres
+LOCALIZATION_RADIUS = 1.0
+
 
 @dataclass(frozen=True)
 class AccuracyCurve:
@@ -77,7 +80,7 @@ def localization_report(
     xi_appr: np.ndarray,
     phantom: Phantom,
     grid: Grid3D,
-    search_radius: float = 1.0,
+    search_radius: float = LOCALIZATION_RADIUS,
 ) -> list[BumpLocalization]:
     """Locate each bump as the reconstruction maximum near its true center.
 

@@ -7,6 +7,7 @@ inventory, so any reconstruction can be traced to the exact inputs that
 produced it. Kernel tables are cached on disk keyed by lattice period, z
 nodes and frequency; construction dominates setup cost and the tables are
 reusable across noise levels, regularizer sweeps and window positions.
+Cache files hold every mode's column, tables in memory one per class.
 """
 
 from __future__ import annotations
@@ -34,10 +35,15 @@ from .inverse import (
     solve_modes,
 )
 from .manifest import ManifestBuilder, read_manifest
-from .medium import GreenKernelTable, build_green_kernel, incident_field_spectral
+from .medium import (
+    _GATHER_BYTES,
+    GreenKernelTable,
+    build_green_kernel,
+    incident_field_spectral,
+)
 from .metrics import TimingRecord, localization_report, slice_relative_error, timing_fit
 from .regularizers import RegularizerConfig
-from .runconfig import ConfigError, RunConfig
+from .runconfig import ConfigError, RunConfig, check_sources
 from .spectral import ModeLattice, SpectralField, forward_xy, inverse_xy
 
 # arrays of a cached kernel table, in GreenKernelTable field order
@@ -54,29 +60,79 @@ def _kernel_cache_path(
     return cache_dir / f"kernel_{digest}.npz"
 
 
+def _read_columns(member, shape: tuple[int, int], columns: np.ndarray) -> np.ndarray:
+    """The given columns of the complex .npy array of this shape in member,
+    read a gather budget of rows at a time."""
+    header = np.lib.format.read_magic(member), np.lib.format.read_array_header_1_0(member)
+    if header != ((1, 0), (shape, False, np.dtype(complex))):
+        raise ValueError(f"kernel values are not a complex {shape} array")
+    out = np.empty((shape[0], columns.size), dtype=complex)
+    step = max(1, _GATHER_BYTES // (shape[1] * out.itemsize))
+    for start in range(0, shape[0], step):
+        rows = np.frombuffer(member.read(step * shape[1] * out.itemsize), dtype=complex)
+        np.take(rows.reshape(-1, shape[1]), columns, axis=1, out=out[start : start + step])
+    return out
+
+
+def _write_columns(member, values: np.ndarray, columns: np.ndarray) -> None:
+    """values[:, columns] to member as one .npy array, a gather budget of rows at a time."""
+    header = {"descr": np.lib.format.dtype_to_descr(values.dtype), "fortran_order": False,
+              "shape": (values.shape[0], columns.size)}
+    np.lib.format.write_array_header_1_0(member, header)
+    step = max(1, _GATHER_BYTES // (columns.size * values.itemsize))
+    for start in range(0, values.shape[0], step):
+        member.write(np.take(values[start : start + step], columns, axis=1).tobytes())
+
+
 def _load_kernel(
-    path: Path, src: Grid3D, recv: Grid3D, omega: float
+    path: Path, src: Grid3D, recv: Grid3D, omega: float, lattice: ModeLattice
 ) -> GreenKernelTable | None:
-    """The cached table at path, or None if it is missing, unreadable or off-grid."""
+    """The cached table at path, or None if it is missing, unreadable or off-grid.
+
+    Files store every mode's column; the table keeps its class
+    representatives' (ModeLattice.symmetry_classes).
+    """
+    rep, class_of = lattice.symmetry_classes()
     try:
         # np.load leaks the file it opens when the archive is corrupt
         with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = {key: data[key] for key in _TABLE_KEYS}
-        arrays["omega"] = float(arrays["omega"])
-        table = GreenKernelTable(**arrays)
-        fits = (
-            table.omega == omega
-            and np.array_equal(table.row_z, recv.z_nodes)
-            and np.array_equal(table.col_z, src.z_nodes)
-            and table.values.shape == (table.offsets.size, src.nx * src.ny)
-            and table.offset_index.shape == (table.n_rows, table.n_cols)
-            and np.allclose(table.offsets[table.offset_index],
-                            table.row_z[:, None] - table.col_z[None, :], rtol=0, atol=1e-9)
-        )
+            arrays = {key: data[key] for key in _TABLE_KEYS if key != "values"}
+            fits = (
+                float(arrays["omega"]) == omega
+                and np.array_equal(arrays["row_z"], recv.z_nodes)
+                and np.array_equal(arrays["col_z"], src.z_nodes)
+                and arrays["offset_index"].shape == (recv.nz, src.nz)
+                and np.allclose(arrays["offsets"][arrays["offset_index"]],
+                                recv.z_nodes[:, None] - src.z_nodes[None, :], rtol=0, atol=1e-9)
+            )
+            if not fits:
+                return None
+            with data.zip.open("values.npy") as member:
+                shape = (arrays["offsets"].size, class_of.size)
+                arrays["values"] = _read_columns(member, shape, rep)
     except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError,
             zipfile.BadZipFile):
         return None
-    return table if fits else None
+    arrays["omega"] = float(arrays["omega"])
+    return GreenKernelTable(**arrays, class_of=class_of)
+
+
+def _save_kernel(path: Path, table: GreenKernelTable) -> None:
+    """Write table to path as np.savez would, with every mode's column, through a
+    unique temporary file."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.stem, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+            for key in _TABLE_KEYS:
+                with zf.open(f"{key}.npy", "w", force_zip64=True) as member:
+                    if key == "values":
+                        _write_columns(member, table.values, table.class_of)
+                    else:
+                        np.lib.format.write_array(member, np.asarray(getattr(table, key)))
+        os.replace(tmp, path)
+    finally:
+        Path(tmp).unlink(missing_ok=True)
 
 
 def get_kernel(
@@ -95,18 +151,10 @@ def get_kernel(
     if cache_dir is None:
         return build_green_kernel(src, recv, omega, lattice)
     path = _kernel_cache_path(cache_dir, src, recv, omega)
-    table = _load_kernel(path, src, recv, omega)
-    if table is not None:
-        return table
-    table = build_green_kernel(src, recv, omega, lattice)
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=path.stem, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(fh, **{key: getattr(table, key) for key in _TABLE_KEYS})
-        os.replace(tmp, path)
-    finally:
-        Path(tmp).unlink(missing_ok=True)
+    table = _load_kernel(path, src, recv, omega, lattice)
+    if table is None:
+        table = build_green_kernel(src, recv, omega, lattice)
+        _save_kernel(path, table)
     return table
 
 
@@ -442,33 +490,34 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestBuilder("bench", config.config_hash())
     records = []
+    cache = _cache_dir(config)
     for n in n_list:
-        cfg_n = replace(config, grid=replace(config.grid, n_transverse=n))
-        grid_x, grid_y = make_grids(cfg_n.grid)
+        # the sweep times the inversion only: no bump is localized on these grids
+        grid_x, grid_y = make_grids(replace(config.grid, n_transverse=n))
+        check_sources(config.sources, grid_x)
         lattice = ModeLattice.for_grid(grid_x)
-        xi = cfg_n.phantom.sample_on(grid_x)
-        cache = _cache_dir(cfg_n)
+        xi = config.phantom.sample_on(grid_x)
         prepared = []
-        for omega in cfg_n.frequencies:
-            tables = frequency_tables(cfg_n, omega, grid_x, grid_y, lattice, cache)
-            _, w_field = forward_frequency(cfg_n, omega, tables, grid_y, xi, cfg_n.seed)
+        for omega in config.frequencies:
+            tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
+            _, w_field = forward_frequency(config, omega, tables, grid_y, xi, config.seed)
             prepared.append((omega, tables, forward_xy(w_field)))
 
         # timed: mode solves, recomputation and extraction on prebuilt tables
         t0 = time.perf_counter()
         invs = [
-            invert_frequency(w_spec, omega, tables, cfg_n.regularizer, grid_x)
+            invert_frequency(w_spec, omega, tables, config.regularizer, grid_x)
             for omega, tables, w_spec in prepared
         ]
         extract_xi_lsq(
             [inv.v_field for inv in invs],
             [inv.u_field for inv in invs],
-            cfg_n.extraction.eps_div,
+            config.extraction.eps_div,
         )
         seconds = time.perf_counter() - t0
         records.append(
             TimingRecord(
-                n=n, m=cfg_n.grid.scatterer_nz, m1=cfg_n.grid.receiver_nz,
+                n=n, m=config.grid.scatterer_nz, m1=config.grid.receiver_nz,
                 seconds=seconds,
             )
         )

@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .fields import GridConfig, make_grids
-from .medium import Bump, Phantom, SourceSet
+from .fields import Grid3D, GridConfig, make_grids
+from .medium import SOURCE_NODE_TOL, Bump, Phantom, SourceSet
+from .metrics import LOCALIZATION_RADIUS
 from .regularizers import RegularizerConfig
 
 
@@ -63,9 +64,16 @@ class RunConfig:
         if self.extraction.combine not in ("per_frequency", "least_squares"):
             raise ConfigError(f"unknown extraction combine {self.extraction.combine!r}")
         try:
-            make_grids(self.grid)
+            grid_x, _ = make_grids(self.grid)
         except ValueError as exc:
             raise ConfigError(f"invalid grids: {exc}") from exc
+        check_sources(self.sources, grid_x)
+        for b in self.phantom.bumps:
+            if _nearest_node_dist2(grid_x, b.center) > LOCALIZATION_RADIUS ** 2:
+                raise ConfigError(
+                    f"bump at {b.center} has no scatterer grid node within the "
+                    f"localization radius {LOCALIZATION_RADIUS}"
+                )
 
     def canonical_dict(self) -> dict:
         """Plain dict of everything that affects computed results.
@@ -90,6 +98,20 @@ class RunConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def _nearest_node_dist2(grid: Grid3D, point) -> float:
+    """Squared distance from point to the nearest node of grid."""
+    axes = (grid.x_coords(), grid.y_coords(), grid.z_nodes)
+    dx2, dy2, dz2 = (np.min((a - c) ** 2) for a, c in zip(axes, point))
+    return float(dx2 + dy2 + dz2)
+
+
+def check_sources(sources: SourceSet, grid: Grid3D) -> None:
+    """Reject a source on a node of grid, where its incident field is singular."""
+    for p in sources.positions:
+        if np.sqrt(_nearest_node_dist2(grid, p)) < SOURCE_NODE_TOL:
+            raise ConfigError(f"source at {tuple(map(float, p))} lies on a scatterer grid node")
 
 
 # keys read by the longer config sections

@@ -150,6 +150,68 @@ def test_unknown_config_keys_rejected(tmp_path, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+def test_cli_source_on_scatterer_node_exit_code(tmp_path, monkeypatch):
+    # x = 0, y = 0 and z = 0.5 are all nodes of the N=16, 5-node scatterer grid
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config_dict()
+    data["grid"]["scatterer_nz"] = 5
+    data["sources"]["line_y"]["z"] = 0.5
+    with pytest.raises(ConfigError, match=r"source at \(0\.0, 0\.0, 0\.5\)"):
+        config_from_dict(data)
+    cfg = tmp_path / "on-node.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 2
+    assert not (tmp_path / "d").exists()
+    # a source off the nodes, still inside the slab, runs
+    data["sources"]["line_y"]["z"] = 0.6
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    # x = 0.625 is a node at N=32 only: bench checks every N it sweeps
+    data["sources"] = {"points": [{"position": [0.625, 0.0, 0.5]}]}
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "32"]) == 2
+
+
+def test_cli_bump_beyond_localization_radius_exit_code(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config_dict()
+    data["phantom"]["bumps"][0]["center"] = [1.0, 2.0, 3.0]  # 1.5 above the top nodes
+    with pytest.raises(ConfigError, match=r"bump at \(1\.0, 2\.0, 3\.0\)"):
+        config_from_dict(data)
+    cfg = tmp_path / "far.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    for stage in (["synthesize", "--out", "d"], ["evaluate", "--recon", "r", "--out", "e"]):
+        assert main([stage[0], "--config", str(cfg), *stage[1:]]) == 2
+    assert not (tmp_path / "d").exists() and not (tmp_path / "e").exists()
+    # 0.9 from its nearest node: every stage runs and the bump is located
+    data["phantom"]["bumps"][0]["center"] = [1.25, 2.5, 2.4]
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "d", "--out", "r"]) == 0
+    assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 0
+
+
+def test_bump_validation_agrees_with_localization():
+    # the validator accepts a bump exactly when evaluate can search around it
+    config = config_from_dict(tiny_config_dict())
+    grid_x, _ = fl.make_grids(config.grid)
+    rng = np.random.default_rng(23)
+    accepted = 0
+    for centre in rng.uniform([-11.0, -11.0, -1.7], [11.0, 11.0, 2.7], (200, 3)):
+        data = tiny_config_dict()
+        data["phantom"]["bumps"] = [{"center": centre.tolist(), "radius": 0.3, "weight": 1.0}]
+        try:
+            config = config_from_dict(data)
+        except ConfigError:
+            with pytest.raises(ValueError, match="no grid nodes"):
+                fl.localization_report(np.zeros(grid_x.shape), fl.Phantom(0.3, (
+                    fl.Bump(center=tuple(centre), radius=0.3, weight=1.0),)), grid_x)
+            continue
+        accepted += 1
+        fl.localization_report(np.zeros(grid_x.shape), config.phantom, grid_x)
+    assert 0 < accepted < 200
+
+
 def test_benchmark_workload_configs_parse(tmp_path, monkeypatch):
     path = ROOT / "flbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("flbench_workloads", path)
@@ -455,6 +517,47 @@ def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
     manifest = read_manifest(tmp_path / "ok" / "manifest.json")
     assert manifest["forward_converged"] == {"2": True}
     assert manifest["forward_iterations"]["2"] > 2
+
+
+def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):
+    """The benchmark's kernel checks read per-mode columns from the cache files."""
+    path = ROOT / "flbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("flbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    data = tiny_config_dict()
+    grid_x, grid_y = fl.make_grids(config_from_dict(data).grid)
+    lattice = fl.ModeLattice.for_grid(grid_x)
+    built = {
+        recv.nz: pipeline.get_kernel(grid_x, recv, 2.0, lattice, tmp_path)
+        for recv in (grid_x, grid_y)
+    }
+    # modes (k1, k2) = (0, 0), (1, 3), (3, 1), (-1, 3) and (-1, -1); the last
+    # three are not their class representatives
+    modes = np.array([0, 19, 49, 243, 255])
+    rep, class_of = lattice.symmetry_classes()
+    assert np.count_nonzero(rep[class_of[modes]] != modes) == 3
+    files = sorted(tmp_path.glob("*.npz"))
+    assert len(files) == 2
+    for file in files:
+        with np.load(file, allow_pickle=False) as t:
+            omega, offsets, values = float(t["omega"]), t["offsets"], t["values"]
+        assert values.shape == (offsets.size, lattice.n_modes)
+        direct = reference.kernel_columns(reference.Lattice(data["grid"]), omega, offsets, modes)
+        err = np.max(np.abs(values[:, modes] - direct), axis=1) / np.max(np.abs(direct), axis=1)
+        assert np.all(err <= 1e-12)
+
+    def rebuild(*args):
+        raise AssertionError("a cached kernel table was rebuilt")
+
+    monkeypatch.setattr(pipeline, "build_green_kernel", rebuild)
+    for recv in (grid_x, grid_y):
+        table = pipeline.get_kernel(grid_x, recv, 2.0, lattice, tmp_path)
+        for name in ("row_z", "col_z", "offsets", "offset_index", "values", "class_of",
+                     "members"):
+            a, b = getattr(table, name), getattr(built[recv.nz], name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name  # bitwise
+        assert table.omega == built[recv.nz].omega
 
 
 def test_benchmark_hook_points_exist():

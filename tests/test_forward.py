@@ -114,7 +114,7 @@ def test_scattered_data_delta_column(small_setup):
     values[:, l0] = 1.0
     w_spec, _ = fl.scattered_data(kyx, omega, gy, v_spec=fl.SpectralField(gx, values))
     mu = trapezoid_weights(gx.z_nodes)
-    mats = kyx.mode_matrices(0, kyx.n_modes)
+    mats = kyx.mode_matrices(0, kyx.n_classes)[kyx.class_of]
     for k in range(gy.nz):
         expected = omega ** 2 * mu[l0] * mats[:, k, l0]
         assert np.array_equal(w_spec.values[:, k], expected)

@@ -31,7 +31,8 @@ def test_forward_then_invert_recovers_rowspace_interaction(desk):
     prop = np.nonzero(lat.magnitude() < omega)[0]
     v_values = np.zeros((lat.n_modes, gx.nz), dtype=complex)
     for m in prop:
-        a = omega ** 2 * table.mode_matrices(m, m + 1)[0] * mu
+        c = table.class_of[m]
+        a = omega ** 2 * table.mode_matrices(c, c + 1)[0] * mu
         y = rng.standard_normal(gy.nz) + 1j * rng.standard_normal(gy.nz)
         v_values[m] = a.conj().T @ y
     v_in = fl.SpectralField(gx, v_values)
@@ -71,7 +72,7 @@ def test_discrepancy_solves_meet_per_mode_residual_target(desk):
     b_norm = np.linalg.norm(w_spec.values, axis=1)
 
     # (modes, rows, cols); quadrature scales the column axis
-    mats = omega ** 2 * table.mode_matrices(0, table.n_modes) * mu
+    mats = omega ** 2 * table.mode_matrices(0, table.n_classes)[table.class_of] * mu
     a_norm = np.linalg.norm(mats.reshape(table.n_modes, -1), axis=1)
     x_norm = np.linalg.norm(v_spec.values, axis=1)
     eps = np.finfo(float).eps
@@ -88,7 +89,8 @@ def desk_mode_systems(desk, data):
     """Every mode's matrix scaled as solve_modes scales it, and its data."""
     table, omega = desk["kernel_xy"], desk["omega"]
     scale = omega * omega * trapezoid_weights(desk["grid_x"].z_nodes)
-    return table.mode_matrices(0, table.n_modes) * scale, fl.forward_xy(data).values
+    mats = table.mode_matrices(0, table.n_classes)[table.class_of]
+    return mats * scale, fl.forward_xy(data).values
 
 
 def test_class_solves_match_tsvd_per_mode(desk):

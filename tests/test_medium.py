@@ -47,7 +47,7 @@ def test_kernel_translation_invariance(tiny_grids):
     lat = fl.ModeLattice.for_grid(gx)
     table = fl.build_green_kernel(gx, gx, 2.0, lat)
     # equal z-differences share one table row, so entries agree exactly
-    mats = table.mode_matrices(0, table.n_modes)
+    mats = table.mode_matrices(0, table.n_classes)[table.class_of]
     assert np.array_equal(mats[:, 3, 1], mats[:, 4, 2])
     assert np.array_equal(mats[:, 0, 2], mats[:, 4, 6])
 
@@ -75,7 +75,7 @@ def test_kernel_even_in_mode(tiny_grids):
     lat = fl.ModeLattice.for_grid(gx)
     table = fl.build_green_kernel(gx, gx, 2.0, lat)
     n = gx.nx
-    vals = table.mode_matrices(0, table.n_modes)[:, 2, 0].reshape(n, n)
+    vals = table.mode_matrices(0, table.n_classes)[table.class_of][:, 2, 0].reshape(n, n)
     for k1, k2 in [(1, 3), (2, 2), (5, 0)]:
         assert vals[(-k1) % n, (-k2) % n] == pytest.approx(vals[k1, k2], rel=1e-12)
 
@@ -94,12 +94,14 @@ def test_kernel_tables_equal_their_class_representatives(y_bounds, classes):
     assert rep.size == classes  # (N/2+1)(N/2+2)/2 square, (N/2+1)^2 rectangular
     for recv in (gx, gy):
         table = fl.build_green_kernel(gx, recv, 2.0, lat)
-        assert np.array_equal(table.values, table.values[:, rep[class_of]])
+        assert np.array_equal(table.class_of, class_of)
+        per_mode = table.values[:, table.class_of]
+        assert np.array_equal(per_mode, per_mode[:, rep[class_of]])
         # the copies move a column only by the rounding of its own transform
         unfolded = forward_slab(sample_green_slabs(gx.centred(), table.offsets, 2.0), gx.centred())
-        unfolded = unfolded.reshape(table.values.shape)
+        unfolded = unfolded.reshape(per_mode.shape)
         scale = np.max(np.abs(unfolded), axis=1, keepdims=True)
-        assert np.max(np.abs(table.values - unfolded) / scale) < 1e-13
+        assert np.max(np.abs(per_mode - unfolded) / scale) < 1e-13
 
 
 def test_kernel_reciprocity_between_tables():
@@ -133,19 +135,45 @@ def test_kernel_static_limit_against_refined_quadrature(tiny_grids):
     assert abs(built - oracle) / abs(oracle) < 0.02
 
 
+def rectangular_xy_table():
+    # Lx != Ly keeps the sign classes only: 1,089 at N=64
+    cfg = fl.GridConfig(y_bounds=(-6.0, 6.0), n_transverse=64, scatterer_nz=5, receiver_nz=3)
+    gx, gy = fl.make_grids(cfg)
+    return fl.build_green_kernel(gx, gy, 2.0, fl.ModeLattice.for_grid(gx))
+
+
 def test_convolve_chunks_match_dense_mode_matrices(desk):
-    table = desk["kernel_xy"]
-    chunks = list(table.mode_chunks())
-    assert len(chunks) > 1
-    assert chunks[0][0] == 0 and chunks[-1][1] == table.n_modes
-    assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
-    rng = np.random.default_rng(19)
-    shape = (table.n_modes, table.n_cols)
-    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    mu = trapezoid_weights(table.col_z)
-    # chunking changes which modes share a gather, not the arithmetic
-    dense = np.einsum("mkl,ml->mk", table.mode_matrices(0, table.n_modes), v * mu)
-    assert np.array_equal(table.convolve(v, mu), dense)
+    # the desk table (square window, 561 classes) and a rectangular window's
+    # table (sign classes only, 1,089)
+    for table, classes in [(desk["kernel_xy"], 561), (rectangular_xy_table(), 1089)]:
+        assert table.n_classes == classes
+        chunks = list(table.mode_chunks())
+        assert len(chunks) > 1
+        assert chunks[0][0] == 0 and chunks[-1][1] == table.n_classes
+        assert all(prev[1] == nxt[0] for prev, nxt in zip(chunks, chunks[1:]))
+        # members lists every mode once, under its own class
+        mem = table.members
+        valid = mem >= 0
+        assert np.array_equal(np.sort(mem[valid]), np.arange(table.n_modes))
+        assert np.array_equal(table.class_of[mem[valid]], np.nonzero(valid)[0])
+        rng = np.random.default_rng(19)
+        size = (table.n_modes, table.n_cols)
+        v = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        mu = trapezoid_weights(table.col_z)
+        mats = table.mode_matrices(0, table.n_classes)
+        # chunking changes which classes share a gather, not the arithmetic:
+        # one unchunked product of every class matrix with its members' vectors
+        stacked = np.zeros(mem.shape + (table.n_cols,), dtype=complex)
+        stacked[valid] = (v * mu)[mem[valid]]
+        product = (mats @ stacked.transpose(0, 2, 1)).transpose(0, 2, 1)
+        dense = np.empty((table.n_modes, table.n_rows), dtype=complex)
+        dense[mem[valid]] = product[valid]
+        out = table.convolve(v, mu)
+        assert np.array_equal(out, dense)
+        # and the per-mode sum it replaces, within the rounding bound of a dot product
+        per_mode = np.einsum("mkl,ml->mk", mats[table.class_of], v * mu)
+        magnitude = np.einsum("mkl,ml->mk", np.abs(mats[table.class_of]), np.abs(v * mu))
+        assert np.all(np.abs(out - per_mode) <= table.n_cols * np.finfo(float).eps * magnitude)
 
 
 def test_kernel_rejects_mismatched_transverse_lattice(tiny_grids):
