@@ -2,9 +2,9 @@
 
 Units fix the background sound speed c0 = 1, so the wavenumber equals the
 angular frequency. The free-space outgoing-wave kernel G (green_point) depends
-on node differences only. Its transverse spectrum G_hat(dz, w, Omega) is built
-numerically: sample G on the centred copy of the (truncated, periodized)
-transverse lattice at fixed z-offset and apply the slab Fourier transform.
+on node differences only. Its transverse spectrum G_hat(dz, w, Omega) is the slab
+Fourier transform on the centred copy of the (truncated, periodized) transverse
+lattice, computed from one (|x|, |y|) quadrant as a cosine transform since G is even.
 Tables store one spectrum row per distinct z-offset, since entries depend on
 z - z' only, and one column per symmetry class of modes; they depend on N,
 the transverse periods, the z nodes and omega, never on where the window sits.
@@ -175,25 +175,31 @@ def trapezoid_weights(z_nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def sample_green_slabs(grid: Grid3D, dz_list: np.ndarray, omega: float) -> np.ndarray:
-    """Sample G on grid.centred()'s transverse lattice for each z-offset in dz_list.
+def green_spectra(grid: Grid3D, dz: np.ndarray, omega: float, modes: np.ndarray) -> np.ndarray:
+    """Transverse spectrum of G for the given modes at each z-offset, shape (dz.size, modes.size).
 
-    Its nodes are the minimum-image offsets of the periodic lattice, with
-    the origin at node (N/2, N/2). At zero offset the rho = 0 sample there
-    is replaced by the analytic disk average of G over one cell.
+    G is even in x and y on grid.centred()'s lattice, so it is sampled once per (|x|, |y|) node
+    of one (N/2+1)^2 quadrant (the rho = 0 sample at zero offset is G's disk average over one
+    cell) and the slab transform of mode (|k1|, |k2|) becomes the cosine transform hx*hy *
+    sum_ab w_a w_b q[a, b] cos(2 pi k1 a/N) cos(2 pi k2 b/N), w = 1 at a = 0, N/2 and 2 elsewhere.
     """
+    n, half = grid.nx, grid.nx // 2
     centred = grid.centred()
-    x = centred.x_coords()
-    y = centred.y_coords()
-    rho2 = x[:, None] ** 2 + y[None, :] ** 2
-    dz = np.asarray(dz_list, dtype=float)
-    r = np.sqrt(rho2[None, :, :] + dz[:, None, None] ** 2)
+    quadrant = np.r_[half:n, 0]  # |offset| = 0, h, ..., N/2 h
+    rho2 = centred.y_coords()[quadrant, None] ** 2 + centred.x_coords()[None, quadrant] ** 2
+    a = np.arange(half + 1)
+    cos = np.cos(2 * np.pi * (np.outer(a, a) % n) / n) * np.where(a % half, 2.0, 1.0)  # (k, a)
+    dz = np.asarray(dz, dtype=float)
+    r = np.sqrt(rho2 + dz[:, None, None] ** 2)  # (dz, b, a)
     singular = np.abs(dz) < 1e-14
-    origin = (singular, grid.nx // 2, grid.ny // 2)
-    r[origin] = 1.0  # placeholder, overwritten below
-    slabs = green_point(r, omega)
-    slabs[origin] = green_cell_average(grid.hx * grid.hy, omega)
-    return slabs
+    r[singular, 0, 0] = 1.0  # placeholder, overwritten below
+    q = green_point(r, omega)
+    q[singular, 0, 0] = green_cell_average(grid.hx * grid.hy, omega)
+    # real matrices on interleaved real/imaginary parts, one (N/2+1)^2 product per offset
+    t = (grid.hy * cos @ q.view(float)).view(complex).transpose(0, 2, 1)  # (dz, a, k2)
+    spec = (grid.hx * cos @ np.ascontiguousarray(t).view(float)).view(complex)  # (dz, k1, k2)
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
+    return spec.reshape(dz.size, -1)[:, k[modes // n] * (half + 1) + k[modes % n]]
 
 
 def build_green_kernel(
@@ -204,14 +210,11 @@ def build_green_kernel(
 ) -> GreenKernelTable:
     """Tabulate G_hat(z_k - z'_l, omega, Omega) for all needed node pairs.
 
-    One routine serves both the scatterer-to-scatterer and the
-    scatterer-to-receiver tables; the grids must share the transverse
-    lattice. G is sampled and transformed on the centred copy of that
-    lattice, so shifting the window leaves the table unchanged.
-    Construction batches the slab FFTs over unique offsets and keeps the
-    column of each symmetry class representative
-    (ModeLattice.symmetry_classes), so modes of one class share one matrix
-    bit for bit rather than to rounding.
+    One routine serves both the scatterer-to-scatterer and the scatterer-to-receiver
+    tables; the grids must share the transverse lattice. green_spectra works on its
+    centred copy, so shifting the window leaves the table unchanged. Each batch of
+    unique offsets gets the columns of the class representatives only
+    (ModeLattice.symmetry_classes).
     """
     if not grid_src.same_transverse_lattice(grid_recv):
         raise ValueError("source and receiver grids must share the transverse lattice")
@@ -224,16 +227,12 @@ def build_green_kernel(
     offsets, inverse = np.unique(diff, return_inverse=True)
     offset_index = inverse.reshape(diff.shape).astype(np.intp)
 
-    centred = grid_src.centred()
-    n_modes = grid_src.nx * grid_src.ny
     rep, class_of = lattice.symmetry_classes()
     values = np.empty((offsets.size, rep.size), dtype=complex)
-    block = max(1, _GATHER_BYTES // (n_modes * values.itemsize))
+    block = max(1, _GATHER_BYTES // ((grid_src.nx // 2 + 1) ** 2 * values.itemsize))
     for start in range(0, offsets.size, block):
-        chunk = offsets[start : start + block]
-        spec = forward_slab(sample_green_slabs(centred, chunk, omega), centred)
-        np.take(spec.reshape(chunk.size, n_modes), rep, axis=1,
-                out=values[start : start + chunk.size])
+        batch = slice(start, start + block)
+        values[batch] = green_spectra(grid_src, offsets[batch], omega, rep)
 
     for arr in (row_z, col_z, offsets, offset_index, values, class_of):
         arr.setflags(write=False)

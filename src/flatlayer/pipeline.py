@@ -81,7 +81,7 @@ def _write_columns(member, values: np.ndarray, columns: np.ndarray) -> None:
     np.lib.format.write_array_header_1_0(member, header)
     step = max(1, _GATHER_BYTES // (columns.size * values.itemsize))
     for start in range(0, values.shape[0], step):
-        member.write(np.take(values[start : start + step], columns, axis=1).tobytes())
+        member.write(np.take(values[start : start + step], columns, axis=1))
 
 
 def _load_kernel(

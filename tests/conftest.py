@@ -1,7 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import flatlayer as fl
+from flatlayer.medium import green_cell_average, green_point
+from flatlayer.spectral import forward_slab
+
+# property tests replay the same examples on every run and take no timing limit
+settings.register_profile("flatlayer", derandomize=True, max_examples=20, deadline=None,
+                          database=None)
+settings.load_profile("flatlayer")
+
+
+def sample_green_slabs(grid, dz_list, omega):
+    """G on every node of grid.centred()'s transverse lattice, origin at node
+    (N/2, N/2), for each z-offset; at zero offset the rho = 0 sample is the
+    analytic disk average of G over one cell. Shape (n_dz, N, N)."""
+    centred = grid.centred()
+    x = centred.x_coords()
+    y = centred.y_coords()
+    dz = np.asarray(dz_list, dtype=float)
+    r = np.sqrt(x[:, None] ** 2 + y[None, :] ** 2 + dz[:, None, None] ** 2)
+    origin = (np.abs(dz) < 1e-14, grid.nx // 2, grid.ny // 2)
+    r[origin] = 1.0  # placeholder, overwritten below
+    slabs = green_point(r, omega)
+    slabs[origin] = green_cell_average(grid.hx * grid.hy, omega)
+    return slabs
+
+
+def fft_green_spectra(grid, dz_list, omega):
+    """Full-lattice FFT oracle of medium.green_spectra: the slab transform of
+    sample_green_slabs for every mode, shape (n_dz, N*N)."""
+    slabs = sample_green_slabs(grid, dz_list, omega)
+    return forward_slab(slabs, grid.centred()).reshape(slabs.shape[0], -1)
 
 
 @pytest.fixture(scope="session")

@@ -16,11 +16,10 @@ import flatlayer as fl
 from conftest import reconstruct
 from flatlayer.cli import main as cli_main
 from flatlayer.manifest import read_manifest
-from flatlayer.medium import sample_green_slabs
+from flatlayer.medium import green_spectra
 from flatlayer.pipeline import run_bench
 from flatlayer.regularizers import solve_mode_block
 from flatlayer.runconfig import OutputOptions, RunConfig
-from flatlayer.spectral import forward_slab
 
 NOISE_SEED = 20260810
 
@@ -106,7 +105,7 @@ def test_criterion_1_transform_oracle(tiny_grids):
 
 
 def test_criterion_2_green_kernel_oracle(desk):
-    with criterion(2, "FFT-built kernel vs refined-quadrature oracle", budget=60.0):
+    with criterion(2, "kernel spectra vs refined-quadrature oracle", budget=60.0):
         gx = desk["grid_x"]
         lat = desk["lattice"]
         omega = 2.0
@@ -125,18 +124,16 @@ def test_criterion_2_green_kernel_oracle(desk):
                 out[j] = h * h * (px @ g @ py)
             return out
 
-        # the shipped table rows are exactly the sample-and-transform path
+        # the shipped table rows are exactly the production spectrum path
         d0 = float(desk["kernel_xy"].offsets[0])
-        direct = forward_slab(sample_green_slabs(gx, np.array([d0]), omega), gx)
-        rep, class_of = lat.symmetry_classes()  # each mode holds its class representative
-        per_mode = desk["kernel_xy"].values[0, desk["kernel_xy"].class_of]
-        assert np.array_equal(direct.reshape(-1)[rep[class_of]], per_mode)
+        rep, _ = lat.symmetry_classes()  # one column per class representative
+        direct = green_spectra(gx, np.array([d0]), omega, rep)
+        assert np.array_equal(direct, desk["kernel_xy"].values[:1])
 
         # offsets spanning the scatterer-to-scatterer and data ranges
         worst = {}
         for dz in (0.25, 0.5, 1.5, 2.0, 4.51, 5.755, 7.0):
-            built = forward_slab(sample_green_slabs(gx, np.array([dz]), omega), gx)
-            built = built.reshape(-1)[prop]
+            built = green_spectra(gx, np.array([dz]), omega, prop)[0]
             oracle = refined(dz)
             worst[dz] = float(np.max(np.abs(built - oracle) / np.abs(oracle)))
             assert worst[dz] < 0.02, f"offset {dz}: {worst[dz]:.4f}"
@@ -144,11 +141,9 @@ def test_criterion_2_green_kernel_oracle(desk):
         # documented degradation: sub-cell offsets (and evanescent modes)
         # are not certified by this oracle; the 1/rho peak is unresolved there
         dz_small = float(gx.z_nodes[1] - gx.z_nodes[0])
-        built = forward_slab(sample_green_slabs(gx, np.array([dz_small]), omega), gx)
+        built = green_spectra(gx, np.array([dz_small]), omega, prop)[0]
         oracle_small = refined(dz_small)
-        small_err = float(
-            np.max(np.abs(built.reshape(-1)[prop] - oracle_small) / np.abs(oracle_small))
-        )
+        small_err = float(np.max(np.abs(built - oracle_small) / np.abs(oracle_small)))
         print(
             f"\n  propagating-mode max rel err by offset: "
             f"{ {k: round(v, 4) for k, v in worst.items()} }\n"
