@@ -15,7 +15,14 @@ from .fields import (
     make_grids,
     spectral_norm,
 )
-from .forward import DivergenceError, ForwardResult, add_noise, born_iterate, scattered_data
+from .forward import (
+    DivergenceError,
+    ForwardResult,
+    add_noise,
+    born_iterate,
+    interaction_spectral,
+    scattered_data,
+)
 from .inverse import (
     XiExtraction,
     extract_xi_lsq,

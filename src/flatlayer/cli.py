@@ -78,7 +78,11 @@ def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"bad --freq list {args.freq!r}") from exc
         config = replace(config, frequencies=freqs)
     if args.method is not None:
-        config = replace(config, regularizer=replace(config.regularizer, method=args.method))
+        try:
+            reg = replace(config.regularizer, method=args.method)
+        except ValueError as exc:
+            raise ConfigError(f"--method {args.method}: {exc}") from exc
+        config = replace(config, regularizer=reg)
     return config
 
 

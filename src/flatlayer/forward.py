@@ -4,10 +4,10 @@ Starting from the incident spectrum U0, the iteration
 
     U_{n+1} = U0 + w^2 * int G_hat(z - z') F[xi * F^-1[U_n]] dz'
 
-runs per transverse mode with a trapezoid z'-quadrature, stopping when the
-update norm falls below tol * ||U0||. The scattered receiver data W follows
-from the converged interaction term V = F[xi * F^-1[U]] through the
-scatterer-to-receiver kernel table.
+runs per transverse mode, the integral being one GreenKernelTable.apply,
+stopping when the update norm falls below tol * ||U0||. The scattered receiver
+data W follows from the converged interaction term V = F[xi * F^-1[U]] through
+the scatterer-to-receiver kernel table.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, Grid3D, SpectralField, l2_norm, spectral_norm
-from .medium import GreenKernelTable, Phantom, trapezoid_weights
+from .medium import GreenKernelTable
 from .spectral import forward_slab, inverse_slab, inverse_xy
 
 # consecutive residual increases tolerated before declaring divergence
@@ -65,8 +65,7 @@ def interaction_spectral(
 def born_iterate(
     u0_spec: SpectralField,
     kernel_xx: GreenKernelTable,
-    xi: Phantom | np.ndarray,
-    omega: float,
+    xi_samples: np.ndarray,
     tol: float = 1e-13,
     max_iter: int = 1000,
 ) -> ForwardResult:
@@ -77,9 +76,9 @@ def born_iterate(
     u0_spec : SpectralField
         Incident spectrum on the scatterer grid.
     kernel_xx : GreenKernelTable
-        Scatterer-to-scatterer kernel table at the same omega.
-    xi : Phantom or (nx, ny, nz) real ndarray
-        Inhomogeneity coefficient (evaluated on the grid if a Phantom).
+        Scatterer-to-scatterer kernel table; its omega is the frequency.
+    xi_samples : (nx, ny, nz) real ndarray
+        Inhomogeneity coefficient on the scatterer grid.
     tol : float
         Relative stopping tolerance ||U_n - U_{n-1}|| <= tol * ||U0||.
     max_iter : int
@@ -93,11 +92,9 @@ def born_iterate(
     grid = u0_spec.grid
     if kernel_xx.n_rows != grid.nz or kernel_xx.n_cols != grid.nz:
         raise ValueError("kernel table does not cover the scatterer grid")
-    xi_samples = xi.sample_on(grid) if isinstance(xi, Phantom) else np.asarray(xi)
     if xi_samples.shape != grid.shape:
         raise ValueError("xi samples must live on the scatterer grid")
 
-    mu = trapezoid_weights(grid.z_nodes)
     u0 = u0_spec.values
     norm0 = spectral_norm(u0_spec)
     threshold = tol * norm0
@@ -108,7 +105,7 @@ def born_iterate(
     converged = False
     for _ in range(max_iter):
         v = _interaction_spectral(u, xi_samples, grid)
-        u_next = u0 + omega * omega * kernel_xx.convolve(v, mu)
+        u_next = u0 + kernel_xx.apply(v)
         res = float(np.linalg.norm(u_next - u))
         residuals.append(res)
         u = u_next
@@ -120,7 +117,7 @@ def born_iterate(
             if growth >= _GROWTH_LIMIT:
                 raise DivergenceError(
                     f"update norm grew for {growth} consecutive iterations "
-                    f"(omega = {omega}; scatterer too strong for the Born series)"
+                    f"(omega = {kernel_xx.omega}; scatterer too strong for the Born series)"
                 )
         else:
             growth = 0
@@ -134,33 +131,19 @@ def born_iterate(
 
 
 def scattered_data(
-    kernel_xy: GreenKernelTable,
-    omega: float,
-    recv_grid: Grid3D,
-    v_spec: SpectralField | None = None,
-    u_spec: SpectralField | None = None,
-    xi_samples: np.ndarray | None = None,
+    kernel_xy: GreenKernelTable, recv_grid: Grid3D, v_spec: SpectralField
 ) -> tuple[SpectralField, ComplexField]:
-    """Receiver-layer data from the interaction spectrum.
-
-    Either pass the interaction spectrum v_spec directly, or pass the
-    internal-field spectrum u_spec together with xi_samples to form it.
+    """Receiver-layer data W = w^2 int G_hat(z - z') V dz' from the interaction
+    spectrum V (interaction_spectral).
 
     Returns
     -------
     (w_spec, w_field) : spectrum and field of W on the receiver grid.
     """
-    if v_spec is None:
-        if u_spec is None or xi_samples is None:
-            raise ValueError("need either v_spec or (u_spec, xi_samples)")
-        v_spec = interaction_spectral(u_spec, xi_samples)
     src_grid = v_spec.grid
     if kernel_xy.n_cols != src_grid.nz or kernel_xy.n_rows != recv_grid.nz:
         raise ValueError("kernel table shape does not match the grids")
-
-    mu = trapezoid_weights(src_grid.z_nodes)
-    w_values = omega * omega * kernel_xy.convolve(v_spec.values, mu)
-    w_spec = SpectralField(recv_grid, w_values)
+    w_spec = SpectralField(recv_grid, kernel_xy.apply(v_spec.values))
     return w_spec, inverse_xy(w_spec)
 
 

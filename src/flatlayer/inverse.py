@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, Grid3D, SpectralField
-from .medium import GreenKernelTable, trapezoid_weights
+from .medium import GreenKernelTable
 from .regularizers import RegularizerConfig, solve_mode_block
 
 
@@ -55,7 +55,9 @@ def solve_modes(
     w_spec : SpectralField
         Data spectrum on the receiver grid (forward transform of W).
     kernel_xy : GreenKernelTable
-        Scatterer-to-receiver table at the same omega.
+        Scatterer-to-receiver table at omega.
+    omega : float
+        Frequency of the data; must be the table's.
     reg : RegularizerConfig
     scatterer_grid : Grid3D
         Grid carrying the unknown V (defines the output SpectralField).
@@ -75,9 +77,10 @@ def solve_modes(
         raise ValueError("data spectrum does not match the kernel table")
     if kernel_xy.n_cols != scatterer_grid.nz or scatterer_grid.nx * scatterer_grid.ny != n_modes:
         raise ValueError("kernel table does not cover the scatterer grid")
+    if omega != kernel_xy.omega:
+        raise ValueError(f"kernel table is for omega = {kernel_xy.omega}, data for {omega}")
 
-    mu = trapezoid_weights(scatterer_grid.z_nodes)
-    scale = omega * omega * mu  # column scaling of every mode matrix
+    scale = kernel_xy.column_scale
     v_values = np.zeros((n_modes, scatterer_grid.nz), dtype=complex)
     ranks = np.zeros(n_modes, dtype=int)
     failed = 0
@@ -105,10 +108,7 @@ def solve_modes(
 
 
 def recompute_internal_field(
-    v_spec: SpectralField,
-    u0_spec: SpectralField,
-    kernel_xx: GreenKernelTable,
-    omega: float,
+    v_spec: SpectralField, u0_spec: SpectralField, kernel_xx: GreenKernelTable
 ) -> SpectralField:
     """Internal-field spectrum U = U0 + w^2 int G_hat V dz' on the scatterer slab."""
     grid = v_spec.grid
@@ -116,9 +116,7 @@ def recompute_internal_field(
         raise ValueError("U0 and V spectra must share shape")
     if kernel_xx.n_rows != grid.nz or kernel_xx.n_cols != grid.nz:
         raise ValueError("kernel table does not cover the scatterer grid")
-    mu = trapezoid_weights(grid.z_nodes)
-    u = u0_spec.values + omega * omega * kernel_xx.convolve(v_spec.values, mu)
-    return SpectralField(grid, u)
+    return SpectralField(grid, u0_spec.values + kernel_xx.apply(v_spec.values))
 
 
 def _masked_ratio(

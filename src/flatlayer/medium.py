@@ -8,6 +8,8 @@ lattice, computed from one (|x|, |y|) quadrant as a cosine transform since G is 
 Tables store one spectrum row per distinct z-offset, since entries depend on
 z - z' only, and one column per symmetry class of modes; they depend on N,
 the transverse periods, the z nodes and omega, never on where the window sits.
+A table is the per-mode operator omega^2 int G_hat(z - z') . dz' of its omega, trapezoid
+weights included (GreenKernelTable.apply, column_scale); every solver stage takes it from there.
 """
 
 from __future__ import annotations
@@ -137,34 +139,32 @@ class GreenKernelTable:
         valid = mem >= 0
         per_mode[mem[valid]] = stacked[valid]
 
-    def convolve(self, v: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Quadrature-weighted kernel application per mode.
+    @property
+    def column_scale(self) -> np.ndarray:
+        """omega^2 * mu_l, the factor of column l in every mode's system matrix
+        (mu: trapezoid weights on col_z)."""
+        return self.omega * self.omega * trapezoid_weights(self.col_z)
 
-        Computes out[m, k] = sum_l values[offset_index[k, l], class_of[m]]
-        * weights[l] * v[m, l], i.e. the discretized integral over z' for
-        every mode and receiver node, one matrix product per class. The
-        omega^2 prefactor is the caller's.
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """The discretized operator omega^2 int G_hat(z - z') v(z') dz', per mode.
 
-        Parameters
-        ----------
-        v : (n_modes, n_cols) complex ndarray
-        weights : (n_cols,) quadrature weights
-
-        Returns
-        -------
-        (n_modes, n_rows) complex ndarray
+        Computes out[m, k] = omega^2 * sum_l values[offset_index[k, l], class_of[m]]
+        * mu_l * v[m, l] with the trapezoid weights mu on col_z, for every mode
+        and receiver node, one matrix product per class: v is complex
+        (n_modes, n_cols), out complex (n_modes, n_rows).
         """
         if v.shape != (self.n_modes, self.n_cols):
             raise ValueError(
                 f"expected shape {(self.n_modes, self.n_cols)}, got {v.shape}"
             )
-        vw = v * weights[None, :]
+        vw = v * trapezoid_weights(self.col_z)[None, :]
         out = np.empty((self.n_modes, self.n_rows), dtype=complex)
         for start, stop in self.mode_chunks():
             stacked = self.stack_members(start, stop, vw).transpose(0, 2, 1)
             product = self.mode_matrices(start, stop) @ stacked
             self.scatter_members(start, stop, product.transpose(0, 2, 1), out)
-        return out
+        del vw  # before the product below, so that it can reuse vw's memory
+        return self.omega * self.omega * out
 
 
 def trapezoid_weights(z_nodes: np.ndarray) -> np.ndarray:
@@ -274,20 +274,13 @@ class SourceSet:
         return cls(pos, np.full(y.size, amplitude, dtype=complex))
 
 
-def incident_field_spectral(
-    sources: SourceSet,
-    grid: Grid3D,
-    omega: float,
-    lattice: ModeLattice,
-) -> SpectralField:
+def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> SpectralField:
     """Spectrum of the incident field u0 = sum_m A_m G(|x - x_m|) on a grid.
 
     Samples the superposed point-source field on every node, then transforms.
     A source coinciding with a grid node would make u0 singular there and is
     rejected.
     """
-    if lattice.nx != grid.nx:
-        raise ValueError("mode lattice does not match the grid")
     x = grid.x_coords()
     y = grid.y_coords()
     slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)

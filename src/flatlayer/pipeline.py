@@ -25,7 +25,8 @@ import numpy as np
 
 from .fieldio import export_slices_csv, read_field, write_field
 from .fields import ComplexField, Grid3D, make_grids
-from .forward import ForwardError, ForwardResult, add_noise, born_iterate, scattered_data
+from .forward import (ForwardError, ForwardResult, add_noise, born_iterate,
+                      interaction_spectral, scattered_data)
 from .inverse import (
     ModeSolveStats,
     XiExtraction,
@@ -204,7 +205,7 @@ def frequency_tables(
     """Scatterer and receiver kernel tables plus the incident spectrum at omega."""
     kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
     kernel_xy = get_kernel(grid_x, grid_y, omega, lattice, cache)
-    u0 = incident_field_spectral(config.sources, grid_x, omega, lattice)
+    u0 = incident_field_spectral(config.sources, grid_x, omega)
     return kernel_xx, kernel_xy, u0
 
 
@@ -222,18 +223,13 @@ def forward_frequency(
     tolerance, so no unconverged data is ever returned.
     """
     kernel_xx, kernel_xy, u0 = tables
-    fwd = born_iterate(
-        u0, kernel_xx, xi, omega,
-        tol=config.forward.tol, max_iter=config.forward.max_iter,
-    )
+    fwd = born_iterate(u0, kernel_xx, xi, tol=config.forward.tol, max_iter=config.forward.max_iter)
     if not fwd.converged:
         raise ForwardError(
             f"Born iteration did not converge in {fwd.iterations} iterations "
             f"(omega = {omega}, tol = {config.forward.tol:g})"
         )
-    _, w_field = scattered_data(
-        kernel_xy, omega, grid_y, u_spec=fwd.u_spec, xi_samples=xi
-    )
+    _, w_field = scattered_data(kernel_xy, grid_y, interaction_spectral(fwd.u_spec, xi))
     return fwd, add_noise(w_field, config.delta, seed)
 
 
@@ -308,7 +304,7 @@ def invert_frequency(
     """Algorithm core for one frequency: mode solves plus field recomputation."""
     kernel_xx, kernel_xy, u0 = tables
     v_spec, stats = solve_modes(w_spec, kernel_xy, omega, reg, grid_x)
-    u_spec = recompute_internal_field(v_spec, u0, kernel_xx, omega)
+    u_spec = recompute_internal_field(v_spec, u0, kernel_xx)
     return FrequencyInversion(
         omega=omega,
         v_field=inverse_xy(v_spec),

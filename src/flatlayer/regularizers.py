@@ -21,7 +21,8 @@ class RegularizerConfig:
 
     selection_policy "fixed" keeps singular values >= tsvd_rel_threshold *
     sigma_max; "discrepancy" keeps the smallest rank whose residual falls
-    below noise_delta * ||b|| (requires a noise level).
+    below noise_delta * ||b|| (requires a noise level). Both select a TSVD
+    rank: Tikhonov takes its alpha as given and accepts only "fixed".
     """
 
     method: str = "tsvd"  # "tsvd" | "tikhonov"
@@ -41,6 +42,8 @@ class RegularizerConfig:
             raise ValueError("tikhonov_alpha must be positive")
         if self.selection_policy == "discrepancy" and self.noise_delta is None:
             raise ValueError("discrepancy policy requires a noise level")
+        if self.method == "tikhonov" and self.selection_policy != "fixed":
+            raise ValueError("tikhonov takes a fixed alpha; the discrepancy policy is TSVD's")
 
 
 def solve_mode_block(

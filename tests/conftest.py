@@ -64,10 +64,10 @@ def desk():
     xi_exact = phantom.sample_on(grid_x)
     kernel_xx = fl.build_green_kernel(grid_x, grid_x, omega, lattice)
     kernel_xy = fl.build_green_kernel(grid_x, grid_y, omega, lattice)
-    u0 = fl.incident_field_spectral(sources, grid_x, omega, lattice)
-    fwd = fl.born_iterate(u0, kernel_xx, phantom, omega)
+    u0 = fl.incident_field_spectral(sources, grid_x, omega)
+    fwd = fl.born_iterate(u0, kernel_xx, xi_exact)
     w_spec, w_field = fl.scattered_data(
-        kernel_xy, omega, grid_y, u_spec=fwd.u_spec, xi_samples=xi_exact
+        kernel_xy, grid_y, fl.interaction_spectral(fwd.u_spec, xi_exact)
     )
     return {
         "config": cfg,
@@ -95,9 +95,7 @@ def reconstruct(desk, w_field, reg=None, eps_div=1e-3):
     v_spec, stats = fl.solve_modes(
         fl.forward_xy(w_field), desk["kernel_xy"], desk["omega"], reg, grid_x
     )
-    u_spec = fl.recompute_internal_field(
-        v_spec, desk["u0"], desk["kernel_xx"], desk["omega"]
-    )
+    u_spec = fl.recompute_internal_field(v_spec, desk["u0"], desk["kernel_xx"])
     ext = fl.extract_xi_single(fl.inverse_xy(v_spec), fl.inverse_xy(u_spec), eps_div)
     curve = fl.slice_relative_error(ext.xi, desk["xi_exact"], grid_x)
     return ext, curve, stats

@@ -50,7 +50,7 @@ def recon_exact(desk):
 def multi_frequency(desk):
     """Per-frequency reconstructions at k0 = 1, 2, 3 plus the joint extraction."""
     gx, gy = desk["grid_x"], desk["grid_y"]
-    lat, phantom, sources = desk["lattice"], desk["phantom"], desk["sources"]
+    lat, sources = desk["lattice"], desk["sources"]
     xi_exact = desk["xi_exact"]
     reg = fl.RegularizerConfig()
     curves, vs, us, iteration_counts = {}, [], [], {}
@@ -62,14 +62,14 @@ def multi_frequency(desk):
         else:
             kxx = fl.build_green_kernel(gx, gx, omega, lat)
             kxy = fl.build_green_kernel(gx, gy, omega, lat)
-            u0 = fl.incident_field_spectral(sources, gx, omega, lat)
-            fwd = fl.born_iterate(u0, kxx, phantom, omega)
+            u0 = fl.incident_field_spectral(sources, gx, omega)
+            fwd = fl.born_iterate(u0, kxx, xi_exact)
             _, w_field = fl.scattered_data(
-                kxy, omega, gy, u_spec=fwd.u_spec, xi_samples=xi_exact
+                kxy, gy, fl.interaction_spectral(fwd.u_spec, xi_exact)
             )
         iteration_counts[omega] = fwd.iterations
         v_spec, _ = fl.solve_modes(fl.forward_xy(w_field), kxy, omega, reg, gx)
-        u_spec = fl.recompute_internal_field(v_spec, u0, kxx, omega)
+        u_spec = fl.recompute_internal_field(v_spec, u0, kxx)
         v_f, u_f = fl.inverse_xy(v_spec), fl.inverse_xy(u_spec)
         ext = fl.extract_xi_single(v_f, u_f)
         curves[omega] = fl.slice_relative_error(ext.xi, xi_exact, gx)
@@ -174,8 +174,7 @@ def test_criterion_3_regularizer_oracles():
 def test_criterion_4_forward_solver(desk, multi_frequency):
     with criterion(4, "forward solver: exact one-step, omega ordering, fixed point", budget=300.0):
         gx = desk["grid_x"]
-        omega = desk["omega"]
-        res0 = fl.born_iterate(desk["u0"], desk["kernel_xx"], np.zeros(gx.shape), omega)
+        res0 = fl.born_iterate(desk["u0"], desk["kernel_xx"], np.zeros(gx.shape))
         assert res0.iterations == 1
         assert np.array_equal(res0.u_spec.values, desk["u0"].values)
 
@@ -183,13 +182,10 @@ def test_criterion_4_forward_solver(desk, multi_frequency):
         assert iterations[1.0] < iterations[2.0] < iterations[3.0], iterations
 
         from flatlayer.forward import interaction_spectral
-        from flatlayer.medium import trapezoid_weights
 
         fwd = desk["forward"]
         v = interaction_spectral(fwd.u_spec, desk["xi_exact"])
-        rhs = desk["u0"].values + omega ** 2 * desk["kernel_xx"].convolve(
-            v.values, trapezoid_weights(gx.z_nodes)
-        )
+        rhs = desk["u0"].values + desk["kernel_xx"].apply(v.values)
         residual = np.linalg.norm(rhs - fwd.u_spec.values)
         assert residual <= 10 * 1e-13 * fl.spectral_norm(desk["u0"])
         print(f"\n  iterations: {iterations}, fixed-point residual "
@@ -227,12 +223,12 @@ def test_criterion_7_thin_layer(desk, recon_exact):
         xi_exact = desk["xi_exact"]
         kxy = fl.build_green_kernel(gx, gy, omega, lat)
         _, w_field = fl.scattered_data(
-            kxy, omega, gy, u_spec=desk["forward"].u_spec, xi_samples=xi_exact
+            kxy, gy, fl.interaction_spectral(desk["forward"].u_spec, xi_exact)
         )
         v_spec, _ = fl.solve_modes(
             fl.forward_xy(w_field), kxy, omega, fl.RegularizerConfig(), gx
         )
-        u_spec = fl.recompute_internal_field(v_spec, desk["u0"], desk["kernel_xx"], omega)
+        u_spec = fl.recompute_internal_field(v_spec, desk["u0"], desk["kernel_xx"])
         ext = fl.extract_xi_single(fl.inverse_xy(v_spec), fl.inverse_xy(u_spec))
         curve_thin = fl.slice_relative_error(ext.xi, xi_exact, gx)
         locs = fl.localization_report(ext.xi, phantom, gx)

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -335,6 +337,20 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     assert main(["synthesize", "--config", str(cfg), "--out", "o", "--freq", "x"]) == 2
     # invert without data -> I/O error
     assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 4
+    # a --method override the other regularizer settings do not allow -> config error
+    for name, reg, method in [
+        ("neg-alpha.yaml", {"method": "tsvd", "tikhonov_alpha": -1.0}, "tikhonov"),
+        ("zero-cut.yaml", {"method": "tikhonov", "tsvd_rel_threshold": 0.0}, "tsvd"),
+        ("policy.yaml", {"method": "tsvd", "selection_policy": "discrepancy",
+                         "noise_delta": 1e-7}, "tikhonov"),
+    ]:
+        cfg = write_config(tmp_path, name=name, regularizer=reg)
+        assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o",
+                     "--method", method]) == 2
+    # Tikhonov with the discrepancy policy, which only TSVD applies -> config error
+    cfg = write_config(tmp_path, name="tik-disc.yaml", regularizer={
+        "method": "tikhonov", "selection_policy": "discrepancy", "noise_delta": 1e-7})
+    assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 2
 
 
 def test_cli_divergence_exit_code(tmp_path, monkeypatch):
@@ -577,3 +593,53 @@ def test_benchmark_hook_points_exist():
         tracer.restore()
     for module, attr, original in patched:
         assert getattr(module, attr) is original
+
+
+def test_benchmark_entry_points_run(tmp_path, monkeypatch):
+    """The benchmark's child-process probes and one traced set-up, synthesize and
+    invert run against this source tree and give every per-layer metric, so a
+    signature the benchmark calls cannot change unnoticed."""
+    monkeypatch.chdir(tmp_path)
+    flbench = {}
+    for name in ("child", "spans"):
+        spec = importlib.util.spec_from_file_location(f"flbench_{name}",
+                                                      ROOT / "flbench" / f"{name}.py")
+        flbench[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(flbench[name])
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def child(*args):
+        proc = subprocess.run([sys.executable, str(ROOT / "flbench" / "child.py"), *args],
+                              env=env, capture_output=True, text=True, check=True)
+        return json.loads(proc.stdout)
+
+    def config(name, cache):
+        return str(write_config(tmp_path, name=name,
+                                output={"kernel_cache": True, "kernel_cache_dir": cache}))
+
+    cfg = config("probe.yaml", "probe-cache")
+    setup = child("setup", cfg)
+    assert [(t["kind"], t["omega"]) for t in setup["tables"]] == [("xy", 2.0), ("xx", 2.0)]
+
+    spans = flbench["spans"]
+    tracer = spans.Tracer("tiny")
+    traced = config("traced.yaml", "traced-cache")
+    spans.install(tracer)
+    try:
+        tracer.call("setup", flbench["child"].setup, traced)
+        tracer.context = "tsvd"
+        assert main(["synthesize", "--config", traced, "--out", "data"]) == 0
+        assert main(["invert", "--config", traced, "--data", "data", "--out", "recon"]) == 0
+    finally:
+        tracer.restore()
+    metrics = spans.layer_metrics(tracer.spans, "tsvd")
+    assert metrics["pipeline.cache_misses"] == 2 and metrics["pipeline.cache_hits"] == 4
+    assert metrics["forward.born_iterations"] >= 1
+    assert metrics["inverse.failed_modes"] == 0
+    assert all(np.isfinite(value) for value in metrics.values())
+
+    solve = child("solve", cfg, "data", "0,17")
+    (probe,) = solve["solves"]
+    assert probe["omega"] == 2.0 and probe["method"] == "tsvd"
+    assert np.all(np.isfinite(probe["x"])) and len(probe["ranks"]) == 2

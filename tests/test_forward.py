@@ -32,8 +32,8 @@ def test_zero_scatterer_converges_in_one_exact_step(small_setup):
     _, gx, _, lat, sources = small_setup
     omega = 2.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
-    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
-    res = fl.born_iterate(u0, kxx, np.zeros(gx.shape), omega)
+    u0 = fl.incident_field_spectral(sources, gx, omega)
+    res = fl.born_iterate(u0, kxx, np.zeros(gx.shape))
     assert res.iterations == 1
     assert res.converged
     assert np.array_equal(res.u_spec.values, u0.values)
@@ -43,9 +43,9 @@ def test_small_omega_geometric_decay(small_setup):
     _, gx, _, lat, sources = small_setup
     omega = 0.1
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
-    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
+    u0 = fl.incident_field_spectral(sources, gx, omega)
     res = fl.born_iterate(
-        u0, kxx, fl.Phantom.three_bumps(0.3), omega, tol=0.0, max_iter=4
+        u0, kxx, fl.Phantom.three_bumps(0.3).sample_on(gx), tol=0.0, max_iter=4
     )
     r = res.residual_history
     ratios = r[1:] / r[:-1]
@@ -58,8 +58,8 @@ def test_monotone_residual_decay_in_contraction_regime(small_setup):
     _, gx, _, lat, sources = small_setup
     omega = 1.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
-    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
-    res = fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(0.3), omega)
+    u0 = fl.incident_field_spectral(sources, gx, omega)
+    res = fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(0.3).sample_on(gx))
     assert res.converged
     assert np.all(np.diff(res.residual_history[1:]) < 0)
 
@@ -68,29 +68,25 @@ def test_divergence_raises(small_setup):
     _, gx, _, lat, sources = small_setup
     omega = 3.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
-    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
+    u0 = fl.incident_field_spectral(sources, gx, omega)
     with pytest.raises(DivergenceError, match="omega = 3"):
-        fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(20.0), omega)
+        fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(20.0).sample_on(gx))
 
 
 def test_max_iter_cap_flags_unconverged(small_setup):
     _, gx, _, lat, sources = small_setup
     omega = 2.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
-    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
-    res = fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(0.3), omega, max_iter=2)
+    u0 = fl.incident_field_spectral(sources, gx, omega)
+    res = fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(0.3).sample_on(gx), max_iter=2)
     assert not res.converged
     assert res.iterations == 2
 
 
 def test_fixed_point_certificate(desk):
-    gx = desk["grid_x"]
-    omega = desk["omega"]
     fwd = desk["forward"]
     v = interaction_spectral(fwd.u_spec, desk["xi_exact"])
-    rhs = desk["u0"].values + omega ** 2 * desk["kernel_xx"].convolve(
-        v.values, trapezoid_weights(gx.z_nodes)
-    )
+    rhs = desk["u0"].values + desk["kernel_xx"].apply(v.values)
     norm0 = fl.spectral_norm(desk["u0"])
     assert np.linalg.norm(rhs - fwd.u_spec.values) <= 10 * 1e-13 * norm0
 
@@ -99,7 +95,7 @@ def test_scattered_data_zero_interaction(small_setup):
     _, gx, gy, lat, _ = small_setup
     omega = 2.0
     kyx = fl.build_green_kernel(gx, gy, omega, lat)
-    w_spec, w_field = fl.scattered_data(kyx, omega, gy, v_spec=fl.SpectralField.zeros(gx))
+    w_spec, w_field = fl.scattered_data(kyx, gy, fl.SpectralField.zeros(gx))
     assert np.all(w_spec.values == 0)
     assert np.all(w_field.values == 0)
 
@@ -112,7 +108,7 @@ def test_scattered_data_delta_column(small_setup):
     l0 = 4
     values = np.zeros((lat.n_modes, gx.nz), dtype=complex)
     values[:, l0] = 1.0
-    w_spec, _ = fl.scattered_data(kyx, omega, gy, v_spec=fl.SpectralField(gx, values))
+    w_spec, _ = fl.scattered_data(kyx, gy, fl.SpectralField(gx, values))
     mu = trapezoid_weights(gx.z_nodes)
     mats = kyx.mode_matrices(0, kyx.n_classes)[kyx.class_of]
     for k in range(gy.nz):
@@ -130,9 +126,9 @@ def test_scattered_data_linearity(small_setup):
     v2 = fl.SpectralField(gx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     a, b = 2.0 - 1.0j, -0.5 + 3.0j
     combo = fl.SpectralField(gx, a * v1.values + b * v2.values)
-    lhs, _ = fl.scattered_data(kyx, omega, gy, v_spec=combo)
-    w1, _ = fl.scattered_data(kyx, omega, gy, v_spec=v1)
-    w2, _ = fl.scattered_data(kyx, omega, gy, v_spec=v2)
+    lhs, _ = fl.scattered_data(kyx, gy, combo)
+    w1, _ = fl.scattered_data(kyx, gy, v1)
+    w2, _ = fl.scattered_data(kyx, gy, v2)
     rhs = a * w1.values + b * w2.values
     assert np.max(np.abs(lhs.values - rhs)) / np.max(np.abs(rhs)) < 1e-12
 
@@ -154,11 +150,11 @@ def _translated_receiver_data(shift):
     omega = 2.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     kxy = fl.build_green_kernel(gx, gy, omega, lat)
-    u0 = fl.incident_field_spectral(sources, gx, omega, lat)
-    fwd = fl.born_iterate(u0, kxx, phantom, omega)
+    u0 = fl.incident_field_spectral(sources, gx, omega)
+    xi = phantom.sample_on(gx)
+    fwd = fl.born_iterate(u0, kxx, xi)
     assert fwd.converged
-    _, w = fl.scattered_data(kxy, omega, gy, u_spec=fwd.u_spec,
-                             xi_samples=phantom.sample_on(gx))
+    _, w = fl.scattered_data(kxy, gy, interaction_spectral(fwd.u_spec, xi))
     return w.values
 
 

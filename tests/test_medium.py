@@ -140,7 +140,7 @@ def rectangular_xy_table():
     return fl.build_green_kernel(gx, gy, 2.0, fl.ModeLattice.for_grid(gx))
 
 
-def test_convolve_chunks_match_dense_mode_matrices(desk):
+def test_apply_chunks_match_dense_mode_matrices(desk):
     # the desk table (square window, 561 classes) and a rectangular window's
     # table (sign classes only, 1,089)
     for table, classes in [(desk["kernel_xy"], 561), (rectangular_xy_table(), 1089)]:
@@ -166,11 +166,13 @@ def test_convolve_chunks_match_dense_mode_matrices(desk):
         product = (mats @ stacked.transpose(0, 2, 1)).transpose(0, 2, 1)
         dense = np.empty((table.n_modes, table.n_rows), dtype=complex)
         dense[mem[valid]] = product[valid]
-        out = table.convolve(v, mu)
-        assert np.array_equal(out, dense)
+        omega2 = table.omega * table.omega
+        out = table.apply(v)
+        assert np.array_equal(out, omega2 * dense)
         # and the per-mode sum it replaces, within the rounding bound of a dot product
-        per_mode = np.einsum("mkl,ml->mk", mats[table.class_of], v * mu)
-        magnitude = np.einsum("mkl,ml->mk", np.abs(mats[table.class_of]), np.abs(v * mu))
+        per_mode = omega2 * np.einsum("mkl,ml->mk", mats[table.class_of], v * mu)
+        magnitude = omega2 * np.einsum("mkl,ml->mk", np.abs(mats[table.class_of]),
+                                       np.abs(v * mu))
         assert np.all(np.abs(out - per_mode) <= table.n_cols * np.finfo(float).eps * magnitude)
 
 
@@ -184,18 +186,16 @@ def test_kernel_rejects_mismatched_transverse_lattice(tiny_grids):
 
 def test_incident_field_zero_amplitudes(tiny_grids):
     gx, _ = tiny_grids
-    lat = fl.ModeLattice.for_grid(gx)
     sources = fl.SourceSet(np.array([[0.3, 0.1, 6.0]]), np.array([0.0]))
-    spec = fl.incident_field_spectral(sources, gx, 2.0, lat)
+    spec = fl.incident_field_spectral(sources, gx, 2.0)
     assert np.all(spec.values == 0)
 
 
 def test_incident_field_matches_direct_sampling(tiny_grids):
     gx, _ = tiny_grids
-    lat = fl.ModeLattice.for_grid(gx)
     pos = np.array([[0.31, -0.27, 6.0]])
     sources = fl.SourceSet(pos, np.array([1.0]))
-    spec = fl.incident_field_spectral(sources, gx, 2.0, lat)
+    spec = fl.incident_field_spectral(sources, gx, 2.0)
     field = fl.inverse_xy(spec)
     xg, yg, zg = gx.meshgrid()
     r = np.sqrt((xg - pos[0, 0]) ** 2 + (yg - pos[0, 1]) ** 2 + (zg - pos[0, 2]) ** 2)
@@ -207,9 +207,8 @@ def test_incident_field_matches_direct_sampling(tiny_grids):
 
 def test_incident_field_line_sources_symmetric(tiny_grids):
     gx, _ = tiny_grids
-    lat = fl.ModeLattice.for_grid(gx)
     sources = fl.SourceSet.line_y(np.arange(-5.0, 5.5, 1.0))
-    field = fl.inverse_xy(fl.incident_field_spectral(sources, gx, 2.0, lat))
+    field = fl.inverse_xy(fl.incident_field_spectral(sources, gx, 2.0))
     n = gx.ny
     mirrored = field.values[:, (-np.arange(n)) % n, :]  # y -> -y on the lattice
     assert np.allclose(mirrored, field.values, rtol=1e-10, atol=1e-13)
@@ -217,28 +216,26 @@ def test_incident_field_line_sources_symmetric(tiny_grids):
 
 def test_incident_field_additive_over_source_subsets(tiny_grids):
     gx, _ = tiny_grids
-    lat = fl.ModeLattice.for_grid(gx)
     s1 = fl.SourceSet(np.array([[0.3, 0.1, 6.0]]), np.array([1.0 + 0.5j]))
     s2 = fl.SourceSet(np.array([[-1.2, 2.1, -3.0]]), np.array([0.7]))
     both = fl.SourceSet(
         np.vstack([s1.positions, s2.positions]),
         np.concatenate([s1.amplitudes, s2.amplitudes]),
     )
-    lhs = fl.incident_field_spectral(both, gx, 2.0, lat).values
+    lhs = fl.incident_field_spectral(both, gx, 2.0).values
     rhs = (
-        fl.incident_field_spectral(s1, gx, 2.0, lat).values
-        + fl.incident_field_spectral(s2, gx, 2.0, lat).values
+        fl.incident_field_spectral(s1, gx, 2.0).values
+        + fl.incident_field_spectral(s2, gx, 2.0).values
     )
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=0)
 
 
 def test_incident_field_rejects_source_on_node(tiny_grids):
     gx, _ = tiny_grids
-    lat = fl.ModeLattice.for_grid(gx)
     node = (gx.x_coords()[3], gx.y_coords()[5], float(gx.z_nodes[2]))
     sources = fl.SourceSet(np.array([node]), np.array([1.0]))
     with pytest.raises(ValueError, match="coincides"):
-        fl.incident_field_spectral(sources, gx, 2.0, lat)
+        fl.incident_field_spectral(sources, gx, 2.0)
 
 
 def test_phantom_bump_centers():

@@ -4,6 +4,8 @@ Single systems are solved as one-system stacks, the way solve_modes hands
 any chunk of modes to the solver, and checked against numpy oracles.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -195,7 +197,7 @@ def test_assemble_mode_system_entrywise():
 
 def test_assemble_mode_system_zero_frequency_prefactor():
     gx, gy, table = toy_table()
-    v_spec, stats = fl.solve_modes(toy_data(gy), table, 0.0, tsvd(), gx)
+    v_spec, stats = fl.solve_modes(toy_data(gy), replace(table, omega=0.0), 0.0, tsvd(), gx)
     assert np.all(v_spec.values == 0)
     assert np.all(stats.ranks == 0)
 
@@ -203,7 +205,7 @@ def test_assemble_mode_system_zero_frequency_prefactor():
 def test_assemble_mode_system_prefactor_scaling():
     gx, gy, table = toy_table()
     w_spec = toy_data(gy)
-    v1, stats1 = fl.solve_modes(w_spec, table, 1.0, tsvd(), gx)
+    v1, stats1 = fl.solve_modes(w_spec, replace(table, omega=1.0), 1.0, tsvd(), gx)
     v2, stats2 = fl.solve_modes(w_spec, table, 2.0, tsvd(), gx)
     assert np.array_equal(stats1.ranks, stats2.ranks)
     assert np.allclose(v2.values, v1.values / 4.0, rtol=1e-14)
@@ -217,6 +219,12 @@ def test_assemble_mode_system_rejects_bad_quadrature():
     ))
     with pytest.raises(ValueError, match="scatterer grid"):
         fl.solve_modes(toy_data(gy), table, 1.0, tsvd(), other)
+
+
+def test_solve_modes_rejects_table_of_another_frequency():
+    gx, gy, table = toy_table()
+    with pytest.raises(ValueError, match="omega = 2.0"):
+        fl.solve_modes(toy_data(gy), table, 1.0, tsvd(), gx)
 
 
 def test_solve_mode_block_matches_scalar_tsvd():
@@ -290,6 +298,9 @@ def test_regularizer_config_validation():
         fl.RegularizerConfig(tsvd_rel_threshold=0.0)
     with pytest.raises(ValueError, match="alpha"):
         fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=-1.0)
+    # the discrepancy policy picks a TSVD rank; Tikhonov would silently ignore it
+    with pytest.raises(ValueError, match="tikhonov"):
+        fl.RegularizerConfig(method="tikhonov", selection_policy="discrepancy", noise_delta=1e-7)
 
 
 def test_physical_mode_systems_decay_beyond_k0(desk):
