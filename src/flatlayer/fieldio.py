@@ -38,14 +38,12 @@ def write_field(field: ComplexField, path: str | Path) -> None:
         float(g.z_nodes[0]),
         float(g.z_nodes[-1]),
     )
-    # iz-major, then iy, then ix: (nx, ny, nz) -> (nz, ny, nx)
-    ordered = np.ascontiguousarray(field.values.transpose(2, 1, 0))
-    interleaved = np.empty(ordered.size * 2, dtype="<f8")
-    interleaved[0::2] = ordered.real.ravel()
-    interleaved[1::2] = ordered.imag.ravel()
+    # iz-major, then iy, then ix: (nx, ny, nz) -> (nz, ny, nx); a little-endian
+    # complex array holds each sample as its (re, im) pair of f64
+    ordered = np.ascontiguousarray(field.values.transpose(2, 1, 0), dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(interleaved.tobytes())
+        fh.write(ordered)
 
 
 def read_field(path: str | Path) -> ComplexField:

@@ -7,7 +7,9 @@ Starting from the incident spectrum U0, the iteration
 runs per transverse mode, the integral being one GreenKernelTable.apply,
 stopping when the update norm falls below tol * ||U0||. The scattered receiver
 data W follows from the converged interaction term V = F[xi * F^-1[U]] through
-the scatterer-to-receiver kernel table.
+the scatterer-to-receiver kernel table. The inhomogeneity is local, so V is
+transformed only on the z-slabs where xi is nonzero; a zero slab transforms
+to zeros, so skipping it changes no result.
 """
 
 from __future__ import annotations
@@ -45,11 +47,15 @@ class ForwardResult:
 def _interaction_spectral(
     u_values: np.ndarray, xi_samples: np.ndarray, grid: Grid3D
 ) -> np.ndarray:
-    """V = F[xi * F^-1[U]] for spectral values of shape (n_modes, nz)."""
+    """V = F[xi * F^-1[U]] for spectral values of shape (n_modes, nz), transformed
+    only on the slabs where xi is nonzero somewhere; V is zero on the others."""
     nz, n = grid.nz, grid.nx
-    slabs = inverse_slab(u_values.T.reshape(nz, n, n), grid)
-    slabs *= np.moveaxis(xi_samples, 2, 0)
-    return forward_slab(slabs, grid).reshape(nz, n * n).T
+    live = np.flatnonzero(xi_samples.any(axis=(0, 1)))
+    slabs = inverse_slab(u_values.T.reshape(nz, n, n)[live], grid)
+    slabs *= np.moveaxis(xi_samples[:, :, live], 2, 0)
+    out = np.zeros((n * n, nz), dtype=complex)
+    out[:, live] = forward_slab(slabs, grid).reshape(live.size, n * n).T
+    return out
 
 
 def interaction_spectral(

@@ -10,6 +10,7 @@ z - z' only, and one column per symmetry class of modes; they depend on N,
 the transverse periods, the z nodes and omega, never on where the window sits.
 A table is the per-mode operator omega^2 int G_hat(z - z') . dz' of its omega, trapezoid
 weights included (GreenKernelTable.apply, column_scale); every solver stage takes it from there.
+The incident field samples G once per slab and distinct distance of the sources at each height.
 """
 
 from __future__ import annotations
@@ -281,17 +282,43 @@ def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> S
     A source coinciding with a grid node would make u0 singular there and is
     rejected.
     """
-    x = grid.x_coords()
-    y = grid.y_coords()
-    slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)
-    for p, a in zip(sources.positions, sources.amplitudes):
-        dist2_xy = (x[:, None] - p[0]) ** 2 + (y[None, :] - p[1]) ** 2
-        r = np.sqrt(dist2_xy[None, :, :] + ((grid.z_nodes - p[2]) ** 2)[:, None, None])
-        if r.min() < SOURCE_NODE_TOL:
-            raise ValueError(f"source at {tuple(p)} coincides with a grid node")
-        slabs += a * green_point(r, omega)
-    spec = forward_slab(slabs, grid)
+    # sampled in a function of its own, so that its temporaries are freed before the
+    # transform allocates; kept alive, they raised invert's peak on flbench thin by 3 MiB
+    spec = forward_slab(_incident_slabs(sources, grid, omega), grid)
     return SpectralField(grid, spec.reshape(grid.nz, grid.nx * grid.ny).T)
+
+
+def _incident_slabs(sources: SourceSet, grid: Grid3D, omega: float) -> np.ndarray:
+    """u0 on every node, shape (nz, nx, ny). Sources at one height share their
+    z-distances, so each such group samples G once per slab and distinct squared
+    transverse distance; each source gathers its nodes from those samples, and
+    the sums run over the sources in their given order."""
+    x, y = grid.x_coords(), grid.y_coords()
+    groups: dict[bytes, list[int]] = {}  # (z - p_z)^2 column -> its sources
+    for s, p in enumerate(sources.positions):
+        groups.setdefault(((grid.z_nodes - p[2]) ** 2).tobytes(), []).append(s)
+    tables = []  # per group: (z - p_z)^2 and the distinct squared transverse distances
+    gather = [None] * len(sources.amplitudes)  # per source: (group, node -> distance index)
+    for g, (dz2, members) in enumerate(groups.items()):
+        p = sources.positions[members]
+        rho2 = (x[:, None] - p[:, 0, None, None]) ** 2 + (y[None, :] - p[:, 1, None, None]) ** 2
+        rho2_unique, inverse = np.unique(rho2, return_inverse=True)
+        tables.append((np.frombuffer(dz2), rho2_unique))
+        for s, idx in zip(members, inverse.reshape(rho2.shape)):
+            gather[s] = (g, idx)
+    slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)
+    for k in range(grid.nz):
+        samples = []
+        for g, (dz2, rho2_unique) in enumerate(tables):
+            r = np.sqrt(rho2_unique + dz2[k])
+            if r.min() < SOURCE_NODE_TOL:
+                p = next(p for p, (h, idx) in zip(sources.positions, gather)
+                         if h == g and r[idx].min() < SOURCE_NODE_TOL)
+                raise ValueError(f"source at {tuple(p)} coincides with a grid node")
+            samples.append(green_point(r, omega))
+        for (g, idx), a in zip(gather, sources.amplitudes):
+            slabs[k] += a * samples[g][idx]
+    return slabs
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -57,6 +58,9 @@ class RunConfig:
     def __post_init__(self):
         if len(self.frequencies) == 0:
             raise ConfigError("frequency list must be nonempty")
+        bad = _first_nonfinite(self.canonical_dict(), "config")
+        if bad is not None:
+            raise ConfigError(f"{bad} must be a finite number")
         if any(w <= 0 for w in self.frequencies):
             raise ConfigError("frequencies must be positive")
         if self.delta < 0:
@@ -98,6 +102,17 @@ class RunConfig:
     def config_hash(self) -> str:
         payload = json.dumps(self.canonical_dict(), sort_keys=True).encode()
         return hashlib.sha256(payload).hexdigest()
+
+
+def _first_nonfinite(value, path: str) -> str | None:
+    """Path of the first nan or infinite float inside nested dicts and lists."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{key}", v) for key, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return path if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_first_nonfinite(v, p) for p, v in items)), None)
 
 
 def _nearest_node_dist2(grid: Grid3D, point) -> float:

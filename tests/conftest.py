@@ -3,7 +3,7 @@ import pytest
 from hypothesis import settings
 
 import flatlayer as fl
-from flatlayer.medium import green_cell_average, green_point
+from flatlayer.medium import SOURCE_NODE_TOL, green_cell_average, green_point
 from flatlayer.spectral import forward_slab
 
 # property tests replay the same examples on every run and take no timing limit
@@ -33,6 +33,22 @@ def fft_green_spectra(grid, dz_list, omega):
     sample_green_slabs for every mode, shape (n_dz, N*N)."""
     slabs = sample_green_slabs(grid, dz_list, omega)
     return forward_slab(slabs, grid.centred()).reshape(slabs.shape[0], -1)
+
+
+def incident_per_source(sources, grid, omega):
+    """Per-source oracle of medium.incident_field_spectral: G sampled on every
+    node once per source, summed in source order and transformed; values of
+    shape (N*N, nz)."""
+    x = grid.x_coords()
+    y = grid.y_coords()
+    slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)
+    for p, a in zip(sources.positions, sources.amplitudes):
+        dist2_xy = (x[:, None] - p[0]) ** 2 + (y[None, :] - p[1]) ** 2
+        r = np.sqrt(dist2_xy[None, :, :] + ((grid.z_nodes - p[2]) ** 2)[:, None, None])
+        if r.min() < SOURCE_NODE_TOL:
+            raise ValueError(f"source at {tuple(p)} coincides with a grid node")
+        slabs += a * green_point(r, omega)
+    return forward_slab(slabs, grid).reshape(grid.nz, grid.nx * grid.ny).T
 
 
 @pytest.fixture(scope="session")

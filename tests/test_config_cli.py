@@ -68,6 +68,12 @@ def write_config(tmp_path, name="run.yaml", **overrides):
     return path
 
 
+# one bump centred on the scatterer node (0, 0, 0.5): unlike the three-bump
+# phantom, which falls between the nodes of tiny_config_dict's N = 16 lattice,
+# it samples to a nonzero xi there (on 3 of the 7 slabs) and Born runs 19 iterations
+NODE_BUMP = {"amplitude": 0.3, "bumps": [{"center": [0.0, 0.0, 0.5], "radius": 0.4, "weight": 1.0}]}
+
+
 def test_presets_parse_and_validate():
     presets = sorted(PRESET_DIR.glob("*.yaml"))
     names = {p.stem for p in presets}
@@ -295,12 +301,31 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
 
 def test_cli_rerun_reproduces_checksums(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, noise={"delta": 1e-6, "seed": 77})
+    cfg = write_config(tmp_path, phantom=NODE_BUMP, noise={"delta": 1e-6, "seed": 77})
     assert main(["synthesize", "--config", str(cfg), "--out", "a"]) == 0
     assert main(["synthesize", "--config", str(cfg), "--out", "b"]) == 0
     wa = (tmp_path / "a" / "w_000.laf").read_bytes()
     wb = (tmp_path / "b" / "w_000.laf").read_bytes()
     assert wa == wb
+    # the reruns compare real data from a real Born loop
+    assert np.any(read_field(tmp_path / "a" / "w_000.laf").values != 0)
+    assert read_manifest(tmp_path / "a" / "manifest.json")["forward_iterations"]["2"] > 1
+
+
+def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeypatch):
+    """tiny_config_dict's bumps miss every node of its N = 16 lattice: xi is zero
+    on every slab, so the interaction V is zero and Born stops after one step."""
+    monkeypatch.chdir(tmp_path)
+    config = config_from_dict(tiny_config_dict())
+    grid_x, _ = fl.make_grids(config.grid)
+    xi = config.phantom.sample_on(grid_x)
+    assert not xi.any(axis=(0, 1)).any()  # no slab is transformed
+    u0 = fl.incident_field_spectral(config.sources, grid_x, 2.0)
+    assert np.all(fl.interaction_spectral(u0, xi).values == 0)
+    cfg = write_config(tmp_path)
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    assert np.all(read_field(tmp_path / "d" / "w_000.laf").values == 0)
+    assert read_manifest(tmp_path / "d" / "manifest.json")["forward_iterations"] == {"2": 1}
 
 
 def test_cli_overrides(tmp_path, monkeypatch):
@@ -315,7 +340,7 @@ def test_cli_overrides(tmp_path, monkeypatch):
     assert manifest["noise"] == {"delta": 1e-6, "seed": 9}
 
 
-def test_cli_exit_codes(tmp_path, monkeypatch):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     # missing config file -> I/O error
     assert main(["phantom", "--config", "missing.yaml", "--out", "o"]) == 4
@@ -351,6 +376,30 @@ def test_cli_exit_codes(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, name="tik-disc.yaml", regularizer={
         "method": "tikhonov", "selection_policy": "discrepancy", "noise_delta": 1e-7})
     assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 2
+    # a nan or infinite number in the config or an override -> config error, nothing written
+    nan, inf = float("nan"), float("inf")
+    tiny = tiny_config_dict()
+    bump = dict(tiny["phantom"]["bumps"][0], radius=nan)
+    for i, (overrides, args) in enumerate([
+        ({"frequencies": [nan]}, []),
+        ({"frequencies": [inf]}, []),
+        ({"noise": {"delta": nan}}, []),
+        ({"noise": {"delta": inf}}, []),
+        ({"sources": {"points": [{"position": [0.0, nan, 6.0]}]}}, []),
+        ({"sources": {"points": [{"position": [0.0, 0.0, 6.0], "amplitude": inf}]}}, []),
+        ({"sources": {"points": [{"position": [0.0, 0.0, 6.0], "amplitude": [1.0, nan]}]}}, []),
+        ({"phantom": dict(tiny["phantom"], amplitude=nan)}, []),
+        ({"phantom": {"bumps": [bump]}}, []),
+        ({}, ["--freq", "nan"]),
+        ({}, ["--delta", "nan"]),
+        ({}, ["--delta", "1e400"]),
+    ]):
+        cfg = write_config(tmp_path, name=f"nonfinite-{i}.yaml", **overrides)
+        out = f"nonfinite-{i}"
+        capsys.readouterr()
+        assert main(["synthesize", "--config", str(cfg), "--out", out, *args]) == 2, i
+        assert "must be a finite number" in capsys.readouterr().err, i
+        assert not (tmp_path / out).exists()
 
 
 def test_cli_divergence_exit_code(tmp_path, monkeypatch):
@@ -614,8 +663,8 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
                               env=env, capture_output=True, text=True, check=True)
         return json.loads(proc.stdout)
 
-    def config(name, cache):
-        return str(write_config(tmp_path, name=name,
+    def config(name, cache, **overrides):
+        return str(write_config(tmp_path, name=name, **overrides,
                                 output={"kernel_cache": True, "kernel_cache_dir": cache}))
 
     cfg = config("probe.yaml", "probe-cache")
@@ -624,7 +673,7 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
 
     spans = flbench["spans"]
     tracer = spans.Tracer("tiny")
-    traced = config("traced.yaml", "traced-cache")
+    traced = config("traced.yaml", "traced-cache", phantom=NODE_BUMP)
     spans.install(tracer)
     try:
         tracer.call("setup", flbench["child"].setup, traced)
@@ -635,7 +684,8 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
         tracer.restore()
     metrics = spans.layer_metrics(tracer.spans, "tsvd")
     assert metrics["pipeline.cache_misses"] == 2 and metrics["pipeline.cache_hits"] == 4
-    assert metrics["forward.born_iterations"] >= 1
+    assert metrics["forward.born_iterations"] > 1
+    assert metrics["medium.incident_s"] > 0 and metrics["spectral.fft_s"] > 0
     assert metrics["inverse.failed_modes"] == 0
     assert all(np.isfinite(value) for value in metrics.values())
 

@@ -6,6 +6,7 @@ import pytest
 import flatlayer as fl
 from flatlayer.forward import DivergenceError, interaction_spectral
 from flatlayer.medium import trapezoid_weights
+from flatlayer.spectral import forward_slab, inverse_slab
 
 # regression lock from the first verified desk-scale build
 # (N=64, M=M1=31, omega=2, thick layer, exact data)
@@ -89,6 +90,34 @@ def test_fixed_point_certificate(desk):
     rhs = desk["u0"].values + desk["kernel_xx"].apply(v.values)
     norm0 = fl.spectral_norm(desk["u0"])
     assert np.linalg.norm(rhs - fwd.u_spec.values) <= 10 * 1e-13 * norm0
+
+
+def full_slab_interaction(u_spec, xi):
+    """F[xi * F^-1[U]] with every z-slab transformed, shape (n_modes, nz)."""
+    grid = u_spec.grid
+    slabs = inverse_slab(u_spec.values.T.reshape(grid.nz, grid.nx, grid.ny), grid)
+    slabs *= np.moveaxis(xi, 2, 0)
+    return forward_slab(slabs, grid).reshape(grid.nz, grid.nx * grid.ny).T
+
+
+@pytest.mark.parametrize("case, n_live", [("three bumps", 3), ("zero", 0), ("everywhere", 11)])
+def test_interaction_skips_only_zero_slabs_bitwise(small_setup, case, n_live):
+    _, gx, _, _, sources = small_setup
+    u0 = fl.incident_field_spectral(sources, gx, 2.0)
+    xi = {
+        "three bumps": fl.Phantom.three_bumps(0.3).sample_on(gx),
+        "zero": np.zeros(gx.shape),
+        "everywhere": 0.1 + 0.2 * np.random.default_rng(3).random(gx.shape),
+    }[case]
+    live = xi.any(axis=(0, 1))
+    assert live.sum() == n_live
+    got = interaction_spectral(u0, xi).values
+    expected = full_slab_interaction(u0, xi)
+    assert np.array_equal(got, expected)
+    # bitwise on the slabs that are transformed; the skipped ones are +0.0
+    # (the full transform of a zero slab may give -0.0, equal as a number)
+    assert got[:, live].tobytes() == expected[:, live].tobytes()
+    assert got[:, ~live].tobytes() == bytes(got[:, ~live].nbytes)
 
 
 def test_scattered_data_zero_interaction(small_setup):

@@ -47,6 +47,9 @@ def test_binary_header_layout(sample_field, tmp_path):
     # second sample advances ix
     re, im = struct.unpack("<2d", raw[80:96])
     assert complex(re, im) == sample_field.values[1, 0, 0]
+    # every sample in that order, as its (re, im) pair of little-endian f64
+    v = sample_field.values.transpose(2, 1, 0).ravel()
+    assert raw[64:] == struct.pack(f"<{2 * v.size}d", *np.column_stack([v.real, v.imag]).ravel())
 
 
 def test_read_rejects_bad_magic(tmp_path):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flatlayer as fl
-from conftest import fft_green_spectra
+from conftest import fft_green_spectra, incident_per_source
 from flatlayer.fields import Grid3D
 from flatlayer.medium import green_cell_average, green_spectra, trapezoid_weights
 
@@ -236,6 +238,62 @@ def test_incident_field_rejects_source_on_node(tiny_grids):
     sources = fl.SourceSet(np.array([node]), np.array([1.0]))
     with pytest.raises(ValueError, match="coincides"):
         fl.incident_field_spectral(sources, gx, 2.0)
+    # the message names the source on the node, not another one at its height
+    off_node = (node[0] + 0.3, node[1], node[2])
+    sources = fl.SourceSet(np.array([off_node, node]), np.array([1.0, 1.0]))
+    with pytest.raises(ValueError, match=f"source at .*{node[0]}.*coincides"):
+        fl.incident_field_spectral(sources, gx, 2.0)
+
+
+def test_incident_field_is_the_per_source_sum_bitwise():
+    """The benchmark's thin geometry: 11 sources on one line over N = 64, M = 41."""
+    cfg = fl.GridConfig(n_transverse=64, scatterer_nz=41, receiver_z=(6.01, 6.02),
+                        receiver_nz=2)
+    gx, _ = fl.make_grids(cfg)
+    sources = fl.SourceSet.line_y(np.arange(-5.0, 5.5, 1.0), amplitude=np.exp(0.7j))
+    got = fl.incident_field_spectral(sources, gx, 2.0).values
+    expected = incident_per_source(sources, gx, 2.0)
+    assert np.array_equal(got, expected)
+    assert got.tobytes() == expected.tobytes()  # bitwise, signed zeros included
+
+
+@st.composite
+def incident_cases(draw):
+    """A tiny scatterer grid (N <= 16, shifted and possibly rectangular window)
+    and 1-6 sources at up to three heights, some sharing a position, with
+    complex or zero amplitudes."""
+    n = draw(st.sampled_from([2, 4, 8, 16]))
+    lx = draw(st.floats(0.5, 30.0))
+    ly = lx if draw(st.booleans()) else draw(st.floats(0.5, 30.0))
+    x_min, y_min = draw(st.floats(-20.0, 20.0)), draw(st.floats(-20.0, 20.0))
+    z0, hz = draw(st.floats(-5.0, 5.0)), draw(st.floats(0.05, 1.0))
+    z_nodes = z0 + hz * np.arange(draw(st.integers(2, 6)))
+    grid = Grid3D(x_min, x_min + lx, y_min, y_min + ly, n, n, z_nodes)
+    heights = draw(st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3))
+    amplitude = st.one_of(st.just(0j), st.complex_numbers(max_magnitude=2.0, allow_nan=False,
+                                                          allow_infinity=False))
+    positions, amplitudes = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        if positions and draw(st.booleans()):
+            positions.append(draw(st.sampled_from(positions)))
+        else:
+            positions.append((draw(st.floats(-25.0, 25.0)), draw(st.floats(-25.0, 25.0)),
+                              draw(st.sampled_from(heights))))
+        amplitudes.append(draw(amplitude))
+    return grid, fl.SourceSet(np.array(positions), np.array(amplitudes))
+
+
+@given(incident_cases(), st.floats(0.1, 4.0))
+def test_incident_field_matches_per_source_oracle(case, omega):
+    grid, sources = case
+    try:
+        expected = incident_per_source(sources, grid, omega)
+    except ValueError:
+        with pytest.raises(ValueError, match="coincides"):
+            fl.incident_field_spectral(sources, grid, omega)
+        return
+    got = fl.incident_field_spectral(sources, grid, omega).values
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_phantom_bump_centers():
