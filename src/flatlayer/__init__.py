@@ -36,10 +36,8 @@ from .medium import (
     Phantom,
     SourceSet,
     build_green_kernel,
-    contrast,
     green_point,
     incident_field_spectral,
-    xi_to_speed,
 )
 from .metrics import (
     AccuracyCurve,

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .fieldio import LafFormatError
 from .forward import ForwardError
 from .manifest import ManifestError
 from .pipeline import run_bench, run_evaluate, run_invert, run_phantom, run_synthesize
-from .runconfig import ConfigError, RunConfig, load_config
+from .runconfig import ConfigError, config_from_dict, read_yaml
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -66,30 +65,26 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: RunConfig, args: argparse.Namespace) -> RunConfig:
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    if args.delta is not None:
-        config = replace(config, delta=args.delta)
+def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
+    """data, a parsed config file, with the command line's overrides written in,
+    so that they pass the checks the file's own values do."""
+    def put(section: str, key: str, value):
+        # a section that is not a mapping is left for the reader to reject
+        if value is not None and isinstance(data.setdefault(section, {}), dict):
+            data[section][key] = value
+
+    put("noise", "seed", args.seed)
+    put("noise", "delta", args.delta)
+    put("regularizer", "method", args.method)
     if args.freq is not None:
-        try:
-            freqs = tuple(float(tok) for tok in args.freq.split(",") if tok)
-        except ValueError as exc:
-            raise ConfigError(f"bad --freq list {args.freq!r}") from exc
-        config = replace(config, frequencies=freqs)
-    if args.method is not None:
-        try:
-            reg = replace(config.regularizer, method=args.method)
-        except ValueError as exc:
-            raise ConfigError(f"--method {args.method}: {exc}") from exc
-        config = replace(config, regularizer=reg)
-    return config
+        data["frequencies"] = [tok for tok in args.freq.split(",") if tok]
+    return data
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = config_from_dict(_apply_overrides(read_yaml(args.config), args))
         out = Path(args.out)
         if args.command == "phantom":
             run_phantom(config, out)

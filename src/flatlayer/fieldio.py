@@ -8,6 +8,7 @@ fastest. The format is self-describing enough to rebuild the uniform grid.
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -55,11 +56,13 @@ def read_field(path: str | Path) -> ComplexField:
         magic, nx, ny, nz, x0, x1, y0, y1, z0, z1 = _HEADER.unpack(raw)
         if magic != MAGIC:
             raise LafFormatError(f"{path}: bad magic {magic!r}")
-        body = fh.read()
-    if len(body) != 16 * nx * ny * nz:
-        raise LafFormatError(f"{path}: expected {16 * nx * ny * nz} bytes, got {len(body)}")
-    data = np.frombuffer(body, dtype="<f8")
-    values = (data[0::2] + 1j * data[1::2]).reshape(nz, ny, nx).transpose(2, 1, 0)
+        size = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if size != 16 * nx * ny * nz:
+            raise LafFormatError(f"{path}: expected {16 * nx * ny * nz} bytes, got {size}")
+        # straight into one array in the layout write_field writes, with no bytes copy
+        samples = np.empty((nz, ny, nx), dtype="<c16")
+        fh.readinto(samples)
+    values = samples.transpose(2, 1, 0)
     try:
         grid = Grid3D(
             x_min=x0, x_max=x1, y_min=y0, y_max=y1,

@@ -74,6 +74,12 @@ class Grid3D:
     def cell_volume(self) -> float:
         return self.hx * self.hy * self.hz
 
+    def nearest_node_dist2(self, point) -> float:
+        """Squared distance from point (x, y, z) to the nearest node."""
+        axes = (self.x_coords(), self.y_coords(), self.z_nodes)
+        dx2, dy2, dz2 = (np.min((a - c) ** 2) for a, c in zip(axes, point))
+        return float(dx2 + dy2 + dz2)
+
     def x_coords(self) -> np.ndarray:
         return self.x_min + self.hx * np.arange(self.nx)
 
@@ -141,16 +147,6 @@ def make_grids(config: GridConfig) -> tuple[Grid3D, Grid3D]:
     -------
     (grid_x, grid_y) : tuple of Grid3D
     """
-    if config.scatterer_nz < 2 or config.receiver_nz < 2:
-        raise ValueError("need at least two z nodes per slab")
-    z1, z2 = config.scatterer_z
-    z3, z4 = config.receiver_z
-    if not (z2 > z1 and z4 > z3):
-        raise ValueError("z bounds must be ordered")
-    if max(z1, z3) <= min(z2, z4):
-        raise ValueError(
-            f"scatterer z-range [{z1}, {z2}] overlaps receiver z-range [{z3}, {z4}]"
-        )
     common = dict(
         x_min=config.x_bounds[0],
         x_max=config.x_bounds[1],
@@ -159,8 +155,13 @@ def make_grids(config: GridConfig) -> tuple[Grid3D, Grid3D]:
         nx=config.n_transverse,
         ny=config.n_transverse,
     )
-    grid_x = Grid3D(z_nodes=np.linspace(z1, z2, config.scatterer_nz), **common)
-    grid_y = Grid3D(z_nodes=np.linspace(z3, z4, config.receiver_nz), **common)
+    grid_x = Grid3D(z_nodes=np.linspace(*config.scatterer_z, config.scatterer_nz), **common)
+    grid_y = Grid3D(z_nodes=np.linspace(*config.receiver_z, config.receiver_nz), **common)
+    (z1, z2), (z3, z4) = config.scatterer_z, config.receiver_z
+    if max(z1, z3) <= min(z2, z4):
+        raise ValueError(
+            f"scatterer z-range [{z1}, {z2}] overlaps receiver z-range [{z3}, {z4}]"
+        )
     return grid_x, grid_y
 
 

@@ -266,13 +266,19 @@ class SourceSet:
         object.__setattr__(self, "amplitudes", amp)
 
     @classmethod
-    def line_y(
-        cls, y_values, x: float = 0.0, z: float = 6.0, amplitude: complex = 1.0
-    ) -> "SourceSet":
+    def line_y(cls, y_values: tuple[float, ...], x: float = 0.0, z: float = 6.0,
+               amplitude: complex = 1.0) -> "SourceSet":
         """Sources along a line of constant x and z, one per y value."""
         y = np.asarray(y_values, dtype=float)
         pos = np.column_stack([np.full_like(y, x), y, np.full_like(y, z)])
         return cls(pos, np.full(y.size, amplitude, dtype=complex))
+
+
+def check_sources(sources: SourceSet, grid: Grid3D) -> None:
+    """Reject a source on a node of grid, where its incident field is singular."""
+    for p in sources.positions:
+        if np.sqrt(grid.nearest_node_dist2(p)) < SOURCE_NODE_TOL:
+            raise ValueError(f"source at {tuple(map(float, p))} coincides with a grid node")
 
 
 def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> SpectralField:
@@ -282,6 +288,7 @@ def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> S
     A source coinciding with a grid node would make u0 singular there and is
     rejected.
     """
+    check_sources(sources, grid)
     # sampled in a function of its own, so that its temporaries are freed before the
     # transform allocates; kept alive, they raised invert's peak on flbench thin by 3 MiB
     spec = forward_slab(_incident_slabs(sources, grid, omega), grid)
@@ -308,14 +315,8 @@ def _incident_slabs(sources: SourceSet, grid: Grid3D, omega: float) -> np.ndarra
             gather[s] = (g, idx)
     slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)
     for k in range(grid.nz):
-        samples = []
-        for g, (dz2, rho2_unique) in enumerate(tables):
-            r = np.sqrt(rho2_unique + dz2[k])
-            if r.min() < SOURCE_NODE_TOL:
-                p = next(p for p, (h, idx) in zip(sources.positions, gather)
-                         if h == g and r[idx].min() < SOURCE_NODE_TOL)
-                raise ValueError(f"source at {tuple(p)} coincides with a grid node")
-            samples.append(green_point(r, omega))
+        samples = [green_point(np.sqrt(rho2_unique + dz2[k]), omega)
+                   for dz2, rho2_unique in tables]
         for (g, idx), a in zip(gather, sources.amplitudes):
             slabs[k] += a * samples[g][idx]
     return slabs
@@ -356,8 +357,8 @@ class Bump:
 class Phantom:
     """Analytic nonnegative inhomogeneity coefficient xi(x, y, z)."""
 
-    amplitude: float
-    bumps: tuple[Bump, ...]
+    amplitude: float = 0.3
+    bumps: tuple[Bump, ...] = ()
 
     @classmethod
     def three_bumps(cls, amplitude: float = 0.3) -> "Phantom":
@@ -384,36 +385,3 @@ class Phantom:
         """xi sampled on all grid nodes, shape (nx, ny, nz)."""
         xg, yg, zg = grid.meshgrid()
         return self(xg, yg, zg)
-
-    def max_value(self, refine: int = 33) -> float:
-        """Numeric maximum of xi: bump centers plus a local fine sampling.
-
-        Exact at a center for isolated bumps; the sampling guards against
-        overlapping supports.
-        """
-        best = 0.0
-        for b in self.bumps:
-            cx, cy, cz = b.center
-            r = b.radius
-            t = np.linspace(-r, r, refine)
-            xg, yg, zg = np.meshgrid(cx + t, cy + t, cz + t, indexing="ij")
-            best = max(best, float(np.max(self(xg, yg, zg))))
-        return best
-
-
-def contrast(phantom: Phantom) -> float:
-    """Relative peak sound-speed deviation max{1/sqrt(1 - xi)} - 1 (c0 = 1)."""
-    m = phantom.max_value()
-    if m >= 1.0:
-        raise ValueError(f"max xi = {m} reaches 1; sound speed undefined for this amplitude")
-    return 1.0 / np.sqrt(1.0 - m) - 1.0
-
-
-def xi_to_speed(xi: np.ndarray) -> np.ndarray:
-    """Convert the inhomogeneity coefficient to sound speed c = (1 - xi)^-1/2 (c0 = 1)."""
-    xi = np.asarray(xi, dtype=float)
-    radicand = 1.0 - xi
-    if np.any(radicand <= 0.0):
-        idx = tuple(int(i) for i in np.argwhere(radicand <= 0.0)[0])
-        raise ValueError(f"nonpositive radicand at node {idx}: xi must stay below 1")
-    return 1.0 / np.sqrt(radicand)

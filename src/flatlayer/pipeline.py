@@ -40,11 +40,12 @@ from .medium import (
     _GATHER_BYTES,
     GreenKernelTable,
     build_green_kernel,
+    check_sources,
     incident_field_spectral,
 )
 from .metrics import TimingRecord, localization_report, slice_relative_error, timing_fit
 from .regularizers import RegularizerConfig
-from .runconfig import ConfigError, RunConfig, check_sources
+from .runconfig import ConfigError, RunConfig
 from .spectral import ModeLattice, SpectralField, forward_xy, inverse_xy
 
 # arrays of a cached kernel table, in GreenKernelTable field order
@@ -490,7 +491,10 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     for n in n_list:
         # the sweep times the inversion only: no bump is localized on these grids
         grid_x, grid_y = make_grids(replace(config.grid, n_transverse=n))
-        check_sources(config.sources, grid_x)
+        try:
+            check_sources(config.sources, grid_x)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         lattice = ModeLattice.for_grid(grid_x)
         xi = config.phantom.sample_on(grid_x)
         prepared = []

@@ -5,14 +5,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
 
-from .fields import Grid3D, GridConfig, make_grids
-from .medium import SOURCE_NODE_TOL, Bump, Phantom, SourceSet
+from .fields import GridConfig, make_grids
+from .medium import Phantom, SourceSet, check_sources
 from .metrics import LOCALIZATION_RADIUS
 from .regularizers import RegularizerConfig
 
@@ -65,15 +66,20 @@ class RunConfig:
             raise ConfigError("frequencies must be positive")
         if self.delta < 0:
             raise ConfigError("noise level delta must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("noise.seed must be nonnegative")
         if self.extraction.combine not in ("per_frequency", "least_squares"):
             raise ConfigError(f"unknown extraction combine {self.extraction.combine!r}")
         try:
             grid_x, _ = make_grids(self.grid)
         except ValueError as exc:
             raise ConfigError(f"invalid grids: {exc}") from exc
-        check_sources(self.sources, grid_x)
+        try:
+            check_sources(self.sources, grid_x)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         for b in self.phantom.bumps:
-            if _nearest_node_dist2(grid_x, b.center) > LOCALIZATION_RADIUS ** 2:
+            if grid_x.nearest_node_dist2(b.center) > LOCALIZATION_RADIUS ** 2:
                 raise ConfigError(
                     f"bump at {b.center} has no scatterer grid node within the "
                     f"localization radius {LOCALIZATION_RADIUS}"
@@ -115,32 +121,14 @@ def _first_nonfinite(value, path: str) -> str | None:
     return next(filter(None, (_first_nonfinite(v, p) for p, v in items)), None)
 
 
-def _nearest_node_dist2(grid: Grid3D, point) -> float:
-    """Squared distance from point to the nearest node of grid."""
-    axes = (grid.x_coords(), grid.y_coords(), grid.z_nodes)
-    dx2, dy2, dz2 = (np.min((a - c) ** 2) for a, c in zip(axes, point))
-    return float(dx2 + dy2 + dz2)
-
-
-def check_sources(sources: SourceSet, grid: Grid3D) -> None:
-    """Reject a source on a node of grid, where its incident field is singular."""
-    for p in sources.positions:
-        if np.sqrt(_nearest_node_dist2(grid, p)) < SOURCE_NODE_TOL:
-            raise ConfigError(f"source at {tuple(map(float, p))} lies on a scatterer grid node")
-
-
-# keys read by the longer config sections
-_BUMP_KEYS = ("center", "radius", "weight", "cross_xy", "cross_xz", "cross_yz")
+# the top-level sections, and the grid keys a file must give although GridConfig has defaults
 _TOP_KEYS = ("grid", "frequencies", "sources", "phantom", "noise", "regularizer",
              "extraction", "forward", "output", "bench")
-_GRID_KEYS = ("x_bounds", "y_bounds", "n_transverse", "scatterer_z", "scatterer_nz",
-              "receiver_z", "receiver_nz")
-_REGULARIZER_KEYS = ("method", "tsvd_rel_threshold", "tikhonov_alpha",
-                     "selection_policy", "noise_delta")
-_OUTPUT_KEYS = ("kernel_cache", "kernel_cache_dir")
+_REQUIRED_GRID_KEYS = ("n_transverse", "scatterer_z", "scatterer_nz", "receiver_z",
+                       "receiver_nz")
 
 
-def _section(raw, name: str, keys: tuple[str, ...]) -> dict:
+def _section(raw, name: str, keys) -> dict:
     """raw as a mapping, rejecting any key the section does not read."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{name} must be a mapping")
@@ -150,115 +138,99 @@ def _section(raw, name: str, keys: tuple[str, ...]) -> dict:
     return raw
 
 
-def _parse_sources(raw: dict | list) -> SourceSet:
+def _read(hints: dict, raw, path: str) -> dict:
+    """The entries of mapping raw, each read as the type hints give for its key;
+    a key raw omits keeps its default."""
+    raw = _section(raw, path, hints)
+    return {key: _value(hints[key], value, f"{path}.{key}") for key, value in raw.items()}
+
+
+_TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
+
+
+def _value(tp, raw, path: str):
+    """raw read as a value of type tp; path names it in the error.
+
+    Floats also accept numeric strings (YAML reads 1e-13 as one), ints must be
+    integral, bools must be bools, and a fixed-length tuple takes exactly that
+    many entries; a complex number is a real or an [re, im] pair.
+    """
+    if is_dataclass(tp):
+        return tp(**_read(get_type_hints(tp), raw, path))
+    args = get_args(tp)
+    if get_origin(tp) is tuple:
+        n = None if args[-1] is Ellipsis else len(args)
+        if not isinstance(raw, list) or n not in (None, len(raw)):
+            raise ConfigError(f"{path} must be a list" + (f" of {n} entries" if n else ""))
+        return tuple(_value(args[0 if n is None else i], v, f"{path}[{i}]")
+                     for i, v in enumerate(raw))
+    if type(None) in args:  # an optional value
+        return None if raw is None else _value(args[0], raw, path)
+    if tp is complex:
+        if isinstance(raw, list):
+            return complex(*_value(tuple[float, float], raw, path))
+        return complex(_value(float, raw, path), 0.0)
+    number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
+    if tp is float and (number or isinstance(raw, str)):
+        try:
+            return float(raw)
+        except (ValueError, OverflowError):
+            pass
+    elif tp is int and number and (isinstance(raw, int) or raw.is_integer()):
+        return int(raw)
+    elif tp in (bool, str) and isinstance(raw, tp):
+        return raw
+    raise ConfigError(f"{path} must be {_TYPE_NAMES[tp]}, got {raw!r}")
+
+
+def _parse_sources(raw) -> SourceSet:
+    """A line_y spec (only the keys given reach SourceSet.line_y) or a points list."""
     if isinstance(raw, dict) and "line_y" in raw:
         spec = _section(raw, "sources", ("line_y",))["line_y"]
-        spec = _section(spec, "sources.line_y", ("y_values", "x", "z", "amplitude"))
-        return SourceSet.line_y(
-            y_values=np.asarray(spec["y_values"], dtype=float),
-            x=float(spec.get("x", 0.0)),
-            z=float(spec.get("z", 6.0)),
-            amplitude=_parse_amplitude(spec.get("amplitude", 1.0)),
-        )
+        hints = get_type_hints(SourceSet.line_y)
+        del hints["return"]
+        return SourceSet.line_y(**_read(hints, spec, "sources.line_y"))
     if isinstance(raw, dict):
         raw = _section(raw, "sources", ("points",)).get("points")
     if not isinstance(raw, list) or not raw:
         raise ConfigError("sources must be a nonempty points list or a line_y spec")
-    raw = [_section(entry, "sources.points", ("position", "amplitude")) for entry in raw]
-    positions = [entry["position"] for entry in raw]
-    amplitudes = [_parse_amplitude(entry.get("amplitude", 1.0)) for entry in raw]
-    return SourceSet(np.asarray(positions, dtype=float), np.asarray(amplitudes))
-
-
-def _parse_amplitude(raw) -> complex:
-    if isinstance(raw, (list, tuple)):
-        if len(raw) != 2:
-            raise ConfigError("complex amplitude must be a [re, im] pair")
-        return complex(raw[0], raw[1])
-    return complex(float(raw), 0.0)
-
-
-def _parse_phantom(raw: dict) -> Phantom:
-    raw = _section(raw, "phantom", ("amplitude", "bumps"))
-    bumps = []
-    for entry in raw.get("bumps", []):
-        entry = _section(entry, "phantom.bumps", _BUMP_KEYS)
-        bumps.append(
-            Bump(
-                center=tuple(float(v) for v in entry["center"]),
-                radius=float(entry["radius"]),
-                weight=float(entry["weight"]),
-                cross_xy=float(entry.get("cross_xy", 0.0)),
-                cross_xz=float(entry.get("cross_xz", 0.0)),
-                cross_yz=float(entry.get("cross_yz", 0.0)),
-            )
-        )
-    return Phantom(amplitude=float(raw.get("amplitude", 0.3)), bumps=tuple(bumps))
+    hints = {"position": tuple[float, float, float], "amplitude": complex}
+    points = [_read(hints, entry, f"sources.points[{i}]") for i, entry in enumerate(raw)]
+    return SourceSet(np.asarray([p["position"] for p in points]),
+                     np.asarray([p.get("amplitude", 1.0) for p in points], dtype=complex))
 
 
 def config_from_dict(data: dict) -> RunConfig:
     """Build and validate a RunConfig from parsed YAML data.
 
-    A key that its section does not read is a ConfigError, so a misspelt
-    option never runs silently on the default.
+    Each section is read into its record by the types of the record's fields,
+    and a key the file omits keeps the record's default. A key that its section
+    does not read is a ConfigError, so a misspelt option never runs silently on
+    the default.
     """
     try:
         data = _section(data, "config", _TOP_KEYS)
-        g = _section(data["grid"], "grid", _GRID_KEYS)
-        grid = GridConfig(
-            x_bounds=tuple(float(v) for v in g.get("x_bounds", (-10.0, 10.0))),
-            y_bounds=tuple(float(v) for v in g.get("y_bounds", (-10.0, 10.0))),
-            n_transverse=int(g["n_transverse"]),
-            scatterer_z=tuple(float(v) for v in g["scatterer_z"]),
-            scatterer_nz=int(g["scatterer_nz"]),
-            receiver_z=tuple(float(v) for v in g["receiver_z"]),
-            receiver_nz=int(g["receiver_nz"]),
-        )
-        noise = _section(data.get("noise", {}), "noise", ("delta", "seed"))
-        reg_raw = _section(data.get("regularizer", {}), "regularizer", _REGULARIZER_KEYS)
-        reg = RegularizerConfig(
-            method=reg_raw.get("method", "tsvd"),
-            tsvd_rel_threshold=float(reg_raw.get("tsvd_rel_threshold", 1e-7)),
-            tikhonov_alpha=float(reg_raw.get("tikhonov_alpha", 1e-8)),
-            selection_policy=reg_raw.get("selection_policy", "fixed"),
-            noise_delta=(
-                float(reg_raw["noise_delta"]) if "noise_delta" in reg_raw else None
-            ),
-        )
-        ext_raw = _section(data.get("extraction", {}), "extraction", ("combine", "eps_div"))
-        fwd_raw = _section(data.get("forward", {}), "forward", ("tol", "max_iter"))
-        out_raw = _section(data.get("output", {}), "output", _OUTPUT_KEYS)
-        bench = _section(data.get("bench", {}), "bench", ("n_values",))
-        return RunConfig(
-            grid=grid,
-            frequencies=tuple(float(w) for w in data["frequencies"]),
-            sources=_parse_sources(data["sources"]),
-            phantom=_parse_phantom(data["phantom"]),
-            delta=float(noise.get("delta", 0.0)),
-            seed=int(noise.get("seed", 1234)),
-            regularizer=reg,
-            extraction=ExtractionOptions(
-                combine=ext_raw.get("combine", "per_frequency"),
-                eps_div=float(ext_raw.get("eps_div", 1e-3)),
-            ),
-            forward=ForwardOptions(
-                tol=float(fwd_raw.get("tol", 1e-13)),
-                max_iter=int(fwd_raw.get("max_iter", 1000)),
-            ),
-            output=OutputOptions(
-                kernel_cache=bool(out_raw.get("kernel_cache", True)),
-                kernel_cache_dir=str(out_raw.get("kernel_cache_dir", "kernel-cache")),
-            ),
-            bench_n=tuple(int(n) for n in bench.get("n_values", (32, 64, 128))),
-        )
+        if isinstance(data["grid"], dict):
+            missing = [key for key in _REQUIRED_GRID_KEYS if key not in data["grid"]]
+            if missing:
+                raise ConfigError(f"invalid configuration: grid lacks {', '.join(missing)}")
+        hints = get_type_hints(RunConfig)
+        kwargs = {key: _value(hints[key], value, key)
+                  for key, value in data.items() if key in hints and key != "sources"}
+        kwargs.update(_read({key: hints[key] for key in ("delta", "seed")},
+                            data.get("noise", {}), "noise"))
+        bench = _read({"n_values": hints["bench_n"]}, data.get("bench", {}), "bench")
+        if "n_values" in bench:
+            kwargs["bench_n"] = bench["n_values"]
+        return RunConfig(sources=_parse_sources(data["sources"]), **kwargs)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid configuration: {exc}") from exc
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse a YAML config file into a validated RunConfig."""
+def read_yaml(path: str | Path) -> dict:
+    """The top-level mapping of a YAML config file, not yet validated."""
     try:
         with open(path) as fh:
             data = yaml.safe_load(fh)
@@ -266,4 +238,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be a mapping")
-    return config_from_dict(data)
+    return data
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parse a YAML config file into a validated RunConfig."""
+    return config_from_dict(read_yaml(path))

@@ -15,7 +15,13 @@ from flatlayer import pipeline
 from flatlayer.cli import main
 from flatlayer.fieldio import read_field
 from flatlayer.manifest import read_manifest
-from flatlayer.runconfig import ConfigError, config_from_dict, load_config
+from flatlayer.runconfig import (
+    ConfigError,
+    ForwardOptions,
+    RunConfig,
+    config_from_dict,
+    load_config,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESET_DIR = ROOT / "configs"
@@ -94,7 +100,10 @@ def test_preset_parameters_match_experiment_setup():
     assert thick.frequencies == (2.0,)
     assert thick.sources.positions.shape == (11, 3)
     assert np.all(thick.sources.positions[:, 2] == 6.0)
-    assert fl.contrast(thick.phantom) == pytest.approx(1.0)
+    # peak sound-speed contrast 100%: xi peaks at 0.75 at a bump centre, c = (1 - xi)^-1/2
+    peak_xi = max(thick.phantom(*b.center) for b in thick.phantom.bumps)
+    assert peak_xi == pytest.approx(0.75)
+    assert 1.0 / np.sqrt(1.0 - peak_xi) - 1.0 == pytest.approx(1.0)
     thin = load_config(PRESET_DIR / "thin-exact.yaml")
     assert thin.grid.receiver_z == (6.01, 6.02)
     assert thin.grid.receiver_nz == 2
@@ -360,6 +369,10 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     # bad frequency override -> config error
     cfg = write_config(tmp_path)
     assert main(["synthesize", "--config", str(cfg), "--out", "o", "--freq", "x"]) == 2
+    # an override on a section that is not a mapping -> config error, nothing written
+    flat = write_config(tmp_path, name="noise-5.yaml", noise=5)
+    assert main(["synthesize", "--config", str(flat), "--out", "o5", "--delta", "1e-5"]) == 2
+    assert not (tmp_path / "o5").exists()
     # invert without data -> I/O error
     assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 4
     # a --method override the other regularizer settings do not allow -> config error
@@ -400,6 +413,52 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(["synthesize", "--config", str(cfg), "--out", out, *args]) == 2, i
         assert "must be a finite number" in capsys.readouterr().err, i
         assert not (tmp_path / out).exists()
+
+
+@pytest.mark.parametrize("path, value, named", [
+    (("grid", "n_transverse"), 64.7, "grid.n_transverse"),
+    (("noise", "seed"), 1.5, "noise.seed"),
+    (("noise", "seed"), -1, "noise.seed"),
+    (("forward", "max_iter"), 10.5, "forward.max_iter"),
+    (("bench", "n_values"), [32.5], "bench.n_values[0]"),
+    (("output", "kernel_cache"), "false", "output.kernel_cache"),
+    (("grid", "x_bounds"), [-10.0], "grid.x_bounds"),
+    (("grid", "x_bounds"), [-10.0, 10.0, 99.0], "grid.x_bounds"),
+    (("phantom", "bumps", 0, "center"), [1.0, 2.0, 0.5, 9.0], "phantom.bumps[0].center"),
+])
+def test_cli_mistyped_value_exit_code(tmp_path, monkeypatch, capsys, path, value, named):
+    """A value its field's type does not allow exits 2, names its key and writes nothing."""
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config_dict(forward={}, bench={})
+    section = data
+    for part in path[:-1]:
+        section = section[part]
+    section[path[-1]] = value
+    cfg = tmp_path / "mistyped.yaml"
+    cfg.write_text(yaml.safe_dump(data))
+    assert main(["synthesize", "--config", str(cfg), "--out", "o"]) == 2
+    assert f"{named} must be" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_omitted_keys_take_the_record_defaults():
+    grid = {"n_transverse": 16, "scatterer_z": [-0.5, 1.5], "scatterer_nz": 7,
+            "receiver_z": [6.01, 6.5], "receiver_nz": 5}
+    sources = {"line_y": {"y_values": [-2, 0, 2]}}
+    parsed = config_from_dict(
+        {"grid": grid, "frequencies": [2.0], "sources": sources, "phantom": {}})
+    line = fl.SourceSet.line_y([-2.0, 0.0, 2.0])
+    assert np.array_equal(parsed.sources.positions, line.positions)
+    assert np.array_equal(parsed.sources.amplitudes, line.amplitudes)
+    expected = RunConfig(
+        grid=fl.GridConfig(n_transverse=16, scatterer_z=(-0.5, 1.5), scatterer_nz=7,
+                           receiver_z=(6.01, 6.5), receiver_nz=5),
+        frequencies=(2.0,), sources=parsed.sources, phantom=fl.Phantom(),
+    )
+    assert parsed == expected
+    # PyYAML reads 1e-13 as a string; a float field takes it as the number
+    data = tiny_config_dict(**yaml.safe_load("forward: {tol: 1e-13, max_iter: 5}"))
+    assert config_from_dict(data).forward == ForwardOptions(tol=1e-13, max_iter=5)
 
 
 def test_cli_divergence_exit_code(tmp_path, monkeypatch):

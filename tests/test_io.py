@@ -20,7 +20,11 @@ def test_binary_round_trip(sample_field, tmp_path):
     path = tmp_path / "field.laf"
     write_field(sample_field, path)
     loaded = read_field(path)
-    assert np.array_equal(loaded.values, sample_field.values)
+    assert loaded.values.tobytes() == sample_field.values.tobytes()  # bitwise
+    signed_zeros = fl.ComplexField(sample_field.grid,
+                                   np.full(sample_field.grid.shape, complex(-0.0, -0.0)))
+    write_field(signed_zeros, tmp_path / "zeros.laf")
+    assert read_field(tmp_path / "zeros.laf").values.tobytes() == signed_zeros.values.tobytes()
     g0, g1 = sample_field.grid, loaded.grid
     assert g0.shape == g1.shape
     assert np.allclose(g0.z_nodes, g1.z_nodes)

@@ -314,29 +314,3 @@ def test_phantom_nonnegative_and_compactly_supported():
     assert np.all(vals >= 0)
     outside = (np.abs(x) > 6) | (np.abs(y) > 6) | (z < -0.5) | (z > 1.5)
     assert np.all(vals[outside] == 0)
-
-
-def test_contrast_values():
-    assert fl.contrast(fl.Phantom.three_bumps(0.0)) == 0.0
-    # max xi = 2.5 * 0.3 = 0.75 -> 1/sqrt(0.25) - 1 = 1
-    assert fl.contrast(fl.Phantom.three_bumps(0.3)) == pytest.approx(1.0, rel=1e-12)
-    # max xi = 0.5 -> sqrt(2) - 1
-    assert fl.contrast(fl.Phantom.three_bumps(0.2)) == pytest.approx(
-        np.sqrt(2) - 1, rel=1e-12
-    )
-
-
-def test_contrast_rejects_supersonic_amplitude():
-    with pytest.raises(ValueError, match="undefined"):
-        fl.contrast(fl.Phantom.three_bumps(0.4))
-
-
-def test_xi_to_speed():
-    assert fl.xi_to_speed(np.array(0.0)) == pytest.approx(1.0)
-    assert fl.xi_to_speed(np.array(0.75)) == pytest.approx(2.0)
-    rng = np.random.default_rng(2)
-    c = 1.0 + rng.uniform(0, 2, 50)
-    xi = 1.0 - c ** (-2)
-    assert np.allclose(fl.xi_to_speed(xi), c, rtol=1e-14)
-    with pytest.raises(ValueError, match="node \\(1,\\)"):
-        fl.xi_to_speed(np.array([0.5, 1.0]))
