@@ -59,10 +59,13 @@ def read_field(path: str | Path) -> ComplexField:
         size = os.fstat(fh.fileno()).st_size - _HEADER.size
         if size != 16 * nx * ny * nz:
             raise LafFormatError(f"{path}: expected {16 * nx * ny * nz} bytes, got {size}")
-        # straight into one array in the layout write_field writes, with no bytes copy
-        samples = np.empty((nz, ny, nx), dtype="<c16")
-        fh.readinto(samples)
-    values = samples.transpose(2, 1, 0)
+        # slab by slab into the (nx, ny, nz) C-order array that ComplexField keeps,
+        # so that no second copy of the samples is made
+        values = np.empty((nx, ny, nz), dtype=complex)
+        slab = np.empty((ny, nx), dtype="<c16")
+        for iz in range(nz):
+            fh.readinto(slab)
+            values[:, :, iz] = slab.T
     try:
         grid = Grid3D(
             x_min=x0, x_max=x1, y_min=y0, y_max=y1,

@@ -86,16 +86,9 @@ class Grid3D:
     def y_coords(self) -> np.ndarray:
         return self.y_min + self.hy * np.arange(self.ny)
 
-    def meshgrid(self, iz: int | None = None):
-        """Return broadcastable (x, y, z) coordinate arrays.
-
-        With iz given, returns 2D arrays for that slab; otherwise 3D.
-        """
-        x = self.x_coords()
-        y = self.y_coords()
-        if iz is not None:
-            return np.meshgrid(x, y, indexing="ij") + [self.z_nodes[iz]]
-        return np.meshgrid(x, y, self.z_nodes, indexing="ij")
+    def meshgrid(self):
+        """Return the (x, y, z) coordinate arrays of every node, each (nx, ny, nz)."""
+        return np.meshgrid(self.x_coords(), self.y_coords(), self.z_nodes, indexing="ij")
 
     def centred(self) -> "Grid3D":
         """This grid with its transverse window moved to [-Lx/2, Lx/2) x [-Ly/2, Ly/2).

@@ -119,33 +119,16 @@ def recompute_internal_field(
     return SpectralField(grid, u0_spec.values + kernel_xx.apply(v_spec.values))
 
 
-def _masked_ratio(
-    num: np.ndarray, den: np.ndarray, mask: np.ndarray
-) -> XiExtraction:
-    ratio = np.zeros(num.shape, dtype=complex)
-    np.divide(num, den, out=ratio, where=mask)
-    xi = np.where(mask, ratio.real, 0.0)
-    imag_norm = float(np.linalg.norm(np.where(mask, ratio.imag, 0.0)))
-    masked = 1.0 - float(np.count_nonzero(mask)) / mask.size
-    return XiExtraction(xi=xi, imag_norm=imag_norm, masked_fraction=masked)
-
-
 def extract_xi_single(
     v_field: ComplexField, u_field: ComplexField, eps_div: float = 1e-3
 ) -> XiExtraction:
-    """xi = Re(V / u) with the division masked where |u| is negligible.
+    """xi = Re(V / u): the least-squares extraction over this one frequency.
 
     Nodes with |u| < eps_div * max|u| take the background value 0 (no NaN
     or Inf can escape); the imaginary residue of the division is reported
     as a quality diagnostic.
     """
-    v = v_field.values
-    u = u_field.values
-    if v.shape != u.shape:
-        raise ValueError("V and u must share a grid")
-    mag = np.abs(u)
-    mask = (mag >= eps_div * np.max(mag)) & (mag > 0.0)
-    return _masked_ratio(v, u, mask)
+    return extract_xi_lsq([v_field], [u_field], eps_div)
 
 
 def extract_xi_lsq(
@@ -156,9 +139,9 @@ def extract_xi_lsq(
     """Pointwise real least squares for xi over several frequencies.
 
     Minimizes sum_w |u_w xi - V_w|^2 over real xi:
-    xi = Re(sum_w conj(u_w) V_w) / sum_w |u_w|^2, masked where the
-    denominator falls below eps_div^2 of its maximum. With one frequency
-    this reduces to extract_xi_single.
+    xi = Re(sum_w conj(u_w) V_w) / sum_w |u_w|^2, masked to 0 where the
+    denominator falls below eps_div^2 of its maximum; the imaginary part of
+    the ratio is reported as imag_norm.
     """
     if len(v_fields) == 0 or len(v_fields) != len(u_fields):
         raise ValueError("need matching nonempty V and u field lists")
@@ -171,4 +154,9 @@ def extract_xi_lsq(
         num += np.conj(uf.values) * vf.values
         den += np.abs(uf.values) ** 2
     mask = (den >= (eps_div ** 2) * np.max(den)) & (den > 0.0)
-    return _masked_ratio(num, den.astype(complex), mask)
+    ratio = np.zeros(shape, dtype=complex)
+    np.divide(num, den.astype(complex), out=ratio, where=mask)
+    xi = np.where(mask, ratio.real, 0.0)
+    imag_norm = float(np.linalg.norm(np.where(mask, ratio.imag, 0.0)))
+    masked = 1.0 - float(np.count_nonzero(mask)) / mask.size
+    return XiExtraction(xi=xi, imag_norm=imag_norm, masked_fraction=masked)

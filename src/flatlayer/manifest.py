@@ -35,14 +35,12 @@ class ManifestBuilder:
     def add_time(self, name: str, seconds: float) -> None:
         self.data["stage_seconds"][name] = round(seconds, 6)
 
-    def add_file(self, path: Path, root: Path, **extra) -> None:
-        entry = {
+    def add_file(self, path: Path, root: Path) -> None:
+        self.data["files"].append({
             "path": str(path.relative_to(root)),
             "sha256": file_sha256(path),
             "bytes": path.stat().st_size,
-        }
-        entry.update(extra)
-        self.data["files"].append(entry)
+        })
 
     def write(self, path: Path) -> None:
         with open(path, "w") as fh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,6 @@ class AccuracyCurve:
 
     z: np.ndarray
     delta: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     @property
     def mean(self) -> float:
@@ -51,7 +50,6 @@ def slice_relative_error(
     xi_appr: np.ndarray,
     xi_exact: np.ndarray,
     grid: Grid3D,
-    provenance: dict | None = None,
 ) -> AccuracyCurve:
     """Relative error per z-slice: ||xi_a - xi_e|| / ||xi_e|| over (x, y).
 
@@ -66,13 +64,9 @@ def slice_relative_error(
     supported = exact_norms > 0.0
     if not np.any(supported):
         warnings.warn("exact coefficient vanishes on every slice; empty curve")
-        return AccuracyCurve(
-            z=np.empty(0), delta=np.empty(0), provenance=provenance or {}
-        )
+        return AccuracyCurve(z=np.empty(0), delta=np.empty(0))
     return AccuracyCurve(
-        z=grid.z_nodes[supported],
-        delta=diff_norms[supported] / exact_norms[supported],
-        provenance=provenance or {},
+        z=grid.z_nodes[supported], delta=diff_norms[supported] / exact_norms[supported]
     )
 
 

@@ -166,11 +166,12 @@ def _cache_dir(config: RunConfig) -> Path | None:
     return Path(config.output.kernel_cache_dir)
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
+def _write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+    return path
 
 
 def run_phantom(config: RunConfig, out_dir: str | Path) -> Path:
@@ -183,10 +184,9 @@ def run_phantom(config: RunConfig, out_dir: str | Path) -> Path:
     t0 = time.perf_counter()
     path = out / "xi_exact.laf"
     write_field(xi_field, path)
-    export_slices_csv(xi_field, out / "slices", "xi_exact")
+    paths = [path, *export_slices_csv(xi_field, out / "slices", "xi_exact")]
     manifest.add_time("sample_and_write", time.perf_counter() - t0)
-    manifest.add_file(path, out)
-    for p in sorted((out / "slices").glob("*.csv")):
+    for p in paths:
         manifest.add_file(p, out)
     manifest.write(out / "manifest.json")
     return out
@@ -267,11 +267,12 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     for i, (omega, (fwd, w_out)) in enumerate(zip(config.frequencies, solved)):
         w_path = out / f"w_{i:03d}.laf"
         write_field(w_out, w_path)
-        _write_csv(
+        manifest.add_file(w_path, out)
+        manifest.add_file(_write_csv(
             out / f"residuals_{i:03d}.csv",
             ["iteration", "update_norm"],
             [(n + 1, repr(float(r))) for n, r in enumerate(fwd.residual_history)],
-        )
+        ), out)
         iterations[f"{omega:g}"] = fwd.iterations
         converged[f"{omega:g}"] = fwd.converged
         data_files.append({"index": i, "omega": omega, "file": w_path.name})
@@ -279,8 +280,6 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     manifest.set("forward_iterations", iterations)
     manifest.set("forward_converged", converged)
     manifest.set("data_files", data_files)
-    for p in sorted(out.glob("w_*.laf")) + sorted(out.glob("residuals_*.csv")):
-        manifest.add_file(p, out)
     manifest.write(out / "manifest.json")
     return out
 
@@ -314,11 +313,12 @@ def invert_frequency(
     )
 
 
-def _xi_artifact(out: Path, name: str, ext: XiExtraction, grid: Grid3D) -> None:
-    """Write one xi dump plus its slice CSVs."""
+def _xi_artifact(out: Path, name: str, ext: XiExtraction, grid: Grid3D) -> list[Path]:
+    """Write one xi dump plus its slice CSVs; the paths written."""
     field = ComplexField(grid, ext.xi.astype(complex))
-    write_field(field, out / f"{name}.laf")
-    export_slices_csv(field, out / f"slices_{name}", name)
+    path = out / f"{name}.laf"
+    write_field(field, path)
+    return [path, *export_slices_csv(field, out / f"slices_{name}", name)]
 
 
 def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Path:
@@ -377,13 +377,15 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
     for i, inv in enumerate(inversions):
         ext = extract_xi_single(inv.v_field, inv.u_field, config.extraction.eps_div)
         name = f"xi_{i:03d}"
-        _xi_artifact(out, name, ext, grid_x)
         names.append(name)
-        _write_csv(
+        written = _xi_artifact(out, name, ext, grid_x)
+        written.append(_write_csv(
             out / f"rank_hist_{i:03d}.csv",
             ["rank", "modes"],
             sorted(inv.stats.rank_histogram().items()),
-        )
+        ))
+        for p in written:
+            manifest.add_file(p, out)
         diag_rows.append(
             (
                 name,
@@ -406,24 +408,20 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
             [inv.u_field for inv in inversions],
             config.extraction.eps_div,
         )
-        _xi_artifact(out, "xi_combined", ext, grid_x)
+        for p in _xi_artifact(out, "xi_combined", ext, grid_x):
+            manifest.add_file(p, out)
         names.append("xi_combined")
         diag_rows.append(
             ("xi_combined", "all", repr(ext.imag_norm), repr(ext.masked_fraction), 0)
         )
 
-    _write_csv(
+    manifest.add_file(_write_csv(
         out / "diagnostics.csv",
         ["artifact", "omega", "imag_norm", "masked_fraction", "failed_modes"],
         diag_rows,
-    )
+    ), out)
     manifest.set("rank_stats", rank_stats)
     manifest.set("artifacts", [{"name": name, "file": f"{name}.laf"} for name in names])
-    for p in sorted(out.glob("xi_*.laf")) + sorted(out.glob("*.csv")):
-        manifest.add_file(p, out)
-    for d in sorted(out.glob("slices_*")):
-        for p in sorted(d.glob("*.csv")):
-            manifest.add_file(p, out)
     manifest.write(out / "manifest.json")
     return out
 
@@ -445,28 +443,26 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
         if xi_field.grid.shape != grid_x.shape:
             raise ConfigError(f"artifact {name} grid does not match config")
         xi = xi_field.values.real
-        curve = slice_relative_error(xi, xi_exact, grid_x, {"artifact": name})
-        _write_csv(
+        curve = slice_relative_error(xi, xi_exact, grid_x)
+        manifest.add_file(_write_csv(
             out / f"accuracy_{name}.csv",
             ["z", "delta_l2"],
             [(repr(float(z)), repr(float(d))) for z, d in zip(curve.z, curve.delta)],
-        )
+        ), out)
         locs = localization_report(xi, config.phantom, grid_x)
-        _write_csv(
+        manifest.add_file(_write_csv(
             out / f"localization_{name}.csv",
             ["true_x", "true_y", "true_z", "found_x", "found_y", "found_z", "offset", "peak"],
             [
                 tuple(map(repr, L.true_center + L.found_center + (L.offset, L.peak_value)))
                 for L in locs
             ],
-        )
+        ), out)
         summary[name] = {
             "mean_delta_l2": curve.mean,
             "max_offset": max(L.offset for L in locs),
         }
     manifest.set("summary", summary)
-    for p in sorted(out.glob("*.csv")):
-        manifest.add_file(p, out)
     manifest.write(out / "manifest.json")
     return out
 
@@ -479,22 +475,21 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     n_list = list(n_values) if n_values is not None else list(config.bench_n)
     if not n_list:
         raise ConfigError("bench needs a nonempty list of N values")
-    for n in n_list:
-        if n < 2 or (n & (n - 1)) != 0:
-            raise ConfigError(f"bench N values must be powers of two, got {n}")
+    # every N is checked before any is swept: its grids by Grid3D's rules, its sources
+    try:
+        grids = [make_grids(replace(config.grid, n_transverse=n)) for n in n_list]
+        for grid_x, _ in grids:
+            check_sources(config.sources, grid_x)
+    except ValueError as exc:
+        raise ConfigError(f"bench: {exc}") from exc
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestBuilder("bench", config.config_hash())
     records = []
     cache = _cache_dir(config)
-    for n in n_list:
+    for n, (grid_x, grid_y) in zip(n_list, grids):
         # the sweep times the inversion only: no bump is localized on these grids
-        grid_x, grid_y = make_grids(replace(config.grid, n_transverse=n))
-        try:
-            check_sources(config.sources, grid_x)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
         lattice = ModeLattice.for_grid(grid_x)
         xi = config.phantom.sample_on(grid_x)
         prepared = []
@@ -522,16 +517,13 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
             )
         )
 
-    _write_csv(
+    manifest.add_file(_write_csv(
         out / "timing.csv",
         ["n", "m", "m1", "seconds"],
         [(r.n, r.m, r.m1, repr(r.seconds)) for r in records],
-    )
-    result = {}
+    ), out)
     if len(records) >= 2:
         t0_fit, p = timing_fit(records)
-        result = {"t0": t0_fit, "exponent": p}
-        manifest.set("fit", result)
-    manifest.add_file(out / "timing.csv", out)
+        manifest.set("fit", {"t0": t0_fit, "exponent": p})
     manifest.write(out / "manifest.json")
     return out

@@ -72,29 +72,21 @@ def solve_mode_block(
     solutions with rank 0.
     """
     n_sys, n_recv, n_src = matrices.shape
-    n_rhs = rhs.shape[2]
-    x = np.zeros((n_sys, n_src, n_rhs), dtype=complex)
-    ranks = np.zeros((n_sys, n_rhs), dtype=int)
-
-    nonzero = np.any(matrices.reshape(n_sys, -1), axis=1)
-    if not np.any(nonzero):
-        return x, ranks
-
+    ranks = np.zeros((n_sys, rhs.shape[2]), dtype=int)
     if reg.method == "tikhonov":
-        sub = np.nonzero(nonzero)[0]
-        ah = np.conj(np.transpose(matrices[sub], (0, 2, 1)))
-        lhs = ah @ matrices[sub] + reg.tikhonov_alpha * np.eye(n_src)
-        x[sub] = np.linalg.solve(lhs, ah @ rhs[sub])
-        ranks[sub] = min(n_recv, n_src)
+        ah = np.conj(np.transpose(matrices, (0, 2, 1)))
+        lhs = ah @ matrices + reg.tikhonov_alpha * np.eye(n_src)
+        x = np.linalg.solve(lhs, ah @ rhs)
+        ranks[np.any(matrices, axis=(1, 2))] = min(n_recv, n_src)  # an all-zero system: 0
         return x, ranks
 
-    u, s, vh = np.linalg.svd(matrices[nonzero], full_matrices=False)
-    beta = np.conj(np.transpose(u, (0, 2, 1))) @ rhs[nonzero]  # (n, r, n_rhs)
+    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    beta = np.conj(np.transpose(u, (0, 2, 1))) @ rhs  # (n_sys, r, n_rhs)
     r = s.shape[1]
     if reg.selection_policy == "fixed":
         keep = (s >= reg.tsvd_rel_threshold * s[:, :1])[:, :, None]
     else:
-        b_norm2 = np.sum(np.abs(rhs[nonzero]) ** 2, axis=1)  # (n, n_rhs)
+        b_norm2 = np.sum(np.abs(rhs) ** 2, axis=1)  # (n_sys, n_rhs)
         target2 = (reg.noise_delta ** 2) * b_norm2
         resid2 = b_norm2[:, None, :] - np.cumsum(np.abs(beta) ** 2, axis=1)
         resid2 = np.maximum(resid2, 0.0)  # guard cancellation below zero
@@ -103,8 +95,8 @@ def solve_mode_block(
         k = np.where(met.any(axis=1), met.argmax(axis=1) + 1, r)
         k = np.where(b_norm2 <= target2, 0, k)  # the empty solution suffices
         keep = np.arange(r)[None, :, None] < k[:, None, :]
+    # a zero singular value is never kept: an all-zero system solves to x = 0, rank 0
     keep = keep & (s > 0.0)[:, :, None]
     coef = np.where(keep, beta / np.where(s > 0.0, s, 1.0)[:, :, None], 0.0)
-    x[nonzero] = np.conj(np.transpose(vh, (0, 2, 1))) @ coef
-    ranks[nonzero] = keep.sum(axis=1)
-    return x, ranks
+    ranks[:] = keep.sum(axis=1)
+    return np.conj(np.transpose(vh, (0, 2, 1))) @ coef, ranks

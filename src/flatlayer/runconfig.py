@@ -27,11 +27,23 @@ class ForwardOptions:
     tol: float = 1e-13
     max_iter: int = 1000
 
+    def __post_init__(self):
+        if self.tol <= 0:
+            raise ConfigError(f"forward.tol must be positive, got {self.tol!r}")
+        if self.max_iter < 1:
+            raise ConfigError(f"forward.max_iter must be at least 1, got {self.max_iter!r}")
+
 
 @dataclass(frozen=True)
 class ExtractionOptions:
     combine: str = "per_frequency"  # "per_frequency" | "least_squares"
     eps_div: float = 1e-3
+
+    def __post_init__(self):
+        if self.combine not in ("per_frequency", "least_squares"):
+            raise ConfigError(f"unknown extraction.combine {self.combine!r}")
+        if not 0 <= self.eps_div < 1:
+            raise ConfigError(f"extraction.eps_div must lie in [0, 1), got {self.eps_div!r}")
 
 
 @dataclass(frozen=True)
@@ -59,17 +71,12 @@ class RunConfig:
     def __post_init__(self):
         if len(self.frequencies) == 0:
             raise ConfigError("frequency list must be nonempty")
-        bad = _first_nonfinite(self.canonical_dict(), "config")
-        if bad is not None:
-            raise ConfigError(f"{bad} must be a finite number")
         if any(w <= 0 for w in self.frequencies):
             raise ConfigError("frequencies must be positive")
         if self.delta < 0:
             raise ConfigError("noise level delta must be nonnegative")
         if self.seed < 0:
             raise ConfigError("noise.seed must be nonnegative")
-        if self.extraction.combine not in ("per_frequency", "least_squares"):
-            raise ConfigError(f"unknown extraction combine {self.extraction.combine!r}")
         try:
             grid_x, _ = make_grids(self.grid)
         except ValueError as exc:
@@ -110,17 +117,6 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()
 
 
-def _first_nonfinite(value, path: str) -> str | None:
-    """Path of the first nan or infinite float inside nested dicts and lists."""
-    if isinstance(value, dict):
-        items = [(f"{path}.{key}", v) for key, v in value.items()]
-    elif isinstance(value, (list, tuple)):
-        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
-    else:
-        return path if isinstance(value, float) and not math.isfinite(value) else None
-    return next(filter(None, (_first_nonfinite(v, p) for p, v in items)), None)
-
-
 # the top-level sections, and the grid keys a file must give although GridConfig has defaults
 _TOP_KEYS = ("grid", "frequencies", "sources", "phantom", "noise", "regularizer",
              "extraction", "forward", "output", "bench")
@@ -151,9 +147,10 @@ _TYPE_NAMES = {float: "a number", int: "an integer", bool: "true or false", str:
 def _value(tp, raw, path: str):
     """raw read as a value of type tp; path names it in the error.
 
-    Floats also accept numeric strings (YAML reads 1e-13 as one), ints must be
-    integral, bools must be bools, and a fixed-length tuple takes exactly that
-    many entries; a complex number is a real or an [re, im] pair.
+    Floats also accept numeric strings (YAML reads 1e-13 as one) and must be
+    finite, ints must be integral, bools must be bools, and a fixed-length
+    tuple takes exactly that many entries; a complex number is a real or an
+    [re, im] pair.
     """
     if is_dataclass(tp):
         return tp(**_read(get_type_hints(tp), raw, path))
@@ -173,9 +170,13 @@ def _value(tp, raw, path: str):
     number = isinstance(raw, (int, float)) and not isinstance(raw, bool)
     if tp is float and (number or isinstance(raw, str)):
         try:
-            return float(raw)
+            value = float(raw)
         except (ValueError, OverflowError):
             pass
+        else:
+            if not math.isfinite(value):
+                raise ConfigError(f"{path} must be a finite number")
+            return value
     elif tp is int and number and (isinstance(raw, int) or raw.is_integer()):
         return int(raw)
     elif tp in (bool, str) and isinstance(raw, tp):
@@ -189,7 +190,10 @@ def _parse_sources(raw) -> SourceSet:
         spec = _section(raw, "sources", ("line_y",))["line_y"]
         hints = get_type_hints(SourceSet.line_y)
         del hints["return"]
-        return SourceSet.line_y(**_read(hints, spec, "sources.line_y"))
+        kwargs = _read(hints, spec, "sources.line_y")
+        if kwargs.get("y_values") == ():
+            raise ConfigError("sources.line_y.y_values must hold at least one value")
+        return SourceSet.line_y(**kwargs)
     if isinstance(raw, dict):
         raw = _section(raw, "sources", ("points",)).get("points")
     if not isinstance(raw, list) or not raw:

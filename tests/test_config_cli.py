@@ -187,6 +187,9 @@ def test_cli_source_on_scatterer_node_exit_code(tmp_path, monkeypatch):
     data["sources"] = {"points": [{"position": [0.625, 0.0, 0.5]}]}
     cfg.write_text(yaml.safe_dump(data))
     assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "32"]) == 2
+    # every N is checked before the first is swept: nothing is run or written
+    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "16,32"]) == 2
+    assert not (tmp_path / "b").exists()
 
 
 def test_cli_bump_beyond_localization_radius_exit_code(tmp_path, monkeypatch):
@@ -308,6 +311,48 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     assert all(float(r.split(",")[2]) >= 0 for r in rows[1:])
 
 
+def test_rerun_manifests_list_only_the_files_that_run_wrote(tmp_path, monkeypatch):
+    """A stage rerun into a used directory leaves the earlier run's files there,
+    but its manifest lists exactly the files the rerun wrote."""
+    monkeypatch.chdir(tmp_path)
+
+    def listed(stage_dir):
+        return sorted(e["path"] for e in read_manifest(tmp_path / stage_dir / "manifest.json")["files"])
+
+    def slices(directory, name, nz=7):
+        return [f"{directory}/{name}_z{iz:03d}.csv" for iz in range(nz)]
+
+    fewer_slabs = tiny_config_dict()
+    fewer_slabs["grid"]["scatterer_nz"] = 5
+    five = tmp_path / "five.yaml"
+    five.write_text(yaml.safe_dump(fewer_slabs))
+    assert main(["phantom", "--config", str(write_config(tmp_path)), "--out", "p"]) == 0
+    assert main(["phantom", "--config", str(five), "--out", "p"]) == 0
+    assert listed("p") == sorted(["xi_exact.laf", *slices("slices", "xi_exact", nz=5)])
+
+    three = write_config(tmp_path, name="three.yaml", frequencies=[1.0, 2.0, 3.0])
+    one = write_config(tmp_path, name="one.yaml", frequencies=[2.0])
+    assert main(["synthesize", "--config", str(three), "--out", "d"]) == 0
+    assert main(["synthesize", "--config", str(one), "--out", "d"]) == 0
+    assert (tmp_path / "d" / "w_002.laf").exists()
+    assert listed("d") == ["residuals_000.csv", "w_000.laf"]
+
+    per = write_config(tmp_path, name="per.yaml", frequencies=[1.0, 2.0])
+    lsq = write_config(tmp_path, name="lsq.yaml", frequencies=[1.0, 2.0],
+                       extraction={"combine": "least_squares"})
+    assert main(["synthesize", "--config", str(per), "--out", "d2"]) == 0
+    for cfg in (lsq, per):
+        assert main(["invert", "--config", str(cfg), "--data", "d2", "--out", "r"]) == 0
+        assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 0
+    assert (tmp_path / "r" / "xi_combined.laf").exists()
+    assert listed("r") == sorted([
+        "diagnostics.csv", "rank_hist_000.csv", "rank_hist_001.csv", "xi_000.laf",
+        "xi_001.laf", *slices("slices_xi_000", "xi_000"), *slices("slices_xi_001", "xi_001"),
+    ])
+    assert listed("e") == [f"{kind}_xi_{i:03d}.csv"
+                           for kind in ("accuracy", "localization") for i in (0, 1)]
+
+
 def test_cli_rerun_reproduces_checksums(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, phantom=NODE_BUMP, noise={"delta": 1e-6, "seed": 77})
@@ -413,6 +458,27 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         assert main(["synthesize", "--config", str(cfg), "--out", out, *args]) == 2, i
         assert "must be a finite number" in capsys.readouterr().err, i
         assert not (tmp_path / out).exists()
+    # a value no run can use -> config error before any table is built or cached
+    for i, (overrides, named) in enumerate([
+        ({"forward": {"max_iter": 0}}, "forward.max_iter"),
+        ({"forward": {"max_iter": -1}}, "forward.max_iter"),
+        ({"forward": {"tol": 0.0}}, "forward.tol"),
+        ({"forward": {"tol": -1.0}}, "forward.tol"),
+        ({"extraction": {"eps_div": 2.0}}, "extraction.eps_div"),
+        ({"extraction": {"eps_div": 1.0}}, "extraction.eps_div"),
+        ({"extraction": {"eps_div": -1e-3}}, "extraction.eps_div"),
+        ({"extraction": {"combine": "mean"}}, "extraction.combine"),
+        ({"sources": {"line_y": {"y_values": []}}}, "sources.line_y.y_values"),
+        ({"sources": {"points": []}}, "sources"),
+    ]):
+        cache = f"unusable-cache-{i}"
+        cfg = write_config(tmp_path, name=f"unusable-{i}.yaml",
+                           output={"kernel_cache": True, "kernel_cache_dir": cache}, **overrides)
+        out = f"unusable-{i}"
+        capsys.readouterr()
+        assert main(["synthesize", "--config", str(cfg), "--out", out]) == 2, i
+        assert named in capsys.readouterr().err, i
+        assert not (tmp_path / out).exists() and not (tmp_path / cache).exists(), i
 
 
 @pytest.mark.parametrize("path, value, named", [

@@ -250,12 +250,19 @@ def test_extract_xi_safe_for_identically_zero_field(tiny_grids):
 
 
 def test_extract_xi_lsq_single_frequency_degenerates(tiny_grids):
+    """Over one frequency the least-squares extraction is Re(V / u), masked where
+    |u| < eps_div * max|u|."""
     gx, _ = tiny_grids
     u_field, xi_true = manufactured_fields(gx, seed=15)
-    v_field = fl.ComplexField(gx, xi_true * u_field.values + 0.01j * u_field.values)
-    single = fl.extract_xi_single(v_field, u_field)
-    joint = fl.extract_xi_lsq([v_field], [u_field])
-    assert np.allclose(joint.xi, single.xi, rtol=1e-13, atol=1e-15)
+    u = u_field.values
+    v_field = fl.ComplexField(gx, xi_true * u + 0.01j * u)
+    single = fl.extract_xi_single(v_field, u_field, eps_div=0.5)
+    kept = np.abs(u) >= 0.5 * np.max(np.abs(u))
+    assert 0 < np.count_nonzero(kept) < kept.size
+    assert np.allclose(single.xi, np.where(kept, (v_field.values / u).real, 0.0),
+                       rtol=1e-13, atol=1e-15)
+    assert single.masked_fraction == 1.0 - np.count_nonzero(kept) / kept.size
+    assert single.imag_norm == pytest.approx(0.01 * np.sqrt(np.count_nonzero(kept)), rel=1e-12)
 
 
 def test_extract_xi_lsq_manufactured_multi_frequency(tiny_grids):
