@@ -348,7 +348,6 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
             f"data frequencies {omegas} do not match config {list(config.frequencies)}"
         )
 
-    out.mkdir(parents=True, exist_ok=True)
     lattice = ModeLattice.for_grid(grid_x)
     cache = _cache_dir(config)
     manifest = ManifestBuilder("invert", config.config_hash())
@@ -371,6 +370,9 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         )
         manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
 
+    # every dump is read and inverted before the output directory is made,
+    # so a stage that fails on its inputs leaves no directory behind
+    out.mkdir(parents=True, exist_ok=True)
     diag_rows = []
     rank_stats = {}
     names = []
@@ -430,19 +432,21 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     """Accuracy curves and localization tables for every xi artifact."""
     recon_dir = Path(recon_dir)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     recon_manifest = read_manifest(recon_dir / "manifest.json", "artifacts", name=str, file=str)
     grid_x, _ = make_grids(config.grid)
     xi_exact = config.phantom.sample_on(grid_x)
-
-    manifest = ManifestBuilder("evaluate", config.config_hash())
-    summary = {}
+    artifacts = []
     for entry in recon_manifest["artifacts"]:
-        name = entry["name"]
         xi_field = read_field(recon_dir / entry["file"])
         if xi_field.grid.shape != grid_x.shape:
-            raise ConfigError(f"artifact {name} grid does not match config")
-        xi = xi_field.values.real
+            raise ConfigError(f"artifact {entry['name']} grid does not match config")
+        artifacts.append((entry["name"], xi_field.values.real))
+
+    # made only once every listed dump has been read
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = ManifestBuilder("evaluate", config.config_hash())
+    summary = {}
+    for name, xi in artifacts:
         curve = slice_relative_error(xi, xi_exact, grid_x)
         manifest.add_file(_write_csv(
             out / f"accuracy_{name}.csv",

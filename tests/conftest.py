@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -49,6 +51,24 @@ def incident_per_source(sources, grid, omega):
             raise ValueError(f"source at {tuple(p)} coincides with a grid node")
         slabs += a * green_point(r, omega)
     return forward_slab(slabs, grid).reshape(grid.nz, grid.nx * grid.ny).T
+
+
+def assert_slices_parse_back(directory, stem, field):
+    """The slice CSVs of field: one per z-slice of exactly 11 + 101 * N^2 bytes,
+    the header x,y,re,im and ix-major rows of 99 bytes plus CRLF whose numbers
+    parse back bitwise to the node's coordinates and the field's value."""
+    g = field.grid
+    x, y = np.meshgrid(g.x_coords(), g.y_coords(), indexing="ij")
+    for iz in range(g.nz):
+        raw = (Path(directory) / f"{stem}_z{iz:03d}.csv").read_bytes()
+        assert len(raw) == 11 + 101 * g.nx * g.ny
+        header, *rows, end = raw.split(b"\r\n")
+        assert header == b"x,y,re,im" and end == b""
+        assert all(len(row) == 99 for row in rows)
+        table = np.array([[float(tok) for tok in row.split(b",")] for row in rows])
+        slab = field.values[:, :, iz]
+        expect = np.column_stack([x.ravel(), y.ravel(), slab.real.ravel(), slab.imag.ravel()])
+        assert table.tobytes() == expect.tobytes()  # bitwise, signs of zero included
 
 
 @pytest.fixture(scope="session")

@@ -23,6 +23,8 @@ from flatlayer.runconfig import (
     load_config,
 )
 
+from conftest import assert_slices_parse_back
+
 ROOT = Path(__file__).resolve().parent.parent
 PRESET_DIR = ROOT / "configs"
 
@@ -273,6 +275,12 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
     for entry in data_manifest["files"]:
         assert (tmp_path / "data" / entry["path"]).exists()
         assert len(entry["sha256"]) == 64
+
+    # both slice writers' CSVs parse back bitwise to their dumps
+    assert_slices_parse_back(tmp_path / "ph" / "slices", "xi_exact",
+                             read_field(tmp_path / "ph" / "xi_exact.laf"))
+    assert_slices_parse_back(tmp_path / "recon" / "slices_xi_000", "xi_000",
+                             read_field(tmp_path / "recon" / "xi_000.laf"))
 
 
 def test_cli_zero_phantom_gives_zero_data(tmp_path, monkeypatch):
@@ -575,6 +583,19 @@ def test_cli_malformed_dump_exit_code(tmp_path, monkeypatch):
     assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r1"]) == 4
     dump.write_bytes(b"NOPE" + good[4:])
     assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r2"]) == 4
+
+
+def test_cli_failing_stage_leaves_no_output_directory(tmp_path, monkeypatch):
+    """Inputs are read before a stage makes its output directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["evaluate", "--config", str(cfg), "--recon", "nowhere", "--out", "e"]) == 4
+    assert not (tmp_path / "e").exists()
+    assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
+    dump = tmp_path / "data" / "w_000.laf"
+    dump.write_bytes(dump.read_bytes()[:100])
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r"]) == 4
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_malformed_manifest_exit_code(tmp_path, monkeypatch):

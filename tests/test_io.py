@@ -1,11 +1,17 @@
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flatlayer as fl
-from flatlayer.fieldio import MAGIC, export_slices_csv, read_field, write_field
+from flatlayer import fieldio
+from flatlayer.fieldio import MAGIC, export_slices_csv, number_text, read_field, write_field
 from flatlayer.manifest import ManifestBuilder, file_sha256, read_manifest
+
+from conftest import assert_slices_parse_back
 
 
 @pytest.fixture()
@@ -75,13 +81,62 @@ def test_read_rejects_truncation(sample_field, tmp_path):
 def test_csv_slice_export(sample_field, tmp_path):
     paths = export_slices_csv(sample_field, tmp_path / "slices", "w")
     g = sample_field.grid
-    assert len(paths) == g.nz
-    lines = paths[0].read_text().splitlines()
-    assert lines[0] == "x,y,re,im"
-    assert len(lines) == 1 + g.nx * g.ny
-    x, y, re, im = (float(tok) for tok in lines[1].split(","))
-    assert (x, y) == (g.x_coords()[0], g.y_coords()[0])
-    assert complex(re, im) == sample_field.values[0, 0, 0]
+    assert paths == [tmp_path / "slices" / f"w_z{iz:03d}.csv" for iz in range(g.nz)]
+    assert_slices_parse_back(tmp_path / "slices", "w", sample_field)
+    # signed zeros, subnormals and the extremes parse back too
+    values = sample_field.values.copy()
+    values[0, :, 0] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+                       1e-300, -1e300, 0.1, 9.999999999999999e-05, 1e15 + 0.75,
+                       -1.0, 123.0, 1e-7, 2.0**-1074 * 3, -1e22, 7.0]
+    values[1, :, 0] = -0.0
+    edges = fl.ComplexField(g, values)
+    export_slices_csv(edges, tmp_path / "edges", "e")
+    assert_slices_parse_back(tmp_path / "edges", "e", edges)
+
+
+def _widened(x: float) -> str:
+    """The oracle: Python's "%+.16e" with its exponent padded to three digits."""
+    return re.sub(r"e([+-])(\d+)$", lambda m: f"e{m[1]}{int(m[2]):03d}", "%+.16e" % x)
+
+
+def _check_number_text(values):
+    text = number_text(np.asarray(values, dtype=float))
+    assert text.shape == (len(values), 24)
+    rows = [row.tobytes().decode() for row in text]
+    assert rows == [_widened(x) for x in values]
+    parsed = np.array([float(row) for row in rows])
+    assert parsed.tobytes() == np.asarray(values, dtype=float).tobytes()
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_number_text_matches_python_format(x):
+    _check_number_text([x])
+
+
+def test_number_text_random_bit_patterns():
+    rng = np.random.default_rng(15)
+    v = rng.integers(0, 2**64, size=200_000, dtype=np.uint64).view(np.float64)
+    _check_number_text(v[np.isfinite(v)].tolist())
+
+
+def test_number_text_leaves_only_undecidable_entries_to_python(monkeypatch):
+    formatted = []
+
+    def recording(x):
+        formatted.append(x)
+        return python_text(x)
+
+    python_text = fieldio._python_number_text
+    monkeypatch.setattr(fieldio, "_python_number_text", recording)
+    # a subnormal, the smallest normal, values beyond 1e280, and 1e15 + 0.75,
+    # which scales to 10000000000000007.5 exactly: a tie that rounds to even
+    python = [5e-324, -2.2250738585072014e-308, 1e300, -1.7976931348623157e308, 1e15 + 0.75]
+    # zeros, the ends of the scaled range and neighbours of powers of ten; the
+    # double 1e-79 lies below 10**-79 and its 17 digits carry into that decade
+    numpy = [0.0, -0.0, 1e280, -1e-280, 1e-7, np.nextafter(1e-7, 1.0), 9.999999999999999e-05,
+             1e16, np.nextafter(1e16, 0.0), 99999999999999990.0, 0.1, -3.0, 1e-79]
+    _check_number_text(numpy + python)
+    assert formatted == python
 
 
 def test_manifest_inventory(tmp_path):
