@@ -181,10 +181,6 @@ class ComplexField:
             self, "values", _freeze(self.values, self.grid.shape, "field")
         )
 
-    @classmethod
-    def zeros(cls, grid: Grid3D) -> "ComplexField":
-        return cls(grid, np.zeros(grid.shape, dtype=complex))
-
 
 @dataclass(frozen=True)
 class SpectralField:
@@ -200,10 +196,6 @@ class SpectralField:
     def __post_init__(self):
         shape = (self.grid.nx * self.grid.ny, self.grid.nz)
         object.__setattr__(self, "values", _freeze(self.values, shape, "spectrum"))
-
-    @classmethod
-    def zeros(cls, grid: Grid3D) -> "SpectralField":
-        return cls(grid, np.zeros((grid.nx * grid.ny, grid.nz), dtype=complex))
 
 
 def l2_norm(field: ComplexField) -> float:

@@ -26,6 +26,7 @@ class ModeSolveStats:
 
     ranks: np.ndarray  # retained rank per mode
     failed_modes: int  # modes whose solve raised and were zero-filled
+    uncertified_classes: int  # classes whose TSVD sketch failed its certificate
 
     def rank_histogram(self) -> dict[int, int]:
         uniq, counts = np.unique(self.ranks, return_counts=True)
@@ -83,27 +84,30 @@ def solve_modes(
     scale = kernel_xy.column_scale
     v_values = np.zeros((n_modes, scatterer_grid.nz), dtype=complex)
     ranks = np.zeros(n_modes, dtype=int)
-    failed = 0
+    failed = uncertified = 0
     for start, stop in kernel_xy.mode_chunks():
         mats = kernel_xy.mode_matrices(start, stop) * scale[None, None, :]
         # (classes, rows, members)
         rhs = kernel_xy.stack_members(start, stop, w_spec.values).transpose(0, 2, 1)
         try:
-            x, k = solve_mode_block(mats, rhs, reg)
+            x, k, missed = solve_mode_block(mats, rhs, reg)
         except np.linalg.LinAlgError:
             # batched solve failed: fall back per class, zero-filling losers
             x = np.zeros((stop - start, scatterer_grid.nz, rhs.shape[2]), dtype=complex)
             k = np.zeros((stop - start, rhs.shape[2]), dtype=int)
+            missed = 0
             for c in range(stop - start):
                 try:
-                    x[c : c + 1], k[c : c + 1] = solve_mode_block(
+                    x[c : c + 1], k[c : c + 1], one = solve_mode_block(
                         mats[c : c + 1], rhs[c : c + 1], reg
                     )
+                    missed += one
                 except np.linalg.LinAlgError:
                     failed += int(np.count_nonzero(kernel_xy.members[start + c] >= 0))
         kernel_xy.scatter_members(start, stop, x.transpose(0, 2, 1), v_values)
         kernel_xy.scatter_members(start, stop, k, ranks)
-    stats = ModeSolveStats(ranks=ranks, failed_modes=failed)
+        uncertified += missed
+    stats = ModeSolveStats(ranks=ranks, failed_modes=failed, uncertified_classes=uncertified)
     return SpectralField(scatterer_grid, v_values), stats
 
 

@@ -43,9 +43,10 @@ class ManifestBuilder:
         })
 
     def write(self, path: Path) -> None:
+        """Write strict JSON: a nan or infinity raises ValueError before the file is opened."""
+        text = json.dumps(self.data, indent=2, sort_keys=True, allow_nan=False)
         with open(path, "w") as fh:
-            json.dump(self.data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(text + "\n")
 
 
 class ManifestError(ValueError):

@@ -360,18 +360,6 @@ class Phantom:
     amplitude: float = 0.3
     bumps: tuple[Bump, ...] = ()
 
-    @classmethod
-    def three_bumps(cls, amplitude: float = 0.3) -> "Phantom":
-        """The built-in model medium: three small local inhomogeneities."""
-        return cls(
-            amplitude=amplitude,
-            bumps=(
-                Bump(center=(1.0, 2.0, 0.5), radius=0.4, weight=1.0),
-                Bump(center=(4.0, -3.0, 0.5), radius=0.25, weight=2.0, cross_yz=1.5),
-                Bump(center=(-3.0, 0.0, 0.45), radius=0.3, weight=2.5, cross_yz=-1.5),
-            ),
-        )
-
     def __call__(self, x, y, z):
         """Evaluate xi at (broadcastable) coordinates."""
         total = np.zeros(np.broadcast(np.asarray(x), np.asarray(y), np.asarray(z)).shape)

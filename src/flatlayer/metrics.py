@@ -22,8 +22,9 @@ class AccuracyCurve:
     delta: np.ndarray
 
     @property
-    def mean(self) -> float:
-        return float(np.mean(self.delta)) if self.delta.size else float("nan")
+    def mean(self) -> float | None:
+        """Mean over the slices; None for an empty curve."""
+        return float(np.mean(self.delta)) if self.delta.size else None
 
 
 @dataclass(frozen=True)

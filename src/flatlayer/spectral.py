@@ -50,10 +50,6 @@ class ModeLattice:
     def n_modes(self) -> int:
         return self.nx * self.nx
 
-    def magnitude(self) -> np.ndarray:
-        """|Omega| per mode; modes with |Omega| < k0 propagate."""
-        return np.hypot(self.omega1, self.omega2)
-
     def symmetry_classes(self) -> tuple[np.ndarray, np.ndarray]:
         """(rep, class_of): one representative mode per class, and each mode's class.
 

@@ -14,6 +14,34 @@ settings.register_profile("flatlayer", derandomize=True, max_examples=20, deadli
 settings.load_profile("flatlayer")
 
 
+def three_bumps(amplitude=0.3):
+    """The model medium of the presets and the benchmark: three small local
+    inhomogeneities, two of them tilted in (y, z)."""
+    return fl.Phantom(
+        amplitude=amplitude,
+        bumps=(
+            fl.Bump(center=(1.0, 2.0, 0.5), radius=0.4, weight=1.0),
+            fl.Bump(center=(4.0, -3.0, 0.5), radius=0.25, weight=2.0, cross_yz=1.5),
+            fl.Bump(center=(-3.0, 0.0, 0.45), radius=0.3, weight=2.5, cross_yz=-1.5),
+        ),
+    )
+
+
+def complex_zeros(grid):
+    """The zero field on grid."""
+    return fl.ComplexField(grid, np.zeros(grid.shape, dtype=complex))
+
+
+def spectral_zeros(grid):
+    """The zero spectrum on grid."""
+    return fl.SpectralField(grid, np.zeros((grid.nx * grid.ny, grid.nz), dtype=complex))
+
+
+def mode_magnitude(lattice):
+    """|Omega| per mode; modes with |Omega| < k0 propagate."""
+    return np.hypot(lattice.omega1, lattice.omega2)
+
+
 def sample_green_slabs(grid, dz_list, omega):
     """G on every node of grid.centred()'s transverse lattice, origin at node
     (N/2, N/2), for each z-offset; at zero offset the rho = 0 sample is the
@@ -94,7 +122,7 @@ def desk():
     cfg = fl.GridConfig(n_transverse=64, scatterer_nz=31, receiver_nz=31)
     grid_x, grid_y = fl.make_grids(cfg)
     lattice = fl.ModeLattice.for_grid(grid_x)
-    phantom = fl.Phantom.three_bumps(0.3)
+    phantom = three_bumps(0.3)
     sources = fl.SourceSet.line_y(np.arange(-5.0, 5.5, 1.0))
     omega = 2.0
     xi_exact = phantom.sample_on(grid_x)

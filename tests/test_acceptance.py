@@ -13,7 +13,7 @@ import pytest
 import yaml
 
 import flatlayer as fl
-from conftest import reconstruct
+from conftest import mode_magnitude, reconstruct
 from flatlayer.cli import main as cli_main
 from flatlayer.manifest import read_manifest
 from flatlayer.medium import green_spectra
@@ -109,7 +109,7 @@ def test_criterion_2_green_kernel_oracle(desk):
         gx = desk["grid_x"]
         lat = desk["lattice"]
         omega = 2.0
-        prop = np.nonzero(lat.magnitude() < omega)[0]
+        prop = np.nonzero(mode_magnitude(lat) < omega)[0]
 
         def refined(dz, refine=4):
             n = gx.nx * refine

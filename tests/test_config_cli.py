@@ -308,6 +308,8 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     names = [a["name"] for a in manifest["artifacts"]]
     assert names == ["xi_000", "xi_001", "xi_combined"]
     assert set(manifest["rank_stats"]) == {"1", "2"}
+    # M1 = 5 receiver planes: every class is factored in full, none sketched
+    assert all(r["uncertified_classes"] == 0 for r in manifest["rank_stats"].values())
     for name in names:
         # one real, finite xi dump and one slice directory per artifact
         xi = read_field(recon / f"{name}.laf").values
@@ -388,6 +390,25 @@ def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeyp
     assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
     assert np.all(read_field(tmp_path / "d" / "w_000.laf").values == 0)
     assert read_manifest(tmp_path / "d" / "manifest.json")["forward_iterations"] == {"2": 1}
+
+
+def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, monkeypatch):
+    """tiny_config_dict's xi is zero on every slice, so evaluate's accuracy curve
+    is empty: its mean is written as null, never as a NaN."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "d", "--out", "r"]) == 0
+    with pytest.warns(UserWarning, match="empty curve"):
+        assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in a manifest")
+
+    for stage in ("d", "r", "e"):
+        text = (tmp_path / stage / "manifest.json").read_text()
+        manifest = json.loads(text, parse_constant=refuse)
+    assert manifest["summary"]["xi_000"]["mean_delta_l2"] is None
 
 
 def test_cli_overrides(tmp_path, monkeypatch):

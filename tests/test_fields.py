@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flatlayer as fl
+from conftest import complex_zeros, spectral_zeros
 from flatlayer.fields import Grid3D
 
 
@@ -56,7 +57,7 @@ def unit_cell_grid():
 
 def test_l2_norm_zero_field():
     g = unit_cell_grid()
-    assert fl.l2_norm(fl.ComplexField.zeros(g)) == 0.0
+    assert fl.l2_norm(complex_zeros(g)) == 0.0
 
 
 def test_l2_norm_single_node_unit_cells():
@@ -103,14 +104,14 @@ def test_field_rejects_bad_shape_and_nonfinite(tiny_grids):
 
 def test_field_values_immutable(tiny_grids):
     gx, _ = tiny_grids
-    field = fl.ComplexField.zeros(gx)
+    field = complex_zeros(gx)
     with pytest.raises(ValueError):
         field.values[0, 0, 0] = 1.0
 
 
 def test_spectral_field_mode_count(tiny_grids):
     gx, _ = tiny_grids
-    spec = fl.SpectralField.zeros(gx)
+    spec = spectral_zeros(gx)
     assert spec.values.shape == (gx.nx * gx.ny, gx.nz)
     with pytest.raises(ValueError, match="shape"):
         fl.SpectralField(gx, np.zeros((3, 3), dtype=complex))

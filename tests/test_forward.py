@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import flatlayer as fl
+from conftest import spectral_zeros, three_bumps
 from flatlayer.forward import DivergenceError, interaction_spectral
 from flatlayer.medium import trapezoid_weights
 from flatlayer.spectral import forward_slab, inverse_slab
@@ -46,7 +47,7 @@ def test_small_omega_geometric_decay(small_setup):
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
     res = fl.born_iterate(
-        u0, kxx, fl.Phantom.three_bumps(0.3).sample_on(gx), tol=0.0, max_iter=4
+        u0, kxx, three_bumps(0.3).sample_on(gx), tol=0.0, max_iter=4
     )
     r = res.residual_history
     ratios = r[1:] / r[:-1]
@@ -60,7 +61,7 @@ def test_monotone_residual_decay_in_contraction_regime(small_setup):
     omega = 1.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(0.3).sample_on(gx))
+    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx))
     assert res.converged
     assert np.all(np.diff(res.residual_history[1:]) < 0)
 
@@ -71,7 +72,7 @@ def test_divergence_raises(small_setup):
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
     with pytest.raises(DivergenceError, match="omega = 3"):
-        fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(20.0).sample_on(gx))
+        fl.born_iterate(u0, kxx, three_bumps(20.0).sample_on(gx))
 
 
 def test_max_iter_cap_flags_unconverged(small_setup):
@@ -79,7 +80,7 @@ def test_max_iter_cap_flags_unconverged(small_setup):
     omega = 2.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(u0, kxx, fl.Phantom.three_bumps(0.3).sample_on(gx), max_iter=2)
+    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), max_iter=2)
     assert not res.converged
     assert res.iterations == 2
 
@@ -105,7 +106,7 @@ def test_interaction_skips_only_zero_slabs_bitwise(small_setup, case, n_live):
     _, gx, _, _, sources = small_setup
     u0 = fl.incident_field_spectral(sources, gx, 2.0)
     xi = {
-        "three bumps": fl.Phantom.three_bumps(0.3).sample_on(gx),
+        "three bumps": three_bumps(0.3).sample_on(gx),
         "zero": np.zeros(gx.shape),
         "everywhere": 0.1 + 0.2 * np.random.default_rng(3).random(gx.shape),
     }[case]
@@ -124,7 +125,7 @@ def test_scattered_data_zero_interaction(small_setup):
     _, gx, gy, lat, _ = small_setup
     omega = 2.0
     kyx = fl.build_green_kernel(gx, gy, omega, lat)
-    w_spec, w_field = fl.scattered_data(kyx, gy, fl.SpectralField.zeros(gx))
+    w_spec, w_field = fl.scattered_data(kyx, gy, spectral_zeros(gx))
     assert np.all(w_spec.values == 0)
     assert np.all(w_field.values == 0)
 
@@ -170,7 +171,7 @@ def _translated_receiver_data(shift):
     )
     gx, gy = fl.make_grids(cfg)
     lat = fl.ModeLattice.for_grid(gx)
-    base = fl.Phantom.three_bumps(0.3)
+    base = three_bumps(0.3)
     phantom = fl.Phantom(base.amplitude, tuple(
         replace(b, center=(b.center[0] + shift, b.center[1] + shift, b.center[2]))
         for b in base.bumps

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flatlayer as fl
+from conftest import complex_zeros, mode_magnitude, spectral_zeros
 from flatlayer import inverse
 from flatlayer.forward import interaction_spectral
 from flatlayer.medium import trapezoid_weights
@@ -11,7 +12,7 @@ from flatlayer.regularizers import solve_mode_block
 def test_zero_data_gives_zero_interaction(desk):
     gx, gy = desk["grid_x"], desk["grid_y"]
     v_spec, stats = fl.solve_modes(
-        fl.SpectralField.zeros(gy), desk["kernel_xy"], desk["omega"],
+        spectral_zeros(gy), desk["kernel_xy"], desk["omega"],
         fl.RegularizerConfig(), gx,
     )
     assert np.all(v_spec.values == 0)
@@ -28,7 +29,7 @@ def test_forward_then_invert_recovers_rowspace_interaction(desk):
     lat, omega, table = desk["lattice"], desk["omega"], desk["kernel_xy"]
     rng = np.random.default_rng(12)
     mu = trapezoid_weights(gx.z_nodes)
-    prop = np.nonzero(lat.magnitude() < omega)[0]
+    prop = np.nonzero(mode_magnitude(lat) < omega)[0]
     v_values = np.zeros((lat.n_modes, gx.nz), dtype=complex)
     for m in prop:
         c = table.class_of[m]
@@ -110,6 +111,16 @@ def test_class_solves_match_tsvd_per_mode(desk):
         assert err <= 1e-8, (m, err)
 
 
+def test_desk_table_certifies_every_class_at_the_default_cut(desk):
+    """Every class's rank-8 sketch holds its certificate, so no class needs a full SVD."""
+    _, stats = fl.solve_modes(
+        fl.forward_xy(desk["w_field"]), desk["kernel_xy"], desk["omega"],
+        fl.RegularizerConfig(), desk["grid_x"],
+    )
+    assert stats.failed_modes == 0
+    assert stats.uncertified_classes == 0
+
+
 def test_class_solves_meet_tikhonov_normal_equations(desk):
     alpha = 1e-8
     reg = fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=alpha)
@@ -139,7 +150,7 @@ def test_class_solves_keep_discrepancy_ranks_per_mode(desk):
         reg, desk["grid_x"],
     )
     for m in range(mats.shape[0]):
-        _, rank = solve_mode_block(mats[m][None], rhs[m][None, :, None], reg)
+        _, rank, _ = solve_mode_block(mats[m][None], rhs[m][None, :, None], reg)
         assert stats.ranks[m] == rank[0, 0], m
 
 
@@ -182,7 +193,7 @@ def test_inversion_error_grows_with_noise(desk):
 
 def test_recompute_zero_interaction_returns_incident(desk):
     gx = desk["grid_x"]
-    u = fl.recompute_internal_field(fl.SpectralField.zeros(gx), desk["u0"], desk["kernel_xx"])
+    u = fl.recompute_internal_field(spectral_zeros(gx), desk["u0"], desk["kernel_xx"])
     assert np.array_equal(u.values, desk["u0"].values)
 
 
@@ -242,7 +253,7 @@ def test_extract_xi_single_masks_small_field(tiny_grids):
 
 def test_extract_xi_safe_for_identically_zero_field(tiny_grids):
     gx, _ = tiny_grids
-    zero = fl.ComplexField.zeros(gx)
+    zero = complex_zeros(gx)
     ext = fl.extract_xi_single(zero, zero)
     assert np.all(ext.xi == 0)
     assert np.all(np.isfinite(ext.xi))
@@ -280,7 +291,7 @@ def test_extract_xi_lsq_manufactured_multi_frequency(tiny_grids):
 
 def test_extract_xi_lsq_rejects_mismatched_lists(tiny_grids):
     gx, _ = tiny_grids
-    f = fl.ComplexField.zeros(gx)
+    f = complex_zeros(gx)
     with pytest.raises(ValueError, match="matching"):
         fl.extract_xi_lsq([f, f], [f])
     with pytest.raises(ValueError, match="matching"):

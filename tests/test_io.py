@@ -153,3 +153,12 @@ def test_manifest_inventory(tmp_path):
     assert manifest["files"][0]["path"] == "data.bin"
     assert manifest["files"][0]["sha256"] == file_sha256(artifact)
     assert manifest["stage_seconds"]["forward"] == 1.25
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_manifest_refuses_non_finite_numbers(tmp_path, value):
+    builder = ManifestBuilder("evaluate", "abc123")
+    builder.set("summary", {"xi_000": {"mean_delta_l2": value}})
+    with pytest.raises(ValueError):
+        builder.write(tmp_path / "manifest.json")
+    assert not (tmp_path / "manifest.json").exists()  # nothing half written

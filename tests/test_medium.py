@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import flatlayer as fl
-from conftest import fft_green_spectra, incident_per_source
+from conftest import fft_green_spectra, incident_per_source, three_bumps
 from flatlayer.fields import Grid3D
 from flatlayer.medium import green_cell_average, green_spectra, trapezoid_weights
 
@@ -297,7 +297,7 @@ def test_incident_field_matches_per_source_oracle(case, omega):
 
 
 def test_phantom_bump_centers():
-    phantom = fl.Phantom.three_bumps(0.3)
+    phantom = three_bumps(0.3)
     assert phantom(1.0, 2.0, 0.5) == pytest.approx(0.3)
     assert phantom(4.0, -3.0, 0.5) == pytest.approx(0.6)
     assert phantom(-3.0, 0.0, 0.45) == pytest.approx(0.75)
@@ -305,7 +305,7 @@ def test_phantom_bump_centers():
 
 
 def test_phantom_nonnegative_and_compactly_supported():
-    phantom = fl.Phantom.three_bumps(0.3)
+    phantom = three_bumps(0.3)
     rng = np.random.default_rng(1)
     x = rng.uniform(-10, 10, 20000)
     y = rng.uniform(-10, 10, 20000)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import flatlayer as fl
+from conftest import mode_magnitude
 from flatlayer.medium import trapezoid_weights
 from flatlayer.regularizers import solve_mode_block
 
@@ -22,7 +23,7 @@ def random_system(rng, rows, cols):
 
 def solve_one(a, b, reg):
     """Solution and retained rank of one system, solved as a one-system stack."""
-    x, rank = solve_mode_block(np.asarray(a)[None], np.asarray(b)[None, :, None], reg)
+    x, rank, _ = solve_mode_block(np.asarray(a)[None], np.asarray(b)[None, :, None], reg)
     return x[0, :, 0], int(rank[0, 0])
 
 
@@ -232,7 +233,7 @@ def test_solve_mode_block_matches_scalar_tsvd():
     mats = rng.standard_normal((6, 5, 4)) + 1j * rng.standard_normal((6, 5, 4))
     rhs = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
     mats[3] = 0.0  # a dead mode
-    x, ranks = solve_mode_block(mats, rhs[..., None], tsvd(1e-7))
+    x, ranks, _ = solve_mode_block(mats, rhs[..., None], tsvd(1e-7))
     x, ranks = x[..., 0], ranks[:, 0]
     for i in range(6):
         x_one, rank_one = solve_one(mats[i], rhs[i], tsvd(1e-7))
@@ -259,13 +260,13 @@ def test_solve_mode_block_discrepancy_policy():
     mats = rng.standard_normal((3, 6, 6)) + 1j * rng.standard_normal((3, 6, 6))
     x_true = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
     rhs = np.einsum("nij,nj->ni", mats, x_true)
-    x, ranks = solve_mode_block(mats, rhs[..., None], discrepancy(1e-12))
+    x, ranks, _ = solve_mode_block(mats, rhs[..., None], discrepancy(1e-12))
     x = x[..., 0]
     # consistent data and tiny delta: full rank reproduces the solution
     assert np.all(ranks == 6)
     assert np.allclose(x, x_true, rtol=1e-8)
     # delta larger than the data: nothing retained
-    x0, ranks0 = solve_mode_block(mats, rhs[..., None], discrepancy(2.0))
+    x0, ranks0, _ = solve_mode_block(mats, rhs[..., None], discrepancy(2.0))
     assert np.all(ranks0 == 0)
     assert np.all(x0 == 0)
 
@@ -278,7 +279,7 @@ def test_solve_mode_block_columns_match_single_rhs(reg):
     mats[2] = 0.0  # a dead mode
     rhs = rng.standard_normal((5, 7, 4)) + 1j * rng.standard_normal((5, 7, 4))
     rhs[:, :, 3] = 0.0  # a zero-padded column
-    x, ranks = solve_mode_block(mats, rhs, reg)
+    x, ranks, _ = solve_mode_block(mats, rhs, reg)
     assert x.shape == (5, 6, 4) and ranks.shape == (5, 4)
     for i in range(5):
         for j in range(4):
@@ -287,6 +288,88 @@ def test_solve_mode_block_columns_match_single_rhs(reg):
             assert ranks[i, j] == rank_one
     assert np.all(x[:, :, 3] == 0)
     assert np.all(x[2] == 0) and np.all(ranks[2] == 0)
+
+
+def planted_stack(seed, s, n_sys=6, rows=41, n_rhs=3):
+    """Complex stack U diag(s) V^H with random unitary U, V per system, plus data."""
+    rng = np.random.default_rng(seed)
+
+    def unitary(n):
+        return np.linalg.qr(rng.standard_normal((n_sys, n, n))
+                            + 1j * rng.standard_normal((n_sys, n, n)))[0]
+
+    u, v = unitary(rows)[:, :, : s.size], unitary(s.size)
+    mats = (u * s[None, None, :]) @ np.conj(np.transpose(v, (0, 2, 1)))
+    rhs = rng.standard_normal((n_sys, rows, n_rhs)) + 1j * rng.standard_normal((n_sys, rows, n_rhs))
+    return mats, rhs
+
+
+def assert_matches_pinv(mats, rhs, cut, x, ranks):
+    for i in range(mats.shape[0]):
+        s = np.linalg.svd(mats[i], compute_uv=False)
+        assert np.all(ranks[i] == np.count_nonzero(s >= cut * s[0]))
+        want = np.linalg.pinv(mats[i], rcond=cut) @ rhs[i]
+        assert np.linalg.norm(x[i] - want) <= 1e-8 * np.linalg.norm(want)
+
+
+def full_svd_tsvd(matrices, rhs, reg):
+    """The TSVD of solve_mode_block from one full SVD of every system: the
+    reference for the systems that the rank-8 sketch leaves to it."""
+    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    beta = np.conj(np.transpose(u, (0, 2, 1))) @ rhs
+    r = s.shape[1]
+    if reg.selection_policy == "fixed":
+        keep = (s >= reg.tsvd_rel_threshold * s[:, :1])[:, :, None]
+    else:
+        b_norm2 = np.sum(np.abs(rhs) ** 2, axis=1)
+        target2 = (reg.noise_delta ** 2) * b_norm2
+        resid2 = np.maximum(b_norm2[:, None, :] - np.cumsum(np.abs(beta) ** 2, axis=1), 0.0)
+        met = resid2 <= target2[:, None, :]
+        k = np.where(met.any(axis=1), met.argmax(axis=1) + 1, r)
+        k = np.where(b_norm2 <= target2, 0, k)
+        keep = np.arange(r)[None, :, None] < k[:, None, :]
+    keep = np.broadcast_to(keep & (s > 0.0)[:, :, None], beta.shape)
+    coef = np.where(keep, beta / np.where(s > 0.0, s, 1.0)[:, :, None], 0.0)
+    return np.conj(np.transpose(vh, (0, 2, 1))) @ coef, keep.sum(axis=1)
+
+
+# table-like spectrum: three decades per index down to a rounding-level floor
+TABLE_SPECTRUM = np.maximum(10.0 ** (-3.0 * np.arange(41)), 1e-13)
+
+
+@pytest.mark.parametrize("seed", [30, 31, 32])
+@pytest.mark.parametrize("cut", [1e-7, 1e-5])
+def test_sketch_certifies_table_like_spectra_and_matches_pinv(seed, cut):
+    mats, rhs = planted_stack(seed, TABLE_SPECTRUM)
+    x, ranks, uncertified = solve_mode_block(mats, rhs, tsvd(cut))
+    assert uncertified == 0  # every system solved from its certified sketch
+    assert_matches_pinv(mats, rhs, cut, x, ranks)
+
+
+def test_sketch_with_more_kept_values_than_its_rank_falls_back():
+    # 18 values above the 1e-7 cut: the 8th sketched one is kept, so (i) fails
+    mats, rhs = planted_stack(33, np.maximum(10.0 ** (-0.4 * np.arange(41)), 1e-13))
+    x, ranks, uncertified = solve_mode_block(mats, rhs, tsvd(1e-7))
+    assert uncertified == mats.shape[0]
+    assert np.all(ranks == 18)
+    assert_matches_pinv(mats, rhs, 1e-7, x, ranks)
+    assert np.array_equal(x, full_svd_tsvd(mats, rhs, tsvd(1e-7))[0])
+
+
+@pytest.mark.parametrize("shape, reg", [
+    ((41, 8), tsvd()),  # min(M, M1) <= 8: no sketch
+    ((2, 41), tsvd()),  # the thin layer's two receiver planes
+    ((41, 41), discrepancy(1e-7)),  # the discrepancy policy: no sketch
+])
+def test_systems_left_to_the_full_svd_solve_as_before(shape, reg):
+    mats, rhs = planted_stack(34, TABLE_SPECTRUM[: min(shape)], rows=max(shape))
+    if shape[0] < shape[1]:
+        mats = np.conj(np.transpose(mats, (0, 2, 1)))
+        rhs = rhs[:, : shape[0]]
+    x, ranks, uncertified = solve_mode_block(mats, rhs, reg)
+    want_x, want_ranks = full_svd_tsvd(mats, rhs, reg)
+    assert uncertified == 0
+    assert np.array_equal(x, want_x) and np.array_equal(ranks, want_ranks)
 
 
 def test_regularizer_config_validation():
@@ -309,7 +392,7 @@ def test_physical_mode_systems_decay_beyond_k0(desk):
     omega = desk["omega"]
     table = desk["kernel_xy"]
     mu = trapezoid_weights(table.col_z)
-    mag = lat.magnitude()
+    mag = mode_magnitude(lat)
     beyond = np.nonzero((mag > omega) & (mag < omega + 1.5))[0][:6]
     for m in beyond:
         c = table.class_of[m]

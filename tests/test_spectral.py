@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import flatlayer as fl
+from conftest import spectral_zeros
 
 
 def random_field(grid, seed=0):
@@ -83,7 +84,7 @@ def test_on_lattice_plane_wave_single_mode(tiny_grids):
 
 def test_zero_spectrum_gives_zero_field(tiny_grids):
     gx, _ = tiny_grids
-    field = fl.inverse_xy(fl.SpectralField.zeros(gx))
+    field = fl.inverse_xy(spectral_zeros(gx))
     assert np.all(field.values == 0)
 
 
