@@ -4,7 +4,8 @@ Units fix the background sound speed c0 = 1, so the wavenumber equals the
 angular frequency. The free-space outgoing-wave kernel G (green_point) depends
 on node differences only. Its transverse spectrum G_hat(dz, w, Omega) is the slab
 Fourier transform on the centred copy of the (truncated, periodized) transverse
-lattice, computed from one (|x|, |y|) quadrant as a cosine transform since G is even.
+lattice, computed from one (|x|, |y|) quadrant as a cosine transform since G is even,
+with G sampled once per distinct transverse distance of that quadrant.
 Tables store one spectrum row per distinct z-offset, since entries depend on
 z - z' only, and one column per symmetry class of modes; they depend on N,
 the transverse periods, the z nodes and omega, never on where the window sits.
@@ -179,28 +180,39 @@ def trapezoid_weights(z_nodes: np.ndarray) -> np.ndarray:
 def green_spectra(grid: Grid3D, dz: np.ndarray, omega: float, modes: np.ndarray) -> np.ndarray:
     """Transverse spectrum of G for the given modes at each z-offset, shape (dz.size, modes.size).
 
-    G is even in x and y on grid.centred()'s lattice, so it is sampled once per (|x|, |y|) node
-    of one (N/2+1)^2 quadrant (the rho = 0 sample at zero offset is G's disk average over one
-    cell) and the slab transform of mode (|k1|, |k2|) becomes the cosine transform hx*hy *
-    sum_ab w_a w_b q[a, b] cos(2 pi k1 a/N) cos(2 pi k2 b/N), w = 1 at a = 0, N/2 and 2 elsewhere.
+    G is even in x and y on grid.centred()'s lattice, so the slab transform of mode (|k1|, |k2|)
+    is the cosine transform hx*hy * sum_ab w_a w_b q[a, b] cos(2 pi k1 a/N) cos(2 pi k2 b/N)
+    over one (N/2+1)^2 quadrant of nodes, w = 1 at a = 0, N/2 and 2 elsewhere. G depends on
+    rho^2 + dz^2 only, so each offset samples it once per distinct rho^2 of the quadrant (457
+    of 1,089 nodes at N = 64 on a square window; the rho = 0 sample at zero offset is G's disk
+    average over one cell) and gathers the nodes from those samples, in batches of offsets.
     """
     n, half = grid.nx, grid.nx // 2
     centred = grid.centred()
     quadrant = np.r_[half:n, 0]  # |offset| = 0, h, ..., N/2 h
     rho2 = centred.y_coords()[quadrant, None] ** 2 + centred.x_coords()[None, quadrant] ** 2
+    rho2_unique, node = np.unique(rho2, return_inverse=True)  # rho2_unique[0] is the origin's
+    node = node.reshape(rho2.shape)  # (b, a); the inverse's shape differs between numpy versions
     a = np.arange(half + 1)
     cos = np.cos(2 * np.pi * (np.outer(a, a) % n) / n) * np.where(a % half, 2.0, 1.0)  # (k, a)
-    dz = np.asarray(dz, dtype=float)
-    r = np.sqrt(rho2 + dz[:, None, None] ** 2)  # (dz, b, a)
-    singular = np.abs(dz) < 1e-14
-    r[singular, 0, 0] = 1.0  # placeholder, overwritten below
-    q = green_point(r, omega)
-    q[singular, 0, 0] = green_cell_average(grid.hx * grid.hy, omega)
-    # real matrices on interleaved real/imaginary parts, one (N/2+1)^2 product per offset
-    t = (grid.hy * cos @ q.view(float)).view(complex).transpose(0, 2, 1)  # (dz, a, k2)
-    spec = (grid.hx * cos @ np.ascontiguousarray(t).view(float)).view(complex)  # (dz, k1, k2)
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
-    return spec.reshape(dz.size, -1)[:, k[modes // n] * (half + 1) + k[modes % n]]
+    pick = k[modes // n] * (half + 1) + k[modes % n]
+    dz = np.asarray(dz, dtype=float)
+    out = np.empty((dz.size, pick.size), dtype=complex)
+    block = max(1, _GATHER_BYTES // (node.size * out.itemsize))
+    for start in range(0, dz.size, block):
+        d = dz[start:start + block]
+        r = np.sqrt(rho2_unique + d[:, None] ** 2)  # (dz, distinct rho^2)
+        singular = np.abs(d) < 1e-14
+        r[singular, 0] = 1.0  # placeholder, overwritten below
+        g = green_point(r, omega)
+        g[singular, 0] = green_cell_average(grid.hx * grid.hy, omega)
+        q = np.take(g, node, axis=1)  # (dz, b, a)
+        # real matrices on interleaved real/imaginary parts, one (N/2+1)^2 product per offset
+        t = (grid.hy * cos @ q.view(float)).view(complex).transpose(0, 2, 1)  # (dz, a, k2)
+        spec = (grid.hx * cos @ np.ascontiguousarray(t).view(float)).view(complex)  # (dz, k1, k2)
+        out[start:start + block] = spec.reshape(d.size, -1)[:, pick]
+    return out
 
 
 def build_green_kernel(
@@ -213,8 +225,8 @@ def build_green_kernel(
 
     One routine serves both the scatterer-to-scatterer and the scatterer-to-receiver
     tables; the grids must share the transverse lattice. green_spectra works on its
-    centred copy, so shifting the window leaves the table unchanged. Each batch of
-    unique offsets gets the columns of the class representatives only
+    centred copy, so shifting the window leaves the table unchanged. One call of it
+    gives every unique offset the columns of the class representatives only
     (ModeLattice.symmetry_classes).
     """
     if not grid_src.same_transverse_lattice(grid_recv):
@@ -229,11 +241,7 @@ def build_green_kernel(
     offset_index = inverse.reshape(diff.shape).astype(np.intp)
 
     rep, class_of = lattice.symmetry_classes()
-    values = np.empty((offsets.size, rep.size), dtype=complex)
-    block = max(1, _GATHER_BYTES // ((grid_src.nx // 2 + 1) ** 2 * values.itemsize))
-    for start in range(0, offsets.size, block):
-        batch = slice(start, start + block)
-        values[batch] = green_spectra(grid_src, offsets[batch], omega, rep)
+    values = green_spectra(grid_src, offsets, omega, rep)
 
     for arr in (row_z, col_z, offsets, offset_index, values, class_of):
         arr.setflags(write=False)

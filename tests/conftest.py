@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 import flatlayer as fl
-from flatlayer.medium import SOURCE_NODE_TOL, green_cell_average, green_point
+from flatlayer.medium import _GATHER_BYTES, SOURCE_NODE_TOL, green_cell_average, green_point
 from flatlayer.spectral import forward_slab
 
 # property tests replay the same examples on every run and take no timing limit
@@ -63,6 +63,34 @@ def fft_green_spectra(grid, dz_list, omega):
     sample_green_slabs for every mode, shape (n_dz, N*N)."""
     slabs = sample_green_slabs(grid, dz_list, omega)
     return forward_slab(slabs, grid.centred()).reshape(slabs.shape[0], -1)
+
+
+def quadrant_green_spectra(grid, dz_list, omega, modes):
+    """Per-node oracle of medium.green_spectra: G sampled on every node of one
+    (N/2+1)^2 quadrant for each z-offset, cosine-transformed in the same
+    batches of offsets, so that its result is bitwise the same."""
+    n, half = grid.nx, grid.nx // 2
+    centred = grid.centred()
+    quadrant = np.r_[half:n, 0]
+    rho2 = centred.y_coords()[quadrant, None] ** 2 + centred.x_coords()[None, quadrant] ** 2
+    a = np.arange(half + 1)
+    cos = np.cos(2 * np.pi * (np.outer(a, a) % n) / n) * np.where(a % half, 2.0, 1.0)
+    k = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
+    dz_all = np.asarray(dz_list, dtype=float)
+    out = np.empty((dz_all.size, modes.size), dtype=complex)
+    block = max(1, _GATHER_BYTES // (rho2.size * out.itemsize))
+    for start in range(0, dz_all.size, block):
+        dz = dz_all[start:start + block]
+        r = np.sqrt(rho2 + dz[:, None, None] ** 2)
+        singular = np.abs(dz) < 1e-14
+        r[singular, 0, 0] = 1.0  # placeholder, overwritten below
+        q = green_point(r, omega)
+        q[singular, 0, 0] = green_cell_average(grid.hx * grid.hy, omega)
+        t = (grid.hy * cos @ q.view(float)).view(complex).transpose(0, 2, 1)
+        spec = (grid.hx * cos @ np.ascontiguousarray(t).view(float)).view(complex)
+        out[start:start + block] = spec.reshape(dz.size, -1)[:, k[modes // n] * (half + 1)
+                                                              + k[modes % n]]
+    return out
 
 
 def incident_per_source(sources, grid, omega):

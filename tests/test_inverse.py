@@ -220,6 +220,12 @@ def test_recompute_consistent_with_forward_solution(desk):
     u = fl.recompute_internal_field(v, desk["u0"], desk["kernel_xx"])
     num = np.linalg.norm(u.values - desk["forward"].u_spec.values)
     assert num / np.linalg.norm(desk["forward"].u_spec.values) < 1e-6
+    # the exact V comes back as xi_exact through recomputation and extraction, so the
+    # per-mode depth solve is the only source of reconstruction error
+    ext = fl.extract_xi_single(fl.inverse_xy(v), fl.inverse_xy(u))
+    xi = desk["xi_exact"]
+    assert np.max(np.abs(ext.xi - xi)) <= 1e-12 * np.max(np.abs(xi))
+    assert ext.masked_fraction == 0
 
 
 def manufactured_fields(grid, seed=14):

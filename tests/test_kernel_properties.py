@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import flatlayer as fl
-from conftest import fft_green_spectra, sample_green_slabs
+from conftest import fft_green_spectra, quadrant_green_spectra, sample_green_slabs
 from flatlayer.fields import Grid3D
 from flatlayer.medium import green_cell_average, green_point
 from flatlayer.spectral import forward_slab
@@ -31,11 +31,13 @@ def grid_pairs(draw):
 def test_kernel_tables_fold_the_fft_oracle_onto_classes(grids, omega):
     gx, gy = grids
     lat = fl.ModeLattice.for_grid(gx)
-    _, class_of = lat.symmetry_classes()
+    rep, class_of = lat.symmetry_classes()
     # the scatterer table always holds the zero offset, the receiver table may not
     for recv in (gx, gy):
         table = fl.build_green_kernel(gx, recv, omega, lat)
         assert np.array_equal(table.class_of, class_of)
+        # one sample per distinct rho^2 gives bitwise what one sample per node gives
+        assert np.array_equal(table.values, quadrant_green_spectra(gx, table.offsets, omega, rep))
         per_mode = table.values[:, table.class_of]
         # every mode's column is its class column, to the rounding of the transforms;
         # that rounding scales with the whole slab, so each offset is measured against
@@ -54,3 +56,15 @@ def test_kernel_tables_fold_the_fft_oracle_onto_classes(grids, omega):
         diff = per_mode - rest - gx.hx * gx.hy * origin[:, None]
         assert np.max(np.abs(diff) / scale) < 1e-13
         assert zero.any() or recv is gy
+
+
+def test_thick_benchmark_tables_equal_the_per_node_oracle_bitwise():
+    """Both tables of the benchmark's thick geometry (N = 64, M = M1 = 41,
+    receivers in [6.01, 6.5], omega = 2), whose offsets span many batches."""
+    cfg = fl.GridConfig(n_transverse=64, scatterer_nz=41, receiver_z=(6.01, 6.5), receiver_nz=41)
+    gx, gy = fl.make_grids(cfg)
+    lat = fl.ModeLattice.for_grid(gx)
+    rep, _ = lat.symmetry_classes()
+    for recv in (gx, gy):
+        table = fl.build_green_kernel(gx, recv, 2.0, lat)
+        assert np.array_equal(table.values, quadrant_green_spectra(gx, table.offsets, 2.0, rep))
