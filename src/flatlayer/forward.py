@@ -44,28 +44,19 @@ class ForwardResult:
     converged: bool
 
 
-def _interaction_spectral(
+def interaction_spectral(
     u_values: np.ndarray, xi_samples: np.ndarray, grid: Grid3D
 ) -> np.ndarray:
-    """V = F[xi * F^-1[U]] for spectral values of shape (n_modes, nz), transformed
+    """V = F[xi * F^-1[U]] from per-mode values U of shape (n_modes, nz), transformed
     only on the slabs where xi is nonzero somewhere; V is zero on the others."""
-    nz, n = grid.nz, grid.nx
-    live = np.flatnonzero(xi_samples.any(axis=(0, 1)))
-    slabs = inverse_slab(u_values.T.reshape(nz, n, n)[live], grid)
-    slabs *= np.moveaxis(xi_samples[:, :, live], 2, 0)
-    out = np.zeros((n * n, nz), dtype=complex)
-    out[:, live] = forward_slab(slabs, grid).reshape(live.size, n * n).T
-    return out
-
-
-def interaction_spectral(
-    u_spec: SpectralField, xi_samples: np.ndarray
-) -> SpectralField:
-    """Spectrum of the interaction term xi * u from the field spectrum."""
-    grid = u_spec.grid
     if xi_samples.shape != grid.shape:
         raise ValueError("xi samples must live on the field's grid")
-    return SpectralField(grid, _interaction_spectral(u_spec.values, xi_samples, grid))
+    live = np.flatnonzero(xi_samples.any(axis=(0, 1)))
+    slabs = inverse_slab(u_values[:, live], grid)
+    slabs *= np.moveaxis(xi_samples[:, :, live], 2, 0)
+    out = np.zeros(u_values.shape, dtype=complex)
+    out[:, live] = forward_slab(slabs, grid)
+    return out
 
 
 def born_iterate(
@@ -98,8 +89,6 @@ def born_iterate(
     grid = u0_spec.grid
     if kernel_xx.n_rows != grid.nz or kernel_xx.n_cols != grid.nz:
         raise ValueError("kernel table does not cover the scatterer grid")
-    if xi_samples.shape != grid.shape:
-        raise ValueError("xi samples must live on the scatterer grid")
 
     u0 = u0_spec.values
     norm0 = spectral_norm(u0_spec)
@@ -110,7 +99,7 @@ def born_iterate(
     growth = 0
     converged = False
     for _ in range(max_iter):
-        v = _interaction_spectral(u, xi_samples, grid)
+        v = interaction_spectral(u, xi_samples, grid)
         u_next = u0 + kernel_xx.apply(v)
         res = float(np.linalg.norm(u_next - u))
         residuals.append(res)
@@ -137,19 +126,16 @@ def born_iterate(
 
 
 def scattered_data(
-    kernel_xy: GreenKernelTable, recv_grid: Grid3D, v_spec: SpectralField
+    kernel_xy: GreenKernelTable, recv_grid: Grid3D, v_values: np.ndarray
 ) -> tuple[SpectralField, ComplexField]:
     """Receiver-layer data W = w^2 int G_hat(z - z') V dz' from the interaction
-    spectrum V (interaction_spectral).
+    spectrum's per-mode values V (interaction_spectral).
 
     Returns
     -------
     (w_spec, w_field) : spectrum and field of W on the receiver grid.
     """
-    src_grid = v_spec.grid
-    if kernel_xy.n_cols != src_grid.nz or kernel_xy.n_rows != recv_grid.nz:
-        raise ValueError("kernel table shape does not match the grids")
-    w_spec = SpectralField(recv_grid, kernel_xy.apply(v_spec.values))
+    w_spec = SpectralField(recv_grid, kernel_xy.apply(v_values))
     return w_spec, inverse_xy(w_spec)
 
 

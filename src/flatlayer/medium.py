@@ -215,6 +215,14 @@ def green_spectra(grid: Grid3D, dz: np.ndarray, omega: float, modes: np.ndarray)
     return out
 
 
+def check_kernel_grids(grid_src: Grid3D, grid_recv: Grid3D, lattice: ModeLattice) -> None:
+    """Reject grids that do not share one transverse lattice, or a mode lattice not theirs."""
+    if not grid_src.same_transverse_lattice(grid_recv):
+        raise ValueError("source and receiver grids must share the transverse lattice")
+    if (lattice.nx, lattice.hx, lattice.hy) != (grid_src.nx, grid_src.hx, grid_src.hy):
+        raise ValueError("mode lattice does not match the grids")
+
+
 def build_green_kernel(
     grid_src: Grid3D,
     grid_recv: Grid3D,
@@ -229,11 +237,7 @@ def build_green_kernel(
     gives every unique offset the columns of the class representatives only
     (ModeLattice.symmetry_classes).
     """
-    if not grid_src.same_transverse_lattice(grid_recv):
-        raise ValueError("source and receiver grids must share the transverse lattice")
-    if (lattice.nx, lattice.hx, lattice.hy) != (grid_src.nx, grid_src.hx, grid_src.hy):
-        raise ValueError("mode lattice does not match the grids")
-
+    check_kernel_grids(grid_src, grid_recv, lattice)
     row_z = np.asarray(grid_recv.z_nodes, dtype=float)
     col_z = np.asarray(grid_src.z_nodes, dtype=float)
     diff = np.round(row_z[:, None] - col_z[None, :], _OFFSET_DECIMALS)
@@ -299,8 +303,7 @@ def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> S
     check_sources(sources, grid)
     # sampled in a function of its own, so that its temporaries are freed before the
     # transform allocates; kept alive, they raised invert's peak on flbench thin by 3 MiB
-    spec = forward_slab(_incident_slabs(sources, grid, omega), grid)
-    return SpectralField(grid, spec.reshape(grid.nz, grid.nx * grid.ny).T)
+    return SpectralField(grid, forward_slab(_incident_slabs(sources, grid, omega), grid))
 
 
 def _incident_slabs(sources: SourceSet, grid: Grid3D, omega: float) -> np.ndarray:

@@ -5,9 +5,11 @@ Every stage writes its artifacts plus a manifest (JSON, stable key order)
 recording the config hash, wall times, diagnostics, and a checksummed file
 inventory, so any reconstruction can be traced to the exact inputs that
 produced it. Kernel tables are cached on disk keyed by lattice period, z
-nodes and frequency; construction dominates setup cost and the tables are
-reusable across noise levels, regularizer sweeps and window positions.
-Cache files hold every mode's column, tables in memory one per class.
+nodes and frequency, reusable across noise levels, regularizer sweeps and
+window positions. Building a table costs about what loading it does: the
+N=64, M=M1=41 receiver table takes 0.06-0.09 s to build, 0.06-0.10 s to
+save and 0.06-0.09 s to load (processor time, one BLAS thread). Cache
+files hold every mode's column, tables in memory one per class.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from .forward import (ForwardError, ForwardResult, add_noise, born_iterate,
                       interaction_spectral, scattered_data)
 from .inverse import (
     ModeSolveStats,
-    XiExtraction,
     extract_xi_lsq,
     extract_xi_single,
     recompute_internal_field,
@@ -40,6 +41,7 @@ from .medium import (
     _GATHER_BYTES,
     GreenKernelTable,
     build_green_kernel,
+    check_kernel_grids,
     check_sources,
     incident_field_spectral,
 )
@@ -154,6 +156,7 @@ def get_kernel(
     """
     if cache_dir is None:
         return build_green_kernel(src, recv, omega, lattice)
+    check_kernel_grids(src, recv, lattice)  # a cached table is folded by the lattice too
     path = _kernel_cache_path(cache_dir, src, recv, omega)
     table = _load_kernel(path, src, recv, omega, lattice)
     if table is None:
@@ -232,7 +235,8 @@ def forward_frequency(
             f"Born iteration did not converge in {fwd.iterations} iterations "
             f"(omega = {omega}, tol = {config.forward.tol:g})"
         )
-    _, w_field = scattered_data(kernel_xy, grid_y, interaction_spectral(fwd.u_spec, xi))
+    v = interaction_spectral(fwd.u_spec.values, xi, fwd.u_spec.grid)
+    _, w_field = scattered_data(kernel_xy, grid_y, v)
     return fwd, add_noise(w_field, config.delta, seed)
 
 
@@ -315,14 +319,6 @@ def invert_frequency(
     )
 
 
-def _xi_artifact(out: Path, name: str, ext: XiExtraction, grid: Grid3D) -> list[Path]:
-    """Write one xi dump plus its slice CSVs; the paths written."""
-    field = ComplexField(grid, ext.xi.astype(complex))
-    path = out / f"{name}.laf"
-    write_field(field, path)
-    return [path, *export_slices_csv(field, out / f"slices_{name}", name)]
-
-
 def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Path:
     """Reconstruct the coefficient from a synthesize stage's artifacts.
 
@@ -372,53 +368,47 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         )
         manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
 
+    # xi_<tag> per frequency, tagged by its index, then the least-squares combination
+    eps_div = config.extraction.eps_div
+    artifacts = [(f"{i:03d}", inv, extract_xi_single(inv.v_field, inv.u_field, eps_div))
+                 for i, inv in enumerate(inversions)]
+    if config.extraction.combine == "least_squares":
+        ext = extract_xi_lsq([inv.v_field for inv in inversions],
+                             [inv.u_field for inv in inversions], eps_div)
+        artifacts.append(("combined", None, ext))
+
     # every dump is read and inverted before the output directory is made,
     # so a stage that fails on its inputs leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     diag_rows = []
     rank_stats = {}
-    names = []
-    for i, inv in enumerate(inversions):
-        ext = extract_xi_single(inv.v_field, inv.u_field, config.extraction.eps_div)
-        name = f"xi_{i:03d}"
-        names.append(name)
-        written = _xi_artifact(out, name, ext, grid_x)
-        written.append(_write_csv(
-            out / f"rank_hist_{i:03d}.csv",
-            ["rank", "modes"],
-            sorted(inv.stats.rank_histogram().items()),
-        ))
+    for tag, inv, ext in artifacts:
+        field = ComplexField(grid_x, ext.xi.astype(complex))
+        written = [out / f"xi_{tag}.laf"]
+        write_field(field, written[0])
+        written += export_slices_csv(field, out / f"slices_xi_{tag}", f"xi_{tag}")
+        if inv is not None:
+            written.append(_write_csv(
+                out / f"rank_hist_{tag}.csv",
+                ["rank", "modes"],
+                sorted(inv.stats.rank_histogram().items()),
+            ))
+            rank_stats[f"{inv.omega:g}"] = {
+                "min": int(inv.stats.ranks.min()),
+                "median": float(np.median(inv.stats.ranks)),
+                "max": int(inv.stats.ranks.max()),
+                "failed": inv.stats.failed_modes,
+                "uncertified_classes": inv.stats.uncertified_classes,
+            }
         for p in written:
             manifest.add_file(p, out)
-        diag_rows.append(
-            (
-                name,
-                repr(inv.omega),
-                repr(ext.imag_norm),
-                repr(ext.masked_fraction),
-                inv.stats.failed_modes,
-            )
-        )
-        rank_stats[f"{inv.omega:g}"] = {
-            "min": int(inv.stats.ranks.min()),
-            "median": float(np.median(inv.stats.ranks)),
-            "max": int(inv.stats.ranks.max()),
-            "failed": inv.stats.failed_modes,
-            "uncertified_classes": inv.stats.uncertified_classes,
-        }
-
-    if config.extraction.combine == "least_squares":
-        ext = extract_xi_lsq(
-            [inv.v_field for inv in inversions],
-            [inv.u_field for inv in inversions],
-            config.extraction.eps_div,
-        )
-        for p in _xi_artifact(out, "xi_combined", ext, grid_x):
-            manifest.add_file(p, out)
-        names.append("xi_combined")
-        diag_rows.append(
-            ("xi_combined", "all", repr(ext.imag_norm), repr(ext.masked_fraction), 0)
-        )
+        diag_rows.append((
+            f"xi_{tag}",
+            "all" if inv is None else repr(inv.omega),
+            repr(ext.imag_norm),
+            repr(ext.masked_fraction),
+            0 if inv is None else inv.stats.failed_modes,
+        ))
 
     manifest.add_file(_write_csv(
         out / "diagnostics.csv",
@@ -426,7 +416,8 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         diag_rows,
     ), out)
     manifest.set("rank_stats", rank_stats)
-    manifest.set("artifacts", [{"name": name, "file": f"{name}.laf"} for name in names])
+    manifest.set("artifacts", [{"name": f"xi_{tag}", "file": f"xi_{tag}.laf"}
+                               for tag, _, _ in artifacts])
     manifest.write(out / "manifest.json")
     return out
 
@@ -441,7 +432,7 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     artifacts = []
     for entry in recon_manifest["artifacts"]:
         xi_field = read_field(recon_dir / entry["file"])
-        if xi_field.grid.shape != grid_x.shape:
+        if xi_field.grid.content_key() != grid_x.content_key():
             raise ConfigError(f"artifact {entry['name']} grid does not match config")
         artifacts.append((entry["name"], xi_field.values.real))
 

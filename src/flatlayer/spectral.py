@@ -8,7 +8,9 @@ Convention: the forward transform approximates the continuous integral
 continuum units. The inverse carries the matching 1/(2 pi)^2 measure.
 Because the kernel sign is opposite to numpy's fft, the forward transform
 maps onto ifft2 and the inverse onto fft2, with explicit phase factors
-anchoring the lattice origin at (x_min, y_min).
+anchoring the lattice origin at (x_min, y_min). The slab transforms take
+(k, N, N) slabs to per-mode values (N*N, k) and back; no other module
+converts between the two layouts.
 """
 
 from __future__ import annotations
@@ -77,18 +79,19 @@ def _phase_factors(grid: Grid3D) -> tuple[np.ndarray, np.ndarray]:
     return np.exp(1j * w1 * grid.x_min), np.exp(1j * w2 * grid.y_min)
 
 
-def forward_slab(slab: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Transform one (or a batch of) N x N slab(s); last two axes transverse."""
+def forward_slab(slabs: np.ndarray, grid: Grid3D) -> np.ndarray:
+    """Per-mode values (N*N, k) of a batch of k N x N slabs, shape (k, N, N)."""
     n = grid.nx
     px, py = _phase_factors(grid)
-    spec = np.fft.ifft2(slab, axes=(-2, -1)) * (n * n * grid.hx * grid.hy)
+    spec = np.fft.ifft2(slabs, axes=(-2, -1)) * (n * n * grid.hx * grid.hy)
     spec *= px[:, None] * py[None, :]
-    return spec
+    return spec.reshape(slabs.shape[0], n * n).T
 
 
-def inverse_slab(spec: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Inverse of forward_slab on the last two axes."""
+def inverse_slab(values: np.ndarray, grid: Grid3D) -> np.ndarray:
+    """Inverse of forward_slab: the (k, N, N) slabs of per-mode values (N*N, k)."""
     px, py = _phase_factors(grid)
+    spec = values.T.reshape(values.shape[1], grid.nx, grid.ny)
     scaled = spec * (np.conj(px)[:, None] * np.conj(py)[None, :])
     return np.fft.fft2(scaled, axes=(-2, -1)) / (grid.nx * grid.ny * grid.hx * grid.hy)
 
@@ -100,16 +103,9 @@ def forward_xy(field: ComplexField) -> SpectralField:
     transverse transform of the sampled field (Parseval holds under the
     hx*hy / (2 pi)^-2 scaling pair).
     """
-    grid = field.grid
-    slabs = np.moveaxis(field.values, 2, 0)  # (nz, nx, ny)
-    spec = forward_slab(slabs, grid)
-    values = spec.reshape(grid.nz, grid.nx * grid.ny).T
-    return SpectralField(grid, values)
+    return SpectralField(field.grid, forward_slab(np.moveaxis(field.values, 2, 0), field.grid))
 
 
 def inverse_xy(spec: SpectralField) -> ComplexField:
     """Inverse transform; inverse_xy(forward_xy(f)) == f to round-off."""
-    grid = spec.grid
-    slabs = spec.values.T.reshape(grid.nz, grid.nx, grid.ny)
-    out = inverse_slab(slabs, grid)
-    return ComplexField(grid, np.moveaxis(out, 0, 2))
+    return ComplexField(spec.grid, np.moveaxis(inverse_slab(spec.values, spec.grid), 0, 2))

@@ -62,7 +62,7 @@ def fft_green_spectra(grid, dz_list, omega):
     """Full-lattice FFT oracle of medium.green_spectra: the slab transform of
     sample_green_slabs for every mode, shape (n_dz, N*N)."""
     slabs = sample_green_slabs(grid, dz_list, omega)
-    return forward_slab(slabs, grid.centred()).reshape(slabs.shape[0], -1)
+    return forward_slab(slabs, grid.centred()).T
 
 
 def quadrant_green_spectra(grid, dz_list, omega, modes):
@@ -106,7 +106,7 @@ def incident_per_source(sources, grid, omega):
         if r.min() < SOURCE_NODE_TOL:
             raise ValueError(f"source at {tuple(p)} coincides with a grid node")
         slabs += a * green_point(r, omega)
-    return forward_slab(slabs, grid).reshape(grid.nz, grid.nx * grid.ny).T
+    return forward_slab(slabs, grid)
 
 
 def assert_slices_parse_back(directory, stem, field):
@@ -159,7 +159,7 @@ def desk():
     u0 = fl.incident_field_spectral(sources, grid_x, omega)
     fwd = fl.born_iterate(u0, kernel_xx, xi_exact)
     w_spec, w_field = fl.scattered_data(
-        kernel_xy, grid_y, fl.interaction_spectral(fwd.u_spec, xi_exact)
+        kernel_xy, grid_y, fl.interaction_spectral(fwd.u_spec.values, xi_exact, grid_x)
     )
     return {
         "config": cfg,

@@ -65,7 +65,7 @@ def multi_frequency(desk):
             u0 = fl.incident_field_spectral(sources, gx, omega)
             fwd = fl.born_iterate(u0, kxx, xi_exact)
             _, w_field = fl.scattered_data(
-                kxy, gy, fl.interaction_spectral(fwd.u_spec, xi_exact)
+                kxy, gy, fl.interaction_spectral(fwd.u_spec.values, xi_exact, gx)
             )
         iteration_counts[omega] = fwd.iterations
         v_spec, _ = fl.solve_modes(fl.forward_xy(w_field), kxy, omega, reg, gx)
@@ -184,8 +184,8 @@ def test_criterion_4_forward_solver(desk, multi_frequency):
         from flatlayer.forward import interaction_spectral
 
         fwd = desk["forward"]
-        v = interaction_spectral(fwd.u_spec, desk["xi_exact"])
-        rhs = desk["u0"].values + desk["kernel_xx"].apply(v.values)
+        v = interaction_spectral(fwd.u_spec.values, desk["xi_exact"], fwd.u_spec.grid)
+        rhs = desk["u0"].values + desk["kernel_xx"].apply(v)
         residual = np.linalg.norm(rhs - fwd.u_spec.values)
         assert residual <= 10 * 1e-13 * fl.spectral_norm(desk["u0"])
         print(f"\n  iterations: {iterations}, fixed-point residual "
@@ -223,7 +223,7 @@ def test_criterion_7_thin_layer(desk, recon_exact):
         xi_exact = desk["xi_exact"]
         kxy = fl.build_green_kernel(gx, gy, omega, lat)
         _, w_field = fl.scattered_data(
-            kxy, gy, fl.interaction_spectral(desk["forward"].u_spec, xi_exact)
+            kxy, gy, fl.interaction_spectral(desk["forward"].u_spec.values, xi_exact, gx)
         )
         v_spec, _ = fl.solve_modes(
             fl.forward_xy(w_field), kxy, omega, fl.RegularizerConfig(), gx

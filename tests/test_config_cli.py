@@ -385,7 +385,7 @@ def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeyp
     xi = config.phantom.sample_on(grid_x)
     assert not xi.any(axis=(0, 1)).any()  # no slab is transformed
     u0 = fl.incident_field_spectral(config.sources, grid_x, 2.0)
-    assert np.all(fl.interaction_spectral(u0, xi).values == 0)
+    assert np.all(fl.interaction_spectral(u0.values, xi, grid_x) == 0)
     cfg = write_config(tmp_path)
     assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
     assert np.all(read_field(tmp_path / "d" / "w_000.laf").values == 0)
@@ -580,6 +580,24 @@ def test_cli_grid_mismatch_rejected_before_compute(tmp_path, monkeypatch):
         },
     )
     assert main(["invert", "--config", str(other), "--data", "data", "--out", "r"]) == 2
+
+
+def test_cli_evaluate_rejects_artifacts_from_a_shifted_window(tmp_path, monkeypatch):
+    """An xi dump made on a window of the same shape elsewhere is measured at the
+    wrong nodes: evaluate exits 2, as invert does, before making its directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r"]) == 0
+    shifted = tiny_config_dict()
+    shifted["grid"].update(x_bounds=[-5.0, 15.0], y_bounds=[-11.25, 8.75],
+                           scatterer_z=[-0.4, 1.6])
+    other = tmp_path / "shifted.yaml"
+    other.write_text(yaml.safe_dump(shifted))
+    assert main(["invert", "--config", str(other), "--data", "data", "--out", "r2"]) == 2
+    assert main(["evaluate", "--config", str(other), "--recon", "r", "--out", "e"]) == 2
+    assert not (tmp_path / "r2").exists() and not (tmp_path / "e").exists()
+    assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 0
 
 
 def test_cli_bench_smoke(tmp_path, monkeypatch):
@@ -792,6 +810,24 @@ def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):
         assert table.omega == built[recv.nz].omega
 
 
+def test_get_kernel_rejects_a_foreign_lattice_cold_and_warm(tmp_path):
+    """The lattice folds the table's modes onto its classes, so a lattice made for
+    other grids is refused on a cold cache, a warm one, and without a cache."""
+    grid_x, grid_y = fl.make_grids(fl.GridConfig(y_bounds=(-6.0, 6.0), n_transverse=16,
+                                                 scatterer_nz=7, receiver_nz=5))
+    square_x, _ = fl.make_grids(fl.GridConfig(n_transverse=16, scatterer_nz=7, receiver_nz=5))
+    lattice, square = fl.ModeLattice.for_grid(grid_x), fl.ModeLattice.for_grid(square_x)
+    assert (lattice.symmetry_classes()[0].size, square.symmetry_classes()[0].size) == (81, 45)
+    for cache in (None, tmp_path):
+        with pytest.raises(ValueError, match="mode lattice"):
+            pipeline.get_kernel(grid_x, grid_y, 2.0, square, cache)
+    assert not list(tmp_path.iterdir())
+    pipeline.get_kernel(grid_x, grid_y, 2.0, lattice, tmp_path)
+    assert len(list(tmp_path.glob("*.npz"))) == 1
+    with pytest.raises(ValueError, match="mode lattice"):
+        pipeline.get_kernel(grid_x, grid_y, 2.0, square, tmp_path)
+
+
 def test_benchmark_hook_points_exist():
     """Every pipeline attribute the benchmark's tracer wraps exists and is restored."""
     path = ROOT / "flbench" / "spans.py"
@@ -860,3 +896,14 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
     (probe,) = solve["solves"]
     assert probe["omega"] == 2.0 and probe["method"] == "tsvd"
     assert np.all(np.isfinite(probe["x"])) and len(probe["ranks"]) == 2
+
+
+def test_readme_library_snippet_runs():
+    """The README's Library example runs as printed."""
+    readme = (ROOT / "README.md").read_text()
+    snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(snippet, "<README.md Library>", "exec"), namespace)
+    assert namespace["fwd"].converged
+    assert namespace["ext"].xi.shape == namespace["grid_x"].shape
+    assert np.isfinite(namespace["curve"].mean)

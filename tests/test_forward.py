@@ -87,8 +87,8 @@ def test_max_iter_cap_flags_unconverged(small_setup):
 
 def test_fixed_point_certificate(desk):
     fwd = desk["forward"]
-    v = interaction_spectral(fwd.u_spec, desk["xi_exact"])
-    rhs = desk["u0"].values + desk["kernel_xx"].apply(v.values)
+    v = interaction_spectral(fwd.u_spec.values, desk["xi_exact"], fwd.u_spec.grid)
+    rhs = desk["u0"].values + desk["kernel_xx"].apply(v)
     norm0 = fl.spectral_norm(desk["u0"])
     assert np.linalg.norm(rhs - fwd.u_spec.values) <= 10 * 1e-13 * norm0
 
@@ -96,9 +96,9 @@ def test_fixed_point_certificate(desk):
 def full_slab_interaction(u_spec, xi):
     """F[xi * F^-1[U]] with every z-slab transformed, shape (n_modes, nz)."""
     grid = u_spec.grid
-    slabs = inverse_slab(u_spec.values.T.reshape(grid.nz, grid.nx, grid.ny), grid)
+    slabs = inverse_slab(u_spec.values, grid)
     slabs *= np.moveaxis(xi, 2, 0)
-    return forward_slab(slabs, grid).reshape(grid.nz, grid.nx * grid.ny).T
+    return forward_slab(slabs, grid)
 
 
 @pytest.mark.parametrize("case, n_live", [("three bumps", 3), ("zero", 0), ("everywhere", 11)])
@@ -112,7 +112,7 @@ def test_interaction_skips_only_zero_slabs_bitwise(small_setup, case, n_live):
     }[case]
     live = xi.any(axis=(0, 1))
     assert live.sum() == n_live
-    got = interaction_spectral(u0, xi).values
+    got = interaction_spectral(u0.values, xi, gx)
     expected = full_slab_interaction(u0, xi)
     assert np.array_equal(got, expected)
     # bitwise on the slabs that are transformed; the skipped ones are +0.0
@@ -125,7 +125,7 @@ def test_scattered_data_zero_interaction(small_setup):
     _, gx, gy, lat, _ = small_setup
     omega = 2.0
     kyx = fl.build_green_kernel(gx, gy, omega, lat)
-    w_spec, w_field = fl.scattered_data(kyx, gy, spectral_zeros(gx))
+    w_spec, w_field = fl.scattered_data(kyx, gy, spectral_zeros(gx).values)
     assert np.all(w_spec.values == 0)
     assert np.all(w_field.values == 0)
 
@@ -138,12 +138,21 @@ def test_scattered_data_delta_column(small_setup):
     l0 = 4
     values = np.zeros((lat.n_modes, gx.nz), dtype=complex)
     values[:, l0] = 1.0
-    w_spec, _ = fl.scattered_data(kyx, gy, fl.SpectralField(gx, values))
+    w_spec, _ = fl.scattered_data(kyx, gy, values)
     mu = trapezoid_weights(gx.z_nodes)
     mats = kyx.mode_matrices(0, kyx.n_classes)[kyx.class_of]
     for k in range(gy.nz):
         expected = omega ** 2 * mu[l0] * mats[:, k, l0]
         assert np.array_equal(w_spec.values[:, k], expected)
+
+
+def test_scattered_data_rejects_values_off_the_table(small_setup):
+    _, gx, gy, lat, _ = small_setup
+    kyx = fl.build_green_kernel(gx, gy, 2.0, lat)
+    with pytest.raises(ValueError):  # V on the receiver's z nodes, not the table's sources
+        fl.scattered_data(kyx, gy, np.zeros((lat.n_modes, gy.nz), dtype=complex))
+    with pytest.raises(ValueError):  # W on a grid whose z nodes are not the table's rows
+        fl.scattered_data(kyx, gx, np.zeros((lat.n_modes, gx.nz), dtype=complex))
 
 
 def test_scattered_data_linearity(small_setup):
@@ -152,11 +161,10 @@ def test_scattered_data_linearity(small_setup):
     kyx = fl.build_green_kernel(gx, gy, omega, lat)
     rng = np.random.default_rng(3)
     shape = (lat.n_modes, gx.nz)
-    v1 = fl.SpectralField(gx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    v2 = fl.SpectralField(gx, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    v1 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    v2 = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     a, b = 2.0 - 1.0j, -0.5 + 3.0j
-    combo = fl.SpectralField(gx, a * v1.values + b * v2.values)
-    lhs, _ = fl.scattered_data(kyx, gy, combo)
+    lhs, _ = fl.scattered_data(kyx, gy, a * v1 + b * v2)
     w1, _ = fl.scattered_data(kyx, gy, v1)
     w2, _ = fl.scattered_data(kyx, gy, v2)
     rhs = a * w1.values + b * w2.values
@@ -184,7 +192,7 @@ def _translated_receiver_data(shift):
     xi = phantom.sample_on(gx)
     fwd = fl.born_iterate(u0, kxx, xi)
     assert fwd.converged
-    _, w = fl.scattered_data(kxy, gy, interaction_spectral(fwd.u_spec, xi))
+    _, w = fl.scattered_data(kxy, gy, interaction_spectral(fwd.u_spec.values, xi, gx))
     return w.values
 
 

@@ -49,7 +49,7 @@ def test_kernel_tables_fold_the_fft_oracle_onto_classes(grids, omega):
         # average at zero offset and G(|dz|) at every other offset
         slabs = sample_green_slabs(gx, table.offsets, omega)
         slabs[:, gx.nx // 2, gx.ny // 2] = 0.0
-        rest = forward_slab(slabs, gx.centred()).reshape(per_mode.shape)
+        rest = forward_slab(slabs, gx.centred()).T
         zero = table.offsets == 0.0
         origin = np.where(zero, green_cell_average(gx.hx * gx.hy, omega),
                           green_point(np.where(zero, 1.0, np.abs(table.offsets)), omega))
