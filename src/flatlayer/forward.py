@@ -5,11 +5,11 @@ Starting from the incident spectrum U0, the iteration
     U_{n+1} = U0 + w^2 * int G_hat(z - z') F[xi * F^-1[U_n]] dz'
 
 runs per transverse mode, the integral being one GreenKernelTable.apply,
-stopping when the update norm falls below tol * ||U0||. The scattered receiver
-data W follows from the converged interaction term V = F[xi * F^-1[U]] through
-the scatterer-to-receiver kernel table. The inhomogeneity is local, so V is
-transformed only on the z-slabs where xi is nonzero; a zero slab transforms
-to zeros, so skipping it changes no result.
+stopping when the update norm falls below tol * ||U0||. The scattered
+receiver data W follows from the solved field's interaction term
+V = F[xi * F^-1[U]] through the scatterer-to-receiver kernel table. The
+inhomogeneity is local, so V is transformed only on the z-slabs where xi is
+nonzero; a zero slab transforms to zeros, so skipping it changes no result.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from .fields import ComplexField, Grid3D, SpectralField, l2_norm, spectral_norm
 from .medium import GreenKernelTable
 from .spectral import forward_slab, inverse_slab, inverse_xy
 
-# consecutive residual increases tolerated before declaring divergence
+# consecutive update-norm increases that declare divergence
 _GROWTH_LIMIT = 10
 
 
@@ -36,12 +36,11 @@ class DivergenceError(ForwardError):
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Converged internal spectrum plus iteration diagnostics."""
+    """Internal spectrum that met the tolerance, plus iteration diagnostics."""
 
     u_spec: SpectralField
     iterations: int
     residual_history: np.ndarray  # per-iteration update norms ||U_n - U_{n-1}||
-    converged: bool
 
 
 def interaction_spectral(
@@ -66,7 +65,8 @@ def born_iterate(
     tol: float = 1e-13,
     max_iter: int = 1000,
 ) -> ForwardResult:
-    """Fixed-point iteration for the internal field spectrum.
+    """Fixed-point iteration for the internal field spectrum, returned once the
+    update norm meets the tolerance; every other ending raises.
 
     Parameters
     ----------
@@ -79,49 +79,38 @@ def born_iterate(
     tol : float
         Relative stopping tolerance ||U_n - U_{n-1}|| <= tol * ||U0||.
     max_iter : int
-        Iteration cap; reaching it returns converged=False.
+        Iteration cap.
 
     Raises
     ------
     DivergenceError
-        If the update norm grows over 10 consecutive iterations.
+        If the last _GROWTH_LIMIT + 1 update norms strictly increase.
+    ForwardError
+        If max_iter iterations end short of the tolerance.
     """
     grid = u0_spec.grid
     if kernel_xx.n_rows != grid.nz or kernel_xx.n_cols != grid.nz:
         raise ValueError("kernel table does not cover the scatterer grid")
 
     u0 = u0_spec.values
-    norm0 = spectral_norm(u0_spec)
-    threshold = tol * norm0
-
-    u = u0.copy()
+    threshold = tol * spectral_norm(u0_spec)
+    u = u0
     residuals: list[float] = []
-    growth = 0
-    converged = False
     for _ in range(max_iter):
-        v = interaction_spectral(u, xi_samples, grid)
-        u_next = u0 + kernel_xx.apply(v)
-        res = float(np.linalg.norm(u_next - u))
-        residuals.append(res)
+        u_next = u0 + kernel_xx.apply(interaction_spectral(u, xi_samples, grid))
+        residuals.append(float(np.linalg.norm(u_next - u)))
         u = u_next
-        if res <= threshold:
-            converged = True
-            break
-        if len(residuals) > 1 and res > residuals[-2]:
-            growth += 1
-            if growth >= _GROWTH_LIMIT:
-                raise DivergenceError(
-                    f"update norm grew for {growth} consecutive iterations "
-                    f"(omega = {kernel_xx.omega}; scatterer too strong for the Born series)"
-                )
-        else:
-            growth = 0
-
-    return ForwardResult(
-        u_spec=SpectralField(grid, u),
-        iterations=len(residuals),
-        residual_history=np.asarray(residuals),
-        converged=converged,
+        if residuals[-1] <= threshold:
+            return ForwardResult(SpectralField(grid, u), len(residuals), np.asarray(residuals))
+        recent = residuals[-_GROWTH_LIMIT - 1:]
+        if len(recent) > _GROWTH_LIMIT and all(a < b for a, b in zip(recent, recent[1:])):
+            raise DivergenceError(
+                f"update norm grew for {_GROWTH_LIMIT} consecutive iterations "
+                f"(omega = {kernel_xx.omega}; scatterer too strong for the Born series)"
+            )
+    raise ForwardError(
+        f"Born iteration did not converge in {max_iter} iterations "
+        f"(omega = {kernel_xx.omega}, tol = {tol:g})"
     )
 
 

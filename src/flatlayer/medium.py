@@ -350,6 +350,10 @@ class Bump:
     cross_xz: float = 0.0
     cross_yz: float = 0.0
 
+    def __post_init__(self):
+        if not self.radius > 0.0:
+            raise ValueError(f"phantom bump radius must be positive, got {self.radius!r}")
+
     def quadratic_form(self, x, y, z):
         dx = np.asarray(x, dtype=float) - self.center[0]
         dy = np.asarray(y, dtype=float) - self.center[1]

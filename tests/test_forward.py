@@ -1,11 +1,12 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
 import flatlayer as fl
 from conftest import spectral_zeros, three_bumps
-from flatlayer.forward import DivergenceError, interaction_spectral
+from flatlayer.forward import DivergenceError, ForwardError, interaction_spectral
 from flatlayer.medium import trapezoid_weights
 from flatlayer.spectral import forward_slab, inverse_slab
 
@@ -37,7 +38,6 @@ def test_zero_scatterer_converges_in_one_exact_step(small_setup):
     u0 = fl.incident_field_spectral(sources, gx, omega)
     res = fl.born_iterate(u0, kxx, np.zeros(gx.shape))
     assert res.iterations == 1
-    assert res.converged
     assert np.array_equal(res.u_spec.values, u0.values)
 
 
@@ -46,9 +46,8 @@ def test_small_omega_geometric_decay(small_setup):
     omega = 0.1
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(
-        u0, kxx, three_bumps(0.3).sample_on(gx), tol=0.0, max_iter=4
-    )
+    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx))
+    assert res.iterations == 4
     r = res.residual_history
     ratios = r[1:] / r[:-1]
     assert ratios.size >= 2
@@ -62,7 +61,6 @@ def test_monotone_residual_decay_in_contraction_regime(small_setup):
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
     res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx))
-    assert res.converged
     assert np.all(np.diff(res.residual_history[1:]) < 0)
 
 
@@ -80,9 +78,65 @@ def test_max_iter_cap_flags_unconverged(small_setup):
     omega = 2.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), max_iter=2)
-    assert not res.converged
-    assert res.iterations == 2
+    with pytest.raises(ForwardError, match="did not converge in 2 iterations"):
+        fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), max_iter=2)
+
+
+class ScriptedKernel:
+    """Stands in for a scatterer table: apply returns the running sum of a
+    scripted sequence times one unit vector, so with xi = 0 the n-th update
+    norm ||U_n - U_{n-1}|| is exactly the n-th scripted value (and 0 once
+    the script has run out)."""
+
+    def __init__(self, grid, norms, omega=2.5):
+        self.n_rows = self.n_cols = grid.nz
+        self.omega = omega
+        self.totals = np.cumsum(norms, dtype=float)
+        self.unit = np.zeros((grid.nx * grid.ny, grid.nz), dtype=complex)
+        self.unit[0, 0] = 1.0
+        self.calls = 0
+
+    def apply(self, v):
+        self.calls += 1
+        return self.totals[min(self.calls, self.totals.size) - 1] * self.unit
+
+
+def scripted_born(norms, **kwargs):
+    """A ScriptedKernel of the given norms on a tiny grid, and born_iterate
+    with xi = 0 on it, ready to call."""
+    gx, _ = fl.make_grids(fl.GridConfig(n_transverse=4, scatterer_nz=3, receiver_nz=2))
+    u0 = fl.SpectralField(gx, np.ones((gx.nx * gx.ny, gx.nz), dtype=complex))
+    kernel = ScriptedKernel(gx, norms)
+    return kernel, partial(fl.born_iterate, u0, kernel, np.zeros(gx.shape), **kwargs)
+
+
+def test_divergence_counts_consecutive_increases_only():
+    # 9 increases, a decrease (the count restarts), then 10 increases
+    norms = list(range(1, 11)) + [5] + list(range(6, 16))
+    kernel, solve = scripted_born(norms)
+    with pytest.raises(DivergenceError, match="10 consecutive"):
+        solve()
+    assert kernel.calls == len(norms)  # raised on the 10th increase in a row
+
+
+def test_nine_increases_then_convergence_returns():
+    norms = list(range(1, 11)) + [0]
+    kernel, solve = scripted_born(norms)
+    res = solve()
+    assert kernel.calls == res.iterations == len(norms)
+    assert list(res.residual_history) == norms
+
+
+def test_max_iter_cap_raises_with_count_omega_and_tol():
+    # equal norms are no growth, so 12 of them reach the cap and do not diverge
+    kernel, solve = scripted_born([1.0] * 12, max_iter=12)
+    with pytest.raises(ForwardError) as info:
+        solve()
+    assert type(info.value) is ForwardError
+    assert str(info.value) == (
+        "Born iteration did not converge in 12 iterations (omega = 2.5, tol = 1e-13)"
+    )
+    assert kernel.calls == 12
 
 
 def test_fixed_point_certificate(desk):
@@ -191,7 +245,6 @@ def _translated_receiver_data(shift):
     u0 = fl.incident_field_spectral(sources, gx, omega)
     xi = phantom.sample_on(gx)
     fwd = fl.born_iterate(u0, kxx, xi)
-    assert fwd.converged
     _, w = fl.scattered_data(kxy, gy, interaction_spectral(fwd.u_spec.values, xi, gx))
     return w.values
 
