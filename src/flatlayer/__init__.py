@@ -13,7 +13,6 @@ from .fields import (
     SpectralField,
     l2_norm,
     make_grids,
-    spectral_norm,
 )
 from .forward import (
     DivergenceError,

@@ -206,11 +206,3 @@ def l2_norm(field: ComplexField) -> float:
     """
     v = field.values
     return float(np.sqrt(np.sum(np.abs(v) ** 2) * field.grid.cell_volume))
-
-
-def spectral_norm(spec: SpectralField) -> float:
-    """Unweighted Frobenius norm of the spectral value array.
-
-    Used for relative convergence tests where any fixed norm serves.
-    """
-    return float(np.linalg.norm(spec.values))

@@ -1,15 +1,17 @@
 """Iterative spectral solution of the scattering system and receiver-data synthesis.
 
-Starting from the incident spectrum U0, the iteration
+The data depend on the internal field U only through the interaction term
+V = F[xi * F^-1[U]], which is zero on every z-slab where xi vanishes. So the
+system is posed on L, the slabs where xi is nonzero: starting from the
+incident spectrum U0 on L, the iteration
 
-    U_{n+1} = U0 + w^2 * int G_hat(z - z') F[xi * F^-1[U_n]] dz'
+    U_{n+1} = U0 + w^2 * int_L G_hat(z - z') F[xi * F^-1[U_n]] dz'
 
-runs per transverse mode, the integral being one GreenKernelTable.apply,
-stopping when the update norm falls below tol * ||U0||. The scattered
-receiver data W follows from the solved field's interaction term
-V = F[xi * F^-1[U]] through the scatterer-to-receiver kernel table. The
-inhomogeneity is local, so V is transformed only on the z-slabs where xi is
-nonzero; a zero slab transforms to zeros, so skipping it changes no result.
+runs per transverse mode, the integral being one GreenKernelTable.apply of
+the table restricted to L, and stops when the update norm on L falls below
+tol * ||U0 on L||. The receiver data W follow from the solved field's V on L
+through the receiver table's L columns. Since xi vanishes off L, this is the
+whole grid's fixed point, with the same contraction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import ComplexField, Grid3D, SpectralField, l2_norm, spectral_norm
+from .fields import ComplexField, Grid3D, SpectralField, l2_norm
 from .medium import GreenKernelTable
 from .spectral import forward_slab, inverse_slab, inverse_xy
 
@@ -36,9 +38,9 @@ class DivergenceError(ForwardError):
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Internal spectrum that met the tolerance, plus iteration diagnostics."""
+    """Internal field that met the tolerance, plus iteration diagnostics."""
 
-    u_spec: SpectralField
+    u_values: np.ndarray  # per-mode values (n_modes, k) on the slabs iterated on
     iterations: int
     residual_history: np.ndarray  # per-iteration update norms ||U_n - U_{n-1}||
 
@@ -46,38 +48,40 @@ class ForwardResult:
 def interaction_spectral(
     u_values: np.ndarray, xi_samples: np.ndarray, grid: Grid3D
 ) -> np.ndarray:
-    """V = F[xi * F^-1[U]] from per-mode values U of shape (n_modes, nz), transformed
-    only on the slabs where xi is nonzero somewhere; V is zero on the others."""
-    if xi_samples.shape != grid.shape:
-        raise ValueError("xi samples must live on the field's grid")
-    live = np.flatnonzero(xi_samples.any(axis=(0, 1)))
-    slabs = inverse_slab(u_values[:, live], grid)
-    slabs *= np.moveaxis(xi_samples[:, :, live], 2, 0)
-    out = np.zeros(u_values.shape, dtype=complex)
-    out[:, live] = forward_slab(slabs, grid)
-    return out
+    """V = F[xi * F^-1[U]] on k z-slabs, from per-mode values U of shape (n_modes, k)
+    and xi's samples (nx, ny, k) on the same slabs; grid gives the transverse lattice."""
+    if xi_samples.shape != (grid.nx, grid.ny, u_values.shape[1]):
+        raise ValueError("xi samples must live on the field's slabs")
+    slabs = inverse_slab(u_values, grid)
+    slabs *= np.moveaxis(xi_samples, 2, 0)
+    return forward_slab(slabs, grid)
 
 
 def born_iterate(
-    u0_spec: SpectralField,
+    u0: np.ndarray,
     kernel_xx: GreenKernelTable,
     xi_samples: np.ndarray,
+    grid: Grid3D,
     tol: float = 1e-13,
     max_iter: int = 1000,
 ) -> ForwardResult:
-    """Fixed-point iteration for the internal field spectrum, returned once the
-    update norm meets the tolerance; every other ending raises.
+    """Fixed-point iteration for the internal field's per-mode values on k z-slabs,
+    returned once the update norm meets the tolerance; every other ending raises.
 
     Parameters
     ----------
-    u0_spec : SpectralField
-        Incident spectrum on the scatterer grid.
+    u0 : (n_modes, k) complex ndarray
+        Incident per-mode values on the slabs (medium.incident_field_spectral).
     kernel_xx : GreenKernelTable
-        Scatterer-to-scatterer kernel table; its omega is the frequency.
-    xi_samples : (nx, ny, nz) real ndarray
-        Inhomogeneity coefficient on the scatterer grid.
+        Scatterer-to-scatterer table on the same slabs, rows and columns;
+        its omega is the frequency.
+    xi_samples : (nx, ny, k) real ndarray
+        Inhomogeneity coefficient on the slabs.
+    grid : Grid3D
+        Scatterer grid, whose transverse lattice the transforms use.
     tol : float
-        Relative stopping tolerance ||U_n - U_{n-1}|| <= tol * ||U0||.
+        Relative stopping tolerance ||U_n - U_{n-1}|| <= tol * ||U0||, both norms
+        over the slabs: on xi's support L, update norm on L <= tol * ||U0 on L||.
     max_iter : int
         Iteration cap.
 
@@ -88,12 +92,10 @@ def born_iterate(
     ForwardError
         If max_iter iterations end short of the tolerance.
     """
-    grid = u0_spec.grid
-    if kernel_xx.n_rows != grid.nz or kernel_xx.n_cols != grid.nz:
-        raise ValueError("kernel table does not cover the scatterer grid")
+    if kernel_xx.n_rows != u0.shape[1] or kernel_xx.n_cols != u0.shape[1]:
+        raise ValueError("kernel table does not cover the incident field's slabs")
 
-    u0 = u0_spec.values
-    threshold = tol * spectral_norm(u0_spec)
+    threshold = tol * float(np.linalg.norm(u0))
     u = u0
     residuals: list[float] = []
     for _ in range(max_iter):
@@ -101,7 +103,7 @@ def born_iterate(
         residuals.append(float(np.linalg.norm(u_next - u)))
         u = u_next
         if residuals[-1] <= threshold:
-            return ForwardResult(SpectralField(grid, u), len(residuals), np.asarray(residuals))
+            return ForwardResult(u, len(residuals), np.asarray(residuals))
         recent = residuals[-_GROWTH_LIMIT - 1:]
         if len(recent) > _GROWTH_LIMIT and all(a < b for a, b in zip(recent, recent[1:])):
             raise DivergenceError(
@@ -118,7 +120,7 @@ def scattered_data(
     kernel_xy: GreenKernelTable, recv_grid: Grid3D, v_values: np.ndarray
 ) -> tuple[SpectralField, ComplexField]:
     """Receiver-layer data W = w^2 int G_hat(z - z') V dz' from the interaction
-    spectrum's per-mode values V (interaction_spectral).
+    spectrum's per-mode values V (interaction_spectral) on the table's columns.
 
     Returns
     -------

@@ -9,9 +9,12 @@ with G sampled once per distinct transverse distance of that quadrant.
 Tables store one spectrum row per distinct z-offset, since entries depend on
 z - z' only, and one column per symmetry class of modes; they depend on N,
 the transverse periods, the z nodes and omega, never on where the window sits.
-A table is the per-mode operator omega^2 int G_hat(z - z') . dz' of its omega, trapezoid
-weights included (GreenKernelTable.apply, column_scale); every solver stage takes it from there.
-The incident field samples G once per slab and distinct distance of the sources at each height.
+A table may cover index subsets of its grids' z nodes (the slabs where xi is nonzero); it
+carries its columns' trapezoid weights from the full grid, so a subset's end slabs keep their
+interior weight and the subset may have gaps. A table is the per-mode operator
+omega^2 int G_hat(z - z') . dz' of its omega, weights included (GreenKernelTable.apply,
+column_scale); every solver stage takes it from there. The incident field samples G once per
+slab and distinct distance of the sources at each height.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import Grid3D, SpectralField
+from .fields import Grid3D
 from .spectral import ModeLattice, forward_slab
 
 # offsets closer than this are the same physical z-difference
@@ -81,6 +84,7 @@ class GreenKernelTable:
     omega: float
     row_z: np.ndarray  # receiver z-nodes
     col_z: np.ndarray  # source z-nodes
+    col_weights: np.ndarray  # trapezoid weight mu_l of each source node on its full grid
     offsets: np.ndarray  # unique z-differences, shape (n_off,)
     offset_index: np.ndarray  # shape (n_rows, n_cols) -> row of `values`
     values: np.ndarray  # shape (n_off, n_classes)
@@ -143,15 +147,14 @@ class GreenKernelTable:
 
     @property
     def column_scale(self) -> np.ndarray:
-        """omega^2 * mu_l, the factor of column l in every mode's system matrix
-        (mu: trapezoid weights on col_z)."""
-        return self.omega * self.omega * trapezoid_weights(self.col_z)
+        """omega^2 * mu_l, the factor of column l in every mode's system matrix."""
+        return self.omega * self.omega * self.col_weights
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """The discretized operator omega^2 int G_hat(z - z') v(z') dz', per mode.
 
         Computes out[m, k] = omega^2 * sum_l values[offset_index[k, l], class_of[m]]
-        * mu_l * v[m, l] with the trapezoid weights mu on col_z, for every mode
+        * mu_l * v[m, l] with the column weights mu (col_weights), for every mode
         and receiver node, one matrix product per class: v is complex
         (n_modes, n_cols), out complex (n_modes, n_rows).
         """
@@ -159,7 +162,7 @@ class GreenKernelTable:
             raise ValueError(
                 f"expected shape {(self.n_modes, self.n_cols)}, got {v.shape}"
             )
-        vw = v * trapezoid_weights(self.col_z)[None, :]
+        vw = v * self.col_weights[None, :]
         out = np.empty((self.n_modes, self.n_rows), dtype=complex)
         for start, stop in self.mode_chunks():
             stacked = self.stack_members(start, stop, vw).transpose(0, 2, 1)
@@ -228,18 +231,23 @@ def build_green_kernel(
     grid_recv: Grid3D,
     omega: float,
     lattice: ModeLattice,
+    rows: slice | np.ndarray = slice(None),
+    cols: slice | np.ndarray = slice(None),
 ) -> GreenKernelTable:
-    """Tabulate G_hat(z_k - z'_l, omega, Omega) for all needed node pairs.
+    """Tabulate G_hat(z_k - z'_l, omega, Omega) for the receiver nodes
+    grid_recv.z_nodes[rows] and the source nodes grid_src.z_nodes[cols] (all by default).
 
     One routine serves both the scatterer-to-scatterer and the scatterer-to-receiver
-    tables; the grids must share the transverse lattice. green_spectra works on its
+    tables, whole or on a subset of slabs; the grids must share the transverse lattice.
+    Each column keeps its trapezoid weight on grid_src's full z nodes. green_spectra works on its
     centred copy, so shifting the window leaves the table unchanged. One call of it
     gives every unique offset the columns of the class representatives only
     (ModeLattice.symmetry_classes).
     """
     check_kernel_grids(grid_src, grid_recv, lattice)
-    row_z = np.asarray(grid_recv.z_nodes, dtype=float)
-    col_z = np.asarray(grid_src.z_nodes, dtype=float)
+    row_z = grid_recv.z_nodes[rows]
+    col_z = grid_src.z_nodes[cols]
+    col_weights = trapezoid_weights(grid_src.z_nodes)[cols]
     diff = np.round(row_z[:, None] - col_z[None, :], _OFFSET_DECIMALS)
     offsets, inverse = np.unique(diff, return_inverse=True)
     offset_index = inverse.reshape(diff.shape).astype(np.intp)
@@ -247,12 +255,13 @@ def build_green_kernel(
     rep, class_of = lattice.symmetry_classes()
     values = green_spectra(grid_src, offsets, omega, rep)
 
-    for arr in (row_z, col_z, offsets, offset_index, values, class_of):
+    for arr in (row_z, col_z, col_weights, offsets, offset_index, values, class_of):
         arr.setflags(write=False)
     return GreenKernelTable(
         omega=float(omega),
         row_z=row_z,
         col_z=col_z,
+        col_weights=col_weights,
         offsets=offsets,
         offset_index=offset_index,
         values=values,
@@ -293,28 +302,30 @@ def check_sources(sources: SourceSet, grid: Grid3D) -> None:
             raise ValueError(f"source at {tuple(map(float, p))} coincides with a grid node")
 
 
-def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> SpectralField:
-    """Spectrum of the incident field u0 = sum_m A_m G(|x - x_m|) on a grid.
+def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float,
+                            slabs: slice | np.ndarray = slice(None)) -> np.ndarray:
+    """Per-mode values (N*N, k) of the incident field u0 = sum_m A_m G(|x - x_m|) on
+    the k z-slabs grid.z_nodes[slabs] (every slab by default).
 
-    Samples the superposed point-source field on every node, then transforms.
-    A source coinciding with a grid node would make u0 singular there and is
+    Samples the superposed point-source field on those slabs' nodes, then transforms.
+    A source coinciding with a node of grid would make u0 singular there and is
     rejected.
     """
     check_sources(sources, grid)
     # sampled in a function of its own, so that its temporaries are freed before the
     # transform allocates; kept alive, they raised invert's peak on flbench thin by 3 MiB
-    return SpectralField(grid, forward_slab(_incident_slabs(sources, grid, omega), grid))
+    return forward_slab(_incident_slabs(sources, grid, grid.z_nodes[slabs], omega), grid)
 
 
-def _incident_slabs(sources: SourceSet, grid: Grid3D, omega: float) -> np.ndarray:
-    """u0 on every node, shape (nz, nx, ny). Sources at one height share their
-    z-distances, so each such group samples G once per slab and distinct squared
-    transverse distance; each source gathers its nodes from those samples, and
-    the sums run over the sources in their given order."""
+def _incident_slabs(sources: SourceSet, grid: Grid3D, z: np.ndarray, omega: float) -> np.ndarray:
+    """u0 on grid's transverse nodes at heights z, shape (z.size, nx, ny). Sources at
+    one height share their z-distances, so each such group samples G once per slab and
+    distinct squared transverse distance; each source gathers its nodes from those
+    samples, and the sums run over the sources in their given order."""
     x, y = grid.x_coords(), grid.y_coords()
     groups: dict[bytes, list[int]] = {}  # (z - p_z)^2 column -> its sources
     for s, p in enumerate(sources.positions):
-        groups.setdefault(((grid.z_nodes - p[2]) ** 2).tobytes(), []).append(s)
+        groups.setdefault(((z - p[2]) ** 2).tobytes(), []).append(s)
     tables = []  # per group: (z - p_z)^2 and the distinct squared transverse distances
     gather = [None] * len(sources.amplitudes)  # per source: (group, node -> distance index)
     for g, (dz2, members) in enumerate(groups.items()):
@@ -324,8 +335,8 @@ def _incident_slabs(sources: SourceSet, grid: Grid3D, omega: float) -> np.ndarra
         tables.append((np.frombuffer(dz2), rho2_unique))
         for s, idx in zip(members, inverse.reshape(rho2.shape)):
             gather[s] = (g, idx)
-    slabs = np.zeros((grid.nz, grid.nx, grid.ny), dtype=complex)
-    for k in range(grid.nz):
+    slabs = np.zeros((z.size, grid.nx, grid.ny), dtype=complex)
+    for k in range(z.size):
         samples = [green_point(np.sqrt(rho2_unique + dz2[k]), omega)
                    for dz2, rho2_unique in tables]
         for (g, idx), a in zip(gather, sources.amplitudes):

@@ -4,12 +4,16 @@ and timing benchmarks.
 Every stage writes its artifacts plus a manifest (JSON, stable key order)
 recording the config hash, wall times, diagnostics, and a checksummed file
 inventory, so any reconstruction can be traced to the exact inputs that
-produced it. Kernel tables are cached on disk keyed by lattice period, z
-nodes and frequency, reusable across noise levels, regularizer sweeps and
-window positions. Building a table costs about what loading it does: the
-N=64, M=M1=41 receiver table takes 0.06-0.09 s to build, 0.06-0.10 s to
-save and 0.06-0.09 s to load (processor time, one BLAS thread). Cache
-files hold every mode's column, tables in memory one per class.
+produced it. Synthesis works on L, the z-slabs where xi is nonzero: it
+builds the scatterer table's L rows and columns and the receiver table's L
+columns (never cached, as they depend on xi), and iterates on L until the
+update norm on L is <= tol * ||U0 on L||. Inversion and the timing sweep
+use the full tables, cached on disk keyed by lattice period, z nodes and
+frequency, reusable across noise levels, regularizer sweeps and window
+positions. Building a table costs about what loading it does: the N=64,
+M=M1=41 receiver table takes 0.06-0.09 s to build, 0.06-0.10 s to save and
+0.06-0.09 s to load (processor time, one BLAS thread). Cache files hold
+every mode's column, tables in memory one per class.
 """
 
 from __future__ import annotations
@@ -43,14 +47,16 @@ from .medium import (
     check_kernel_grids,
     check_sources,
     incident_field_spectral,
+    trapezoid_weights,
 )
 from .metrics import TimingRecord, localization_report, slice_relative_error, timing_fit
 from .regularizers import RegularizerConfig
 from .runconfig import ConfigError, RunConfig
 from .spectral import ModeLattice, SpectralField, forward_xy, inverse_xy
 
-# timed passes per N in run_bench, after one untimed warm-up pass
+# run_bench times each N at least this many passes and seconds, after one untimed warm-up pass
 _BENCH_PASSES = 3
+_BENCH_SECONDS = 0.2
 # arrays of a cached kernel table, in GreenKernelTable field order
 _TABLE_KEYS = ("omega", "row_z", "col_z", "offsets", "offset_index", "values")
 
@@ -119,7 +125,8 @@ def _load_kernel(
             zipfile.BadZipFile):
         return None
     arrays["omega"] = float(arrays["omega"])
-    return GreenKernelTable(**arrays, class_of=class_of)
+    return GreenKernelTable(**arrays, col_weights=trapezoid_weights(src.z_nodes),
+                            class_of=class_of)
 
 
 def _save_kernel(path: Path, table: GreenKernelTable) -> None:
@@ -210,27 +217,51 @@ def frequency_tables(
     """Scatterer and receiver kernel tables plus the incident spectrum at omega."""
     kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
     kernel_xy = get_kernel(grid_x, grid_y, omega, lattice, cache)
-    u0 = incident_field_spectral(config.sources, grid_x, omega)
+    u0 = SpectralField(grid_x, incident_field_spectral(config.sources, grid_x, omega))
     return kernel_xx, kernel_xy, u0
+
+
+SupportTables = tuple[GreenKernelTable, GreenKernelTable, np.ndarray]
+
+
+def support_tables(
+    config: RunConfig,
+    omega: float,
+    grid_x: Grid3D,
+    grid_y: Grid3D,
+    lattice: ModeLattice,
+    support: np.ndarray,
+) -> SupportTables:
+    """K_LL, K_yL and U0 on L at omega, L being the scatterer slabs support: the
+    scatterer table's L rows and columns, every receiver row's L columns, and the
+    incident per-mode values on L."""
+    kernel_ll = build_green_kernel(grid_x, grid_x, omega, lattice, rows=support, cols=support)
+    kernel_yl = build_green_kernel(grid_x, grid_y, omega, lattice, cols=support)
+    u0 = incident_field_spectral(config.sources, grid_x, omega, support)
+    return kernel_ll, kernel_yl, u0
 
 
 def forward_frequency(
     config: RunConfig,
-    tables: FrequencyTables,
+    tables: SupportTables,
+    grid_x: Grid3D,
     grid_y: Grid3D,
-    xi: np.ndarray,
+    xi_support: np.ndarray,
     seed: int,
 ) -> tuple[ForwardResult, ComplexField]:
-    """Born solve and (optionally noisy) receiver data for one frequency."""
-    kernel_xx, kernel_xy, u0 = tables
-    fwd = born_iterate(u0, kernel_xx, xi, tol=config.forward.tol, max_iter=config.forward.max_iter)
-    v = interaction_spectral(fwd.u_spec.values, xi, fwd.u_spec.grid)
-    _, w_field = scattered_data(kernel_xy, grid_y, v)
+    """Born solve on L and (optionally noisy) receiver data for one frequency,
+    from support_tables and xi's samples on L, shape (nx, ny, |L|)."""
+    kernel_ll, kernel_yl, u0 = tables
+    fwd = born_iterate(u0, kernel_ll, xi_support, grid_x,
+                       tol=config.forward.tol, max_iter=config.forward.max_iter)
+    v = interaction_spectral(fwd.u_values, xi_support, grid_x)
+    _, w_field = scattered_data(kernel_yl, grid_y, v)
     return fwd, add_noise(w_field, config.delta, seed)
 
 
 def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
-    """Forward-solve each frequency and write (optionally noisy) data dumps.
+    """Forward-solve each frequency on xi's support and write (optionally noisy)
+    data dumps.
 
     One W dump per frequency; deterministic given config and seed. Every
     frequency is solved before anything is written, so a Born divergence
@@ -241,20 +272,25 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     grid_x, grid_y = make_grids(config.grid)
     lattice = ModeLattice.for_grid(grid_x)
     xi = config.phantom.sample_on(grid_x)
-    cache = _cache_dir(config)
+    support = np.flatnonzero(xi.any(axis=(0, 1)))
+    xi_support = xi[:, :, support]
 
     manifest = ManifestBuilder("synthesize", config.config_hash())
     manifest.set("grid_x", grid_x.content_key())
     manifest.set("grid_y", grid_y.content_key())
     manifest.set("noise", {"delta": config.delta, "seed": config.seed})
+    z = grid_x.z_nodes[support]
+    manifest.set("forward_support", {"slabs": int(support.size), "of": grid_x.nz,
+                                     "z": [float(z[0]), float(z[-1])] if z.size else None})
     solved = []
     for i, omega in enumerate(config.frequencies):
         t0 = time.perf_counter()
-        tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
+        tables = support_tables(config, omega, grid_x, grid_y, lattice, support)
         manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        solved.append(forward_frequency(config, tables, grid_y, xi, config.seed + i))
+        solved.append(forward_frequency(config, tables, grid_x, grid_y, xi_support,
+                                        config.seed + i))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -455,9 +491,12 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
 def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path) -> Path:
     """Time the inverse solve over a sweep of transverse sizes N.
 
-    Each N gets one untimed warm-up pass, so first-call costs do not weigh
-    on the short runs, and records the fastest of _BENCH_PASSES timed
-    passes. Writes the timing table and the fitted power law t = t0 * N^p.
+    Every N is prepared first, with one untimed warm-up pass so that
+    first-call costs do not weigh on the short runs. The timed passes then
+    go round-robin over the N values until each has at least _BENCH_PASSES
+    passes and _BENCH_SECONDS of them, so that one slow spell of the machine
+    cannot cover all passes of a short N; each N records its fastest pass.
+    Writes the timing table and the fitted power law t = t0 * N^p.
     """
     n_list = list(n_values) if n_values is not None else list(config.bench_n)
     if not n_list:
@@ -473,39 +512,40 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestBuilder("bench", config.config_hash())
-    records = []
     cache = _cache_dir(config)
-    for n, (grid_x, grid_y) in zip(n_list, grids):
+
+    def invert_pass(grid_x: Grid3D, frequencies: list) -> float:
+        # mode solves, recomputation and extraction on prebuilt tables
+        t0 = time.perf_counter()
+        invs = [invert_frequency(w_spec, omega, tables, config.regularizer, grid_x)
+                for omega, tables, w_spec in frequencies]
+        extract_xi_lsq([inv.v_field for inv in invs], [inv.u_field for inv in invs],
+                       config.extraction.eps_div)
+        return time.perf_counter() - t0
+
+    prepared = []
+    for grid_x, grid_y in grids:
         # the sweep times the inversion only: no bump is localized on these grids
         lattice = ModeLattice.for_grid(grid_x)
         xi = config.phantom.sample_on(grid_x)
-        prepared = []
+        support = np.flatnonzero(xi.any(axis=(0, 1)))
+        frequencies = []
         for omega in config.frequencies:
+            synth = support_tables(config, omega, grid_x, grid_y, lattice, support)
+            _, w_field = forward_frequency(config, synth, grid_x, grid_y, xi[:, :, support],
+                                           config.seed)
             tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
-            _, w_field = forward_frequency(config, tables, grid_y, xi, config.seed)
-            prepared.append((omega, tables, forward_xy(w_field)))
+            frequencies.append((omega, tables, forward_xy(w_field)))
+        invert_pass(grid_x, frequencies)  # warm-up
+        prepared.append((grid_x, frequencies))
 
-        # timed: mode solves, recomputation and extraction on prebuilt tables,
-        # after one untimed warm-up pass, as the fastest of _BENCH_PASSES passes
-        seconds = []
-        for _ in range(1 + _BENCH_PASSES):
-            t0 = time.perf_counter()
-            invs = [
-                invert_frequency(w_spec, omega, tables, config.regularizer, grid_x)
-                for omega, tables, w_spec in prepared
-            ]
-            extract_xi_lsq(
-                [inv.v_field for inv in invs],
-                [inv.u_field for inv in invs],
-                config.extraction.eps_div,
-            )
-            seconds.append(time.perf_counter() - t0)
-        records.append(
-            TimingRecord(
-                n=n, m=config.grid.scatterer_nz, m1=config.grid.receiver_nz,
-                seconds=min(seconds[1:]),
-            )
-        )
+    seconds: list[list[float]] = [[] for _ in prepared]
+    while pending := [i for i, s in enumerate(seconds)
+                      if len(s) < _BENCH_PASSES or sum(s) < _BENCH_SECONDS]:
+        for i in pending:
+            seconds[i].append(invert_pass(*prepared[i]))
+    records = [TimingRecord(n=n, m=config.grid.scatterer_nz, m1=config.grid.receiver_nz,
+                            seconds=min(s)) for n, s in zip(n_list, seconds)]
 
     manifest.add_file(_write_csv(
         out / "timing.csv",

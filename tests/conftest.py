@@ -6,7 +6,7 @@ from hypothesis import settings
 
 import flatlayer as fl
 from flatlayer.medium import _GATHER_BYTES, SOURCE_NODE_TOL, green_cell_average, green_point
-from flatlayer.spectral import forward_slab
+from flatlayer.spectral import forward_slab, inverse_slab
 
 # property tests replay the same examples on every run and take no timing limit
 settings.register_profile("flatlayer", derandomize=True, max_examples=20, deadline=None,
@@ -109,6 +109,33 @@ def incident_per_source(sources, grid, omega):
     return forward_slab(slabs, grid)
 
 
+def full_grid_born_data(config, omega):
+    """Reference for synthesis on xi's support: config's receiver data at omega from
+    the Born iteration on every scatterer slab, with the full tables and the whole
+    grid's stopping rule ||U_n - U_{n-1}|| <= tol * ||U0||. Returns W's values,
+    shape (N, N, M1), and the number of iterations."""
+    gx, gy = fl.make_grids(config.grid)
+    lattice = fl.ModeLattice.for_grid(gx)
+    xi = config.phantom.sample_on(gx)
+    kxx = fl.build_green_kernel(gx, gx, omega, lattice)
+    kxy = fl.build_green_kernel(gx, gy, omega, lattice)
+    u0 = fl.incident_field_spectral(config.sources, gx, omega)
+
+    def interaction(u):
+        slabs = inverse_slab(u, gx)
+        slabs *= np.moveaxis(xi, 2, 0)
+        return forward_slab(slabs, gx)
+
+    u, threshold = u0, config.forward.tol * np.linalg.norm(u0)
+    for iterations in range(1, config.forward.max_iter + 1):
+        u_next = u0 + kxx.apply(interaction(u))
+        step, u = np.linalg.norm(u_next - u), u_next
+        if step <= threshold:
+            break
+    _, w = fl.scattered_data(kxy, gy, interaction(u))
+    return w.values, iterations
+
+
 def assert_slices_parse_back(directory, stem, field):
     """The slice CSVs of field: one per z-slice of exactly 11 + 101 * N^2 bytes,
     the header x,y,re,im and ix-major rows of 99 bytes plus CRLF whose numbers
@@ -142,7 +169,8 @@ def tiny_grids():
 
 @pytest.fixture(scope="session")
 def desk():
-    """Desk-scale bundle at omega = 2: grids, kernels, forward solve, data.
+    """Desk-scale bundle at omega = 2: grids, full kernel tables, forward solve on
+    every slab, data.
 
     Shared by the forward/inverse/regularizer tests and the acceptance
     suite; computed once per session.
@@ -156,10 +184,11 @@ def desk():
     xi_exact = phantom.sample_on(grid_x)
     kernel_xx = fl.build_green_kernel(grid_x, grid_x, omega, lattice)
     kernel_xy = fl.build_green_kernel(grid_x, grid_y, omega, lattice)
-    u0 = fl.incident_field_spectral(sources, grid_x, omega)
-    fwd = fl.born_iterate(u0, kernel_xx, xi_exact)
+    u0 = fl.SpectralField(grid_x, fl.incident_field_spectral(sources, grid_x, omega))
+    # on every slab, so that the inverse tests have the whole internal field
+    fwd = fl.born_iterate(u0.values, kernel_xx, xi_exact, grid_x)
     w_spec, w_field = fl.scattered_data(
-        kernel_xy, grid_y, fl.interaction_spectral(fwd.u_spec.values, xi_exact, grid_x)
+        kernel_xy, grid_y, fl.interaction_spectral(fwd.u_values, xi_exact, grid_x)
     )
     return {
         "config": cfg,

@@ -62,10 +62,10 @@ def multi_frequency(desk):
         else:
             kxx = fl.build_green_kernel(gx, gx, omega, lat)
             kxy = fl.build_green_kernel(gx, gy, omega, lat)
-            u0 = fl.incident_field_spectral(sources, gx, omega)
-            fwd = fl.born_iterate(u0, kxx, xi_exact)
+            u0 = fl.SpectralField(gx, fl.incident_field_spectral(sources, gx, omega))
+            fwd = fl.born_iterate(u0.values, kxx, xi_exact, gx)
             _, w_field = fl.scattered_data(
-                kxy, gy, fl.interaction_spectral(fwd.u_spec.values, xi_exact, gx)
+                kxy, gy, fl.interaction_spectral(fwd.u_values, xi_exact, gx)
             )
         iteration_counts[omega] = fwd.iterations
         v_spec, _ = fl.solve_modes(fl.forward_xy(w_field), kxy, omega, reg, gx)
@@ -174,9 +174,10 @@ def test_criterion_3_regularizer_oracles():
 def test_criterion_4_forward_solver(desk, multi_frequency):
     with criterion(4, "forward solver: exact one-step, omega ordering, fixed point", budget=300.0):
         gx = desk["grid_x"]
-        res0 = fl.born_iterate(desk["u0"], desk["kernel_xx"], np.zeros(gx.shape))
+        u0 = desk["u0"].values
+        res0 = fl.born_iterate(u0, desk["kernel_xx"], np.zeros(gx.shape), gx)
         assert res0.iterations == 1
-        assert np.array_equal(res0.u_spec.values, desk["u0"].values)
+        assert np.array_equal(res0.u_values, u0)
 
         _, _, iterations = multi_frequency
         assert iterations[1.0] < iterations[2.0] < iterations[3.0], iterations
@@ -184,12 +185,12 @@ def test_criterion_4_forward_solver(desk, multi_frequency):
         from flatlayer.forward import interaction_spectral
 
         fwd = desk["forward"]
-        v = interaction_spectral(fwd.u_spec.values, desk["xi_exact"], fwd.u_spec.grid)
-        rhs = desk["u0"].values + desk["kernel_xx"].apply(v)
-        residual = np.linalg.norm(rhs - fwd.u_spec.values)
-        assert residual <= 10 * 1e-13 * fl.spectral_norm(desk["u0"])
+        v = interaction_spectral(fwd.u_values, desk["xi_exact"], gx)
+        rhs = u0 + desk["kernel_xx"].apply(v)
+        residual = np.linalg.norm(rhs - fwd.u_values)
+        assert residual <= 10 * 1e-13 * np.linalg.norm(u0)
         print(f"\n  iterations: {iterations}, fixed-point residual "
-              f"{residual / fl.spectral_norm(desk['u0']):.2e} of ||U0||")
+              f"{residual / np.linalg.norm(u0):.2e} of ||U0||")
 
 
 def test_criterion_5_end_to_end_thick_layer(desk, recon_exact):
@@ -223,7 +224,7 @@ def test_criterion_7_thin_layer(desk, recon_exact):
         xi_exact = desk["xi_exact"]
         kxy = fl.build_green_kernel(gx, gy, omega, lat)
         _, w_field = fl.scattered_data(
-            kxy, gy, fl.interaction_spectral(desk["forward"].u_spec.values, xi_exact, gx)
+            kxy, gy, fl.interaction_spectral(desk["forward"].u_values, xi_exact, gx)
         )
         v_spec, _ = fl.solve_modes(
             fl.forward_xy(w_field), kxy, omega, fl.RegularizerConfig(), gx

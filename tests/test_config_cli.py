@@ -383,13 +383,15 @@ def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeyp
     config = config_from_dict(tiny_config_dict())
     grid_x, _ = fl.make_grids(config.grid)
     xi = config.phantom.sample_on(grid_x)
-    assert not xi.any(axis=(0, 1)).any()  # no slab is transformed
+    assert not xi.any(axis=(0, 1)).any()  # the support is empty
     u0 = fl.incident_field_spectral(config.sources, grid_x, 2.0)
-    assert np.all(fl.interaction_spectral(u0.values, xi, grid_x) == 0)
+    assert np.all(fl.interaction_spectral(u0, xi, grid_x) == 0)
     cfg = write_config(tmp_path)
     assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
     assert np.all(read_field(tmp_path / "d" / "w_000.laf").values == 0)
-    assert read_manifest(tmp_path / "d" / "manifest.json")["forward_iterations"] == {"000": 1}
+    manifest = read_manifest(tmp_path / "d" / "manifest.json")
+    assert manifest["forward_iterations"] == {"000": 1}
+    assert manifest["forward_support"] == {"slabs": 0, "of": 7, "z": None}
 
 
 def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, monkeypatch):
@@ -731,39 +733,45 @@ def test_cli_malformed_manifest_entries_exit_code(staged_run, tmp_path, monkeypa
 
 
 def test_shifted_window_reuses_kernel_cache(tmp_path, monkeypatch):
+    """invert reads the full tables from the cache; synthesize builds its own for
+    xi's support and neither reads nor writes the cache."""
     monkeypatch.chdir(tmp_path)
     output = {"kernel_cache": True, "kernel_cache_dir": "cache"}
-    cfg = write_config(tmp_path, output=output)
+    cfg = write_config(tmp_path, output=output, phantom=NODE_BUMP)
     assert main(["synthesize", "--config", str(cfg), "--out", "centred"]) == 0
+    assert not (tmp_path / "cache").exists()
+    assert main(["invert", "--config", str(cfg), "--data", "centred", "--out", "rc"]) == 0
     tables = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
     assert len(tables) == 2
-    shifted = tiny_config_dict(output=output)
+    shifted = tiny_config_dict(output=output, phantom=NODE_BUMP)
     shifted["grid"].update(x_bounds=[-5.0, 15.0], y_bounds=[-11.25, 8.75])
     cfg = tmp_path / "shifted.yaml"
     cfg.write_text(yaml.safe_dump(shifted))
+    assert main(["synthesize", "--config", str(cfg), "--out", "shifted"]) == 0
 
     def rebuild(*args):
         raise AssertionError("a shifted window rebuilt a cached kernel table")
 
     monkeypatch.setattr(pipeline, "build_green_kernel", rebuild)
-    assert main(["synthesize", "--config", str(cfg), "--out", "shifted"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "shifted", "--out", "rs"]) == 0
     assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == tables
 
 
 def test_cli_corrupt_kernel_cache_is_rebuilt(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = write_config(
-        tmp_path, output={"kernel_cache": True, "kernel_cache_dir": "cache"}
+        tmp_path, output={"kernel_cache": True, "kernel_cache_dir": "cache"}, phantom=NODE_BUMP
     )
-    assert main(["synthesize", "--config", str(cfg), "--out", "fresh"]) == 0
+    assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "fresh"]) == 0
     tables = sorted((tmp_path / "cache").glob("*.npz"))
     assert len(tables) == 2
     tables[0].write_bytes(tables[0].read_bytes()[:-100])  # truncated zip
     tables[1].write_bytes(b"not a table")
     for out in ("healed", "warm"):
-        assert main(["synthesize", "--config", str(cfg), "--out", out]) == 0
-        assert (tmp_path / out / "w_000.laf").read_bytes() == (
-            tmp_path / "fresh" / "w_000.laf"
+        assert main(["invert", "--config", str(cfg), "--data", "data", "--out", out]) == 0
+        assert (tmp_path / out / "xi_000.laf").read_bytes() == (
+            tmp_path / "fresh" / "xi_000.laf"
         ).read_bytes()
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
         p.name for p in tables
@@ -900,12 +908,17 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
     try:
         tracer.call("setup", flbench["child"].setup, traced)
         tracer.context = "tsvd"
+        start = len(tracer.spans)
         assert main(["synthesize", "--config", traced, "--out", "data"]) == 0
+        synthesize = [s["name"] for s in tracer.spans[start:]]
         assert main(["invert", "--config", traced, "--data", "data", "--out", "recon"]) == 0
     finally:
         tracer.restore()
+    # synthesize builds its two tables for xi's support and loads none
+    assert "pipeline.get_kernel" not in synthesize
+    assert synthesize.count("medium.build_green_kernel") == 2
     metrics = spans.layer_metrics(tracer.spans, "tsvd")
-    assert metrics["pipeline.cache_misses"] == 2 and metrics["pipeline.cache_hits"] == 4
+    assert metrics["pipeline.cache_misses"] == 4 and metrics["pipeline.cache_hits"] == 2
     assert metrics["forward.born_iterations"] > 1
     assert metrics["medium.incident_s"] > 0 and metrics["spectral.fft_s"] > 0
     assert metrics["inverse.failed_modes"] == 0

@@ -1,14 +1,21 @@
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import flatlayer as fl
-from conftest import spectral_zeros, three_bumps
+from conftest import full_grid_born_data, spectral_zeros, three_bumps
+from flatlayer.fieldio import read_field
 from flatlayer.forward import DivergenceError, ForwardError, interaction_spectral
+from flatlayer.manifest import read_manifest
 from flatlayer.medium import trapezoid_weights
+from flatlayer.pipeline import run_synthesize
+from flatlayer.runconfig import load_config
 from flatlayer.spectral import forward_slab, inverse_slab
+
+DESK_SMOKE = Path(__file__).resolve().parent.parent / "configs" / "desk-smoke.yaml"
 
 # regression lock from the first verified desk-scale build
 # (N=64, M=M1=31, omega=2, thick layer, exact data)
@@ -36,9 +43,9 @@ def test_zero_scatterer_converges_in_one_exact_step(small_setup):
     omega = 2.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(u0, kxx, np.zeros(gx.shape))
+    res = fl.born_iterate(u0, kxx, np.zeros(gx.shape), gx)
     assert res.iterations == 1
-    assert np.array_equal(res.u_spec.values, u0.values)
+    assert np.array_equal(res.u_values, u0)
 
 
 def test_small_omega_geometric_decay(small_setup):
@@ -46,7 +53,7 @@ def test_small_omega_geometric_decay(small_setup):
     omega = 0.1
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx))
+    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), gx)
     assert res.iterations == 4
     r = res.residual_history
     ratios = r[1:] / r[:-1]
@@ -60,7 +67,7 @@ def test_monotone_residual_decay_in_contraction_regime(small_setup):
     omega = 1.0
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
-    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx))
+    res = fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), gx)
     assert np.all(np.diff(res.residual_history[1:]) < 0)
 
 
@@ -70,7 +77,7 @@ def test_divergence_raises(small_setup):
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
     with pytest.raises(DivergenceError, match="omega = 3"):
-        fl.born_iterate(u0, kxx, three_bumps(20.0).sample_on(gx))
+        fl.born_iterate(u0, kxx, three_bumps(20.0).sample_on(gx), gx)
 
 
 def test_max_iter_cap_flags_unconverged(small_setup):
@@ -79,7 +86,7 @@ def test_max_iter_cap_flags_unconverged(small_setup):
     kxx = fl.build_green_kernel(gx, gx, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
     with pytest.raises(ForwardError, match="did not converge in 2 iterations"):
-        fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), max_iter=2)
+        fl.born_iterate(u0, kxx, three_bumps(0.3).sample_on(gx), gx, max_iter=2)
 
 
 class ScriptedKernel:
@@ -105,9 +112,9 @@ def scripted_born(norms, **kwargs):
     """A ScriptedKernel of the given norms on a tiny grid, and born_iterate
     with xi = 0 on it, ready to call."""
     gx, _ = fl.make_grids(fl.GridConfig(n_transverse=4, scatterer_nz=3, receiver_nz=2))
-    u0 = fl.SpectralField(gx, np.ones((gx.nx * gx.ny, gx.nz), dtype=complex))
+    u0 = np.ones((gx.nx * gx.ny, gx.nz), dtype=complex)
     kernel = ScriptedKernel(gx, norms)
-    return kernel, partial(fl.born_iterate, u0, kernel, np.zeros(gx.shape), **kwargs)
+    return kernel, partial(fl.born_iterate, u0, kernel, np.zeros(gx.shape), gx, **kwargs)
 
 
 def test_divergence_counts_consecutive_increases_only():
@@ -141,22 +148,23 @@ def test_max_iter_cap_raises_with_count_omega_and_tol():
 
 def test_fixed_point_certificate(desk):
     fwd = desk["forward"]
-    v = interaction_spectral(fwd.u_spec.values, desk["xi_exact"], fwd.u_spec.grid)
+    v = interaction_spectral(fwd.u_values, desk["xi_exact"], desk["grid_x"])
     rhs = desk["u0"].values + desk["kernel_xx"].apply(v)
-    norm0 = fl.spectral_norm(desk["u0"])
-    assert np.linalg.norm(rhs - fwd.u_spec.values) <= 10 * 1e-13 * norm0
+    norm0 = np.linalg.norm(desk["u0"].values)
+    assert np.linalg.norm(rhs - fwd.u_values) <= 10 * 1e-13 * norm0
 
 
-def full_slab_interaction(u_spec, xi):
-    """F[xi * F^-1[U]] with every z-slab transformed, shape (n_modes, nz)."""
-    grid = u_spec.grid
-    slabs = inverse_slab(u_spec.values, grid)
+def full_slab_interaction(grid, u_values, xi):
+    """F[xi * F^-1[U]] with every z-slab of grid transformed, shape (n_modes, nz)."""
+    slabs = inverse_slab(u_values, grid)
     slabs *= np.moveaxis(xi, 2, 0)
     return forward_slab(slabs, grid)
 
 
 @pytest.mark.parametrize("case, n_live", [("three bumps", 3), ("zero", 0), ("everywhere", 11)])
 def test_interaction_skips_only_zero_slabs_bitwise(small_setup, case, n_live):
+    """V from U and xi on the slabs where xi is nonzero only is bitwise the whole
+    grid's transform on those slabs, and the whole grid's V is zero on the others."""
     _, gx, _, _, sources = small_setup
     u0 = fl.incident_field_spectral(sources, gx, 2.0)
     xi = {
@@ -166,13 +174,40 @@ def test_interaction_skips_only_zero_slabs_bitwise(small_setup, case, n_live):
     }[case]
     live = xi.any(axis=(0, 1))
     assert live.sum() == n_live
-    got = interaction_spectral(u0.values, xi, gx)
-    expected = full_slab_interaction(u0, xi)
-    assert np.array_equal(got, expected)
-    # bitwise on the slabs that are transformed; the skipped ones are +0.0
-    # (the full transform of a zero slab may give -0.0, equal as a number)
-    assert got[:, live].tobytes() == expected[:, live].tobytes()
-    assert got[:, ~live].tobytes() == bytes(got[:, ~live].nbytes)
+    got = interaction_spectral(u0[:, live], xi[:, :, live], gx)
+    expected = full_slab_interaction(gx, u0, xi)
+    assert got.shape == (u0.shape[0], n_live)
+    assert got.tobytes() == expected[:, live].tobytes()
+    assert np.all(expected[:, ~live] == 0)
+    with pytest.raises(ValueError, match="slabs"):  # xi on other slabs than U
+        interaction_spectral(u0, xi[:, :, 1:], gx)
+
+
+@pytest.mark.parametrize("bumps, support", [
+    (three_bumps(0.3).bumps, range(9, 21)),
+    # two bumps apart in z: L has a gap
+    ((fl.Bump((0.0, 0.0, -0.1), 0.25, 1.0), fl.Bump((0.0, 0.0, 1.1), 0.3, 1.0)),
+     [*range(3, 10), *range(20, 29)]),
+    # narrower than the spacings, centred on a node: xi is nonzero on one node
+    ((fl.Bump((0.0, 0.0, 0.5), 0.05, 1.0),), [15]),
+], ids=["desk", "gap", "one-slab"])
+def test_synthesis_on_the_support_matches_full_grid_born(tmp_path, bumps, support):
+    """synthesize on desk-smoke's grid (N = 64, M = M1 = 31) gives the data and
+    iteration count of the Born iteration on every slab, and records its support."""
+    config = load_config(DESK_SMOKE)
+    config = replace(config, phantom=fl.Phantom(0.3, bumps))
+    gx, _ = fl.make_grids(config.grid)
+    support = list(support)
+    assert list(np.flatnonzero(config.phantom.sample_on(gx).any(axis=(0, 1)))) == support
+    run_synthesize(config, tmp_path)
+    manifest = read_manifest(tmp_path / "manifest.json")
+    assert manifest["forward_support"] == {
+        "slabs": len(support), "of": 31,
+        "z": [gx.z_nodes[support[0]], gx.z_nodes[support[-1]]]}
+    w = read_field(tmp_path / "w_000.laf").values
+    expected, iterations = full_grid_born_data(config, 2.0)
+    assert manifest["forward_iterations"] == {"000": iterations}
+    assert np.max(np.abs(w - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_scattered_data_zero_interaction(small_setup):
@@ -244,8 +279,8 @@ def _translated_receiver_data(shift):
     kxy = fl.build_green_kernel(gx, gy, omega, lat)
     u0 = fl.incident_field_spectral(sources, gx, omega)
     xi = phantom.sample_on(gx)
-    fwd = fl.born_iterate(u0, kxx, xi)
-    _, w = fl.scattered_data(kxy, gy, interaction_spectral(fwd.u_spec.values, xi, gx))
+    fwd = fl.born_iterate(u0, kxx, xi, gx)
+    _, w = fl.scattered_data(kxy, gy, interaction_spectral(fwd.u_values, xi, gx))
     return w.values
 
 
