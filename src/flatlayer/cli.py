@@ -2,8 +2,8 @@
 
 Subcommands: phantom, synthesize, invert, evaluate, bench. Exit codes:
 0 success, 2 configuration error (including unknown keys), 3 numerical
-failure (forward divergence or non-convergence), 4 I/O error (including
-malformed field dumps and stage manifests).
+failure (forward divergence or non-convergence, or a failed per-mode
+solve), 4 I/O error (including malformed field dumps and stage manifests).
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from .fieldio import LafFormatError
 from .forward import ForwardError
+from .inverse import ModeSolveError
 from .manifest import ManifestError
 from .pipeline import run_bench, run_evaluate, run_invert, run_phantom, run_synthesize
 from .runconfig import ConfigError, config_from_dict, read_yaml
@@ -105,7 +106,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ForwardError as exc:
+    except (ForwardError, ModeSolveError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (OSError, LafFormatError, ManifestError) as exc:

@@ -20,13 +20,19 @@ from .medium import GreenKernelTable
 from .regularizers import RegularizerConfig, solve_mode_block
 
 
+class ModeSolveError(RuntimeError):
+    """A batched per-mode solve raised; no interaction spectrum is returned."""
+
+
 @dataclass(frozen=True)
 class ModeSolveStats:
     """Per-mode solver diagnostics for one frequency."""
 
     ranks: np.ndarray  # retained rank per mode
-    failed_modes: int  # modes whose solve raised and were zero-filled
     uncertified_classes: int  # classes whose TSVD sketch failed its certificate
+    # always 0, as a failed solve raises ModeSolveError; the benchmark's traced
+    # inverse.failed_modes still reads it
+    failed_modes: int = 0
 
     def rank_histogram(self) -> dict[int, int]:
         uniq, counts = np.unique(self.ranks, return_counts=True)
@@ -66,8 +72,13 @@ def solve_modes(
     Returns
     -------
     (v_spec, stats) : the assembled spectrum on the scatterer grid and
-        per-mode diagnostics. Modes whose solve fails are zero-filled and
-        counted rather than aborting the remaining modes.
+        per-mode diagnostics.
+
+    Raises
+    ------
+    ModeSolveError
+        If the solve of a chunk of classes raises LinAlgError; the message
+        names omega and the chunk's class range.
 
     Modes of one symmetry class share one matrix in the table, so each
     class is factorized once and solved for all its member modes' data
@@ -84,30 +95,22 @@ def solve_modes(
     scale = kernel_xy.column_scale
     v_values = np.zeros((n_modes, scatterer_grid.nz), dtype=complex)
     ranks = np.zeros(n_modes, dtype=int)
-    failed = uncertified = 0
+    uncertified = 0
     for start, stop in kernel_xy.mode_chunks():
         mats = kernel_xy.mode_matrices(start, stop) * scale[None, None, :]
         # (classes, rows, members)
         rhs = kernel_xy.stack_members(start, stop, w_spec.values).transpose(0, 2, 1)
         try:
             x, k, missed = solve_mode_block(mats, rhs, reg)
-        except np.linalg.LinAlgError:
-            # batched solve failed: fall back per class, zero-filling losers
-            x = np.zeros((stop - start, scatterer_grid.nz, rhs.shape[2]), dtype=complex)
-            k = np.zeros((stop - start, rhs.shape[2]), dtype=int)
-            missed = 0
-            for c in range(stop - start):
-                try:
-                    x[c : c + 1], k[c : c + 1], one = solve_mode_block(
-                        mats[c : c + 1], rhs[c : c + 1], reg
-                    )
-                    missed += one
-                except np.linalg.LinAlgError:
-                    failed += int(np.count_nonzero(kernel_xy.members[start + c] >= 0))
+        except np.linalg.LinAlgError as exc:
+            raise ModeSolveError(
+                f"per-mode solve failed at omega = {omega} for classes {start}-{stop - 1} "
+                f"of {kernel_xy.n_classes}: {exc}"
+            ) from exc
         kernel_xy.scatter_members(start, stop, x.transpose(0, 2, 1), v_values)
         kernel_xy.scatter_members(start, stop, k, ranks)
         uncertified += missed
-    stats = ModeSolveStats(ranks=ranks, failed_modes=failed, uncertified_classes=uncertified)
+    stats = ModeSolveStats(ranks=ranks, uncertified_classes=uncertified)
     return SpectralField(scatterer_grid, v_values), stats
 
 

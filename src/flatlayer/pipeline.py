@@ -10,10 +10,8 @@ columns (never cached, as they depend on xi), and iterates on L until the
 update norm on L is <= tol * ||U0 on L||. Inversion and the timing sweep
 use the full tables, cached on disk keyed by lattice period, z nodes and
 frequency, reusable across noise levels, regularizer sweeps and window
-positions. Building a table costs about what loading it does: the N=64,
-M=M1=41 receiver table takes 0.06-0.09 s to build, 0.06-0.10 s to save and
-0.06-0.09 s to load (processor time, one BLAS thread). Cache files hold
-every mode's column, tables in memory one per class.
+positions. Cache files hold every mode's column, tables in memory one per
+class.
 """
 
 from __future__ import annotations
@@ -420,7 +418,6 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
                 "min": int(inv.stats.ranks.min()),
                 "median": float(np.median(inv.stats.ranks)),
                 "max": int(inv.stats.ranks.max()),
-                "failed": inv.stats.failed_modes,
                 "uncertified_classes": inv.stats.uncertified_classes,
             }
         for p in written:
@@ -430,12 +427,11 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
             "all" if inv is None else repr(inv.omega),
             repr(ext.imag_norm),
             repr(ext.masked_fraction),
-            0 if inv is None else inv.stats.failed_modes,
         ))
 
     manifest.add_file(_write_csv(
         out / "diagnostics.csv",
-        ["artifact", "omega", "imag_norm", "masked_fraction", "failed_modes"],
+        ["artifact", "omega", "imag_norm", "masked_fraction"],
         diag_rows,
     ), out)
     manifest.set("rank_stats", rank_stats)
@@ -509,9 +505,6 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     except ValueError as exc:
         raise ConfigError(f"bench: {exc}") from exc
 
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = ManifestBuilder("bench", config.config_hash())
     cache = _cache_dir(config)
 
     def invert_pass(grid_x: Grid3D, frequencies: list) -> float:
@@ -547,6 +540,10 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     records = [TimingRecord(n=n, m=config.grid.scatterer_nz, m1=config.grid.receiver_nz,
                             seconds=min(s)) for n, s in zip(n_list, seconds)]
 
+    # made only once every N has been swept, so a failed solve leaves no directory
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = ManifestBuilder("bench", config.config_hash())
     manifest.add_file(_write_csv(
         out / "timing.csv",
         ["n", "m", "m1", "seconds"],

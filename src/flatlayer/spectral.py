@@ -30,23 +30,13 @@ class ModeLattice:
     in numpy fft order, flattened with single index m = k1*N + k2.
     """
 
-    omega1: np.ndarray  # shape (N*N,)
-    omega2: np.ndarray
     nx: int
     hx: float
     hy: float
 
     @classmethod
     def for_grid(cls, grid: Grid3D) -> "ModeLattice":
-        n = grid.nx
-        w1 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.hx)
-        w2 = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.hy)
-        o1, o2 = np.meshgrid(w1, w2, indexing="ij")
-        o1 = o1.ravel()
-        o2 = o2.ravel()
-        o1.setflags(write=False)
-        o2.setflags(write=False)
-        return cls(omega1=o1, omega2=o2, nx=n, hx=grid.hx, hy=grid.hy)
+        return cls(nx=grid.nx, hx=grid.hx, hy=grid.hy)
 
     @property
     def n_modes(self) -> int:

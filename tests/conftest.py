@@ -37,9 +37,16 @@ def spectral_zeros(grid):
     return fl.SpectralField(grid, np.zeros((grid.nx * grid.ny, grid.nz), dtype=complex))
 
 
+def mode_frequencies(lattice):
+    """(O1, O2) per mode, each of shape (N*N,), in ModeLattice's order m = k1*N + k2."""
+    w1 = 2.0 * np.pi * np.fft.fftfreq(lattice.nx, d=lattice.hx)
+    w2 = 2.0 * np.pi * np.fft.fftfreq(lattice.nx, d=lattice.hy)
+    return np.repeat(w1, lattice.nx), np.tile(w2, lattice.nx)
+
+
 def mode_magnitude(lattice):
     """|Omega| per mode; modes with |Omega| < k0 propagate."""
-    return np.hypot(lattice.omega1, lattice.omega2)
+    return np.hypot(*mode_frequencies(lattice))
 
 
 def sample_green_slabs(grid, dz_list, omega):

@@ -4,14 +4,18 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import flatlayer as fl
-from flatlayer import pipeline
+from flatlayer import inverse, pipeline
 from flatlayer.cli import main
 from flatlayer.fieldio import read_field
 from flatlayer.manifest import read_manifest
@@ -394,15 +398,19 @@ def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeyp
     assert manifest["forward_support"] == {"slabs": 0, "of": 7, "z": None}
 
 
+def read_strict_json(path):
+    """The JSON document at path, refusing the NaN and Infinity that strict JSON lacks."""
+    def refuse(name):
+        raise ValueError(f"non-finite number {name} in {path}")
+
+    return json.loads(Path(path).read_text(), parse_constant=refuse)
+
+
 def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, monkeypatch):
     """tiny_config_dict's xi is zero on every slice, and so is a phantom with no
     bumps, so evaluate's accuracy curve is empty: its mean is written as null,
     never as a NaN. With no bump to localize, the largest offset is null too."""
     monkeypatch.chdir(tmp_path)
-
-    def refuse(name):
-        raise ValueError(f"non-finite number {name} in a manifest")
-
     for name, phantom in [("between-nodes", tiny_config_dict()["phantom"]),
                           ("no-bumps", {"bumps": []})]:
         cfg = write_config(tmp_path, name=f"{name}.yaml", phantom=phantom)
@@ -412,11 +420,47 @@ def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, mon
         with pytest.warns(UserWarning, match="empty curve"):
             assert main(["evaluate", "--config", str(cfg), "--recon", r, "--out", e]) == 0
         for stage in (d, r, e):
-            text = (tmp_path / stage / "manifest.json").read_text()
-            manifest = json.loads(text, parse_constant=refuse)
+            manifest = read_strict_json(tmp_path / stage / "manifest.json")
         summary = manifest["summary"]["xi_000"]
         assert summary["mean_delta_l2"] is None
         assert (summary["max_offset"] is None) == (name == "no-bumps"), name
+
+
+@st.composite
+def tiny_runs(draw):
+    """A config dict on an N <= 16 grid with NODE_BUMP's phantom, any regularizer
+    setting RegularizerConfig accepts, and noise level delta."""
+    method = draw(st.sampled_from(["tsvd", "tikhonov"]))
+    reg = {"method": method}
+    if method == "tsvd":
+        reg["tsvd_rel_threshold"] = draw(st.floats(0.0, 1.0, exclude_min=True))
+        if draw(st.booleans()):
+            reg.update(selection_policy="discrepancy", noise_delta=draw(st.floats(0.0, 1.0)))
+    else:
+        reg["tikhonov_alpha"] = draw(st.floats(0.0, 1e3, exclude_min=True))
+    grid = {**tiny_config_dict()["grid"], "n_transverse": draw(st.sampled_from([2, 4, 8, 16])),
+            "scatterer_nz": draw(st.integers(2, 7)), "receiver_nz": draw(st.integers(2, 5))}
+    noise = {"delta": draw(st.floats(0.0, 1.0)), "seed": 1234}
+    return tiny_config_dict(grid=grid, phantom=NODE_BUMP, regularizer=reg, noise=noise)
+
+
+@given(tiny_runs())
+def test_accepted_configs_run_or_exit_with_a_documented_code(run):
+    """synthesize, invert and evaluate each exit 0, 2, 3 or 4 on every such run,
+    never with a traceback, and every manifest they write is strict JSON."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # an empty accuracy curve warns
+        root = Path(tmp)
+        cfg = root / "run.yaml"
+        cfg.write_text(yaml.safe_dump(run))
+        d, r, e = (str(root / stage) for stage in "dre")
+        codes = [main(["synthesize", "--config", str(cfg), "--out", d]),
+                 main(["invert", "--config", str(cfg), "--data", d, "--out", r]),
+                 main(["evaluate", "--config", str(cfg), "--recon", r, "--out", e])]
+        assert set(codes) <= {0, 2, 3, 4}, codes
+        for stage in (d, r, e):
+            if (Path(stage) / "manifest.json").exists():
+                read_strict_json(Path(stage) / "manifest.json")
 
 
 def test_per_frequency_manifest_maps_keep_frequencies_that_print_alike(tmp_path, monkeypatch):
@@ -794,6 +838,23 @@ def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
     assert main(["synthesize", "--config", str(cfg), "--out", "ok"]) == 0
     manifest = read_manifest(tmp_path / "ok" / "manifest.json")
     assert manifest["forward_iterations"]["000"] > 2
+
+
+def test_cli_failed_mode_solve_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A per-mode solve that raises LinAlgError is a numerical failure: invert
+    and bench exit 3, name omega and the classes, and make no output directory."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path)
+    assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
+
+    def failing(mats, rhs, reg):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(inverse, "solve_mode_block", failing)
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r"]) == 3
+    assert "omega = 2.0 for classes 0-" in capsys.readouterr().err
+    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "4,8"]) == 3
+    assert not (tmp_path / "r").exists() and not (tmp_path / "b").exists()
 
 
 def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):

@@ -11,12 +11,11 @@ from flatlayer.regularizers import solve_mode_block
 
 def test_zero_data_gives_zero_interaction(desk):
     gx, gy = desk["grid_x"], desk["grid_y"]
-    v_spec, stats = fl.solve_modes(
+    v_spec, _ = fl.solve_modes(
         spectral_zeros(gy), desk["kernel_xy"], desk["omega"],
         fl.RegularizerConfig(), gx,
     )
     assert np.all(v_spec.values == 0)
-    assert stats.failed_modes == 0
 
 
 def test_forward_then_invert_recovers_rowspace_interaction(desk):
@@ -39,8 +38,7 @@ def test_forward_then_invert_recovers_rowspace_interaction(desk):
     _, w_field = fl.scattered_data(table, gy, v_values)
 
     reg = fl.RegularizerConfig(method="tsvd", tsvd_rel_threshold=1e-10)
-    v_out, stats = fl.solve_modes(fl.forward_xy(w_field), table, omega, reg, gx)
-    assert stats.failed_modes == 0
+    v_out, _ = fl.solve_modes(fl.forward_xy(w_field), table, omega, reg, gx)
     for m in prop:
         err = np.linalg.norm(v_out.values[m] - v_values[m])
         assert err / np.linalg.norm(v_values[m]) < 1e-3
@@ -101,7 +99,6 @@ def test_class_solves_match_tsvd_per_mode(desk):
         fl.SpectralField(desk["grid_y"], rhs), desk["kernel_xy"], desk["omega"],
         reg, desk["grid_x"],
     )
-    assert stats.failed_modes == 0
     for m in range(mats.shape[0]):
         s = np.linalg.svd(mats[m], compute_uv=False)
         assert stats.ranks[m] == np.count_nonzero(s >= reg.tsvd_rel_threshold * s[0])
@@ -116,7 +113,6 @@ def test_desk_table_certifies_every_class_at_the_default_cut(desk):
         fl.forward_xy(desk["w_field"]), desk["kernel_xy"], desk["omega"],
         fl.RegularizerConfig(), desk["grid_x"],
     )
-    assert stats.failed_modes == 0
     assert stats.uncertified_classes == 0
 
 
@@ -125,11 +121,10 @@ def test_class_solves_meet_tikhonov_normal_equations(desk):
     reg = fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=alpha)
     noisy = fl.add_noise(desk["w_field"], 1e-7, 56)
     mats, rhs = desk_mode_systems(desk, noisy)
-    v_spec, stats = fl.solve_modes(
+    v_spec, _ = fl.solve_modes(
         fl.SpectralField(desk["grid_y"], rhs), desk["kernel_xy"], desk["omega"],
         reg, desk["grid_x"],
     )
-    assert stats.failed_modes == 0
     x = v_spec.values
     ah = np.conj(np.transpose(mats, (0, 2, 1)))
     r = np.einsum("mij,mj->mi", ah, np.einsum("mij,mj->mi", mats, x) - rhs) + alpha * x
@@ -153,32 +148,29 @@ def test_class_solves_keep_discrepancy_ranks_per_mode(desk):
         assert stats.ranks[m] == rank[0, 0], m
 
 
-def test_failed_class_zero_fills_every_member_mode(desk, monkeypatch):
+def test_failed_chunk_solve_raises_naming_omega_and_classes(desk, monkeypatch):
+    """A LinAlgError in one chunk's batched solve ends the call: no mode is
+    zero-filled, and the error names omega and the chunk's class range."""
     table, omega, gx = desk["kernel_xy"], desk["omega"], desk["grid_x"]
-    w_spec = fl.forward_xy(desk["w_field"])
-    reg = fl.RegularizerConfig()
-    v_ok, stats_ok = fl.solve_modes(w_spec, table, omega, reg, gx)
-
-    batches = []
+    chunks = list(table.mode_chunks())
+    assert len(chunks) > 2
+    calls = []
 
     def failing(mats, rhs, reg):
-        # the first chunk raises, batched and per class alike
-        if mats.shape[0] > 1:
-            batches.append(mats.shape[0])
-        if len(batches) == 1:
+        # the second chunk raises
+        calls.append(mats.shape[0])
+        if len(calls) == 2:
             raise np.linalg.LinAlgError("injected")
         return solve_mode_block(mats, rhs, reg)
 
     monkeypatch.setattr(inverse, "solve_mode_block", failing)
-    v_spec, stats = fl.solve_modes(w_spec, table, omega, reg, gx)
-
-    rep, class_of = desk["lattice"].symmetry_classes()
-    lost = class_of < batches[0]  # member modes of the first chunk's classes
-    assert 0 < np.count_nonzero(lost) < lost.size
-    assert stats.failed_modes == np.count_nonzero(lost)
-    assert np.all(v_spec.values[lost] == 0) and np.all(stats.ranks[lost] == 0)
-    assert np.array_equal(v_spec.values[~lost], v_ok.values[~lost])
-    assert np.array_equal(stats.ranks[~lost], stats_ok.ranks[~lost])
+    start, stop = chunks[1]
+    with pytest.raises(inverse.ModeSolveError) as info:
+        fl.solve_modes(fl.forward_xy(desk["w_field"]), table, omega, fl.RegularizerConfig(), gx)
+    assert f"omega = {omega}" in str(info.value)
+    assert f"classes {start}-{stop - 1} of {table.n_classes}" in str(info.value)
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+    assert calls == [chunks[0][1], stop - start]  # no retry, and no later chunk
 
 
 def test_inversion_error_grows_with_noise(desk):
