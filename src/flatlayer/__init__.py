@@ -1,7 +1,7 @@
 """flatlayer: 3D acoustic scattering synthesis and flat-layer inverse reconstruction.
 
-Synthesizes scattered-field data for a 3D inhomogeneous medium with a
-spectral Born iteration, and reconstructs the inhomogeneity coefficient
+Synthesizes scattered-field data for a 3D inhomogeneous medium by a GMRES
+solve on the medium's support, and reconstructs the inhomogeneity coefficient
 from measurements in a flat receiver layer by reducing the problem to
 per-mode 1D first-kind integral equations solved with regularization.
 """
@@ -15,12 +15,13 @@ from .fields import (
     make_grids,
 )
 from .forward import (
-    DivergenceError,
     ForwardResult,
+    SupportOperator,
     add_noise,
     born_iterate,
-    interaction_spectral,
+    dense_fits,
     scattered_data,
+    support_interaction,
 )
 from .inverse import (
     XiExtraction,
@@ -34,9 +35,12 @@ from .medium import (
     GreenKernelTable,
     Phantom,
     SourceSet,
+    Support,
     build_green_kernel,
     green_point,
+    incident_field_nodes,
     incident_field_spectral,
+    node_kernel,
 )
 from .metrics import (
     AccuracyCurve,

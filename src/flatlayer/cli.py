@@ -2,8 +2,8 @@
 
 Subcommands: phantom, synthesize, invert, evaluate, bench. Exit codes:
 0 success, 2 configuration error (including unknown keys), 3 numerical
-failure (forward divergence or non-convergence, or a failed per-mode
-solve), 4 I/O error (including malformed field dumps and stage manifests).
+failure (a forward solve short of its tolerance within its cap on operator
+applications, or a failed per-mode solve), 4 I/O error (including malformed field dumps and stage manifests).
 """
 
 from __future__ import annotations

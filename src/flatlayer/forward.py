@@ -1,17 +1,15 @@
-"""Iterative spectral solution of the scattering system and receiver-data synthesis.
+"""Solution of the scattering system on xi's support and receiver-data synthesis.
 
-The data depend on the internal field U only through the interaction term
-V = F[xi * F^-1[U]], which is zero on every z-slab where xi vanishes. So the
-system is posed on L, the slabs where xi is nonzero: starting from the
-incident spectrum U0 on L, the iteration
-
-    U_{n+1} = U0 + w^2 * int_L G_hat(z - z') F[xi * F^-1[U_n]] dz'
-
-runs per transverse mode, the integral being one GreenKernelTable.apply of
-the table restricted to L, and stops when the update norm on L falls below
-tol * ||U0 on L||. The receiver data W follow from the solved field's V on L
-through the receiver table's L columns. Since xi vanishes off L, this is the
-whole grid's fixed point, with the same contraction.
+The data depend on the internal field u only through V = xi * u, which is zero
+off S, the nodes where xi is nonzero. So the system u = u0 + K(xi u) closes on
+S: born_iterate solves (I - K xi) u = u0 there by restarted GMRES (Saad &
+Schultz 1986), whose n-th iterate minimizes the residual over a Krylov space
+that holds the n-th Born (Neumann series) iterate, and stops once
+||u0 - (I - K xi) u|| <= tol * ||u0 on S||. For the Born series this residual
+is its update norm. The operator u -> K(xi u) on S takes one of two forms
+(SupportOperator): the dense S x S matrix of medium.node_kernel, or the
+scatterer table on L, the z-slabs that hold S, between the slab transforms.
+The receiver data W follow from V on L through the receiver table's L columns.
 """
 
 from __future__ import annotations
@@ -21,106 +19,157 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import ComplexField, Grid3D, SpectralField, l2_norm
-from .medium import GreenKernelTable
+from .medium import GreenKernelTable, Support
 from .spectral import forward_slab, inverse_slab, inverse_xy
 
-# consecutive update-norm increases that declare divergence
-_GROWTH_LIMIT = 10
+# Krylov vectors per GMRES cycle; a restart begins the next cycle from the residual
+_RESTART = 20
+# per-mode arrays on L that one application of the slab form holds at its peak
+# (the slab transforms' and the table's temporaries; measured with tracemalloc)
+_SLAB_ARRAYS = 5
 
 
 class ForwardError(RuntimeError):
-    """Born iteration gave no usable internal field."""
-
-
-class DivergenceError(ForwardError):
-    """Born iteration left the contraction regime (residuals grow)."""
+    """The forward solve gave no usable internal field."""
 
 
 @dataclass(frozen=True)
 class ForwardResult:
-    """Internal field that met the tolerance, plus iteration diagnostics."""
+    """Internal field that met the tolerance, plus solver diagnostics."""
 
-    u_values: np.ndarray  # per-mode values (n_modes, k) on the slabs iterated on
-    iterations: int
-    residual_history: np.ndarray  # per-iteration update norms ||U_n - U_{n-1}||
+    u_values: np.ndarray  # internal field at the support's nodes S, shape (|S|,)
+    iterations: int  # operator applications
+    residual_history: np.ndarray  # ||u0 - (I - K xi) u_n|| after each application
 
 
-def interaction_spectral(
-    u_values: np.ndarray, xi_samples: np.ndarray, grid: Grid3D
-) -> np.ndarray:
-    """V = F[xi * F^-1[U]] on k z-slabs, from per-mode values U of shape (n_modes, k)
-    and xi's samples (nx, ny, k) on the same slabs; grid gives the transverse lattice."""
-    if xi_samples.shape != (grid.nx, grid.ny, u_values.shape[1]):
-        raise ValueError("xi samples must live on the field's slabs")
-    slabs = inverse_slab(u_values, grid)
-    slabs *= np.moveaxis(xi_samples, 2, 0)
-    return forward_slab(slabs, grid)
+@dataclass(frozen=True)
+class SupportOperator:
+    """u -> K(xi u) at the nodes of support, u given there: K is
+    omega^2 hx hy sum_S mu G(. - x'), in one of two forms. With matrix, the dense
+    S x S matrix of medium.node_kernel; with kernel_ll, the scatterer table on the
+    support's slabs L, applied between the slab transforms of the values scattered
+    onto L."""
+
+    omega: float
+    support: Support
+    grid: Grid3D
+    matrix: np.ndarray | None = None
+    kernel_ll: GreenKernelTable | None = None
+
+    @property
+    def form(self) -> str:
+        return "dense" if self.matrix is not None else "slab"
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix @ u
+        v = support_interaction(u, self.support, self.grid)
+        return self.support.from_slabs(inverse_slab(self.kernel_ll.apply(v), self.grid))
+
+
+def dense_fits(n_nodes: int, n: int, n_slabs: int) -> bool:
+    """Whether the dense form's n_nodes^2 matrix needs no more memory than one
+    application of the slab form holds at its peak: _SLAB_ARRAYS per-mode arrays on
+    L, n^2 modes by n_slabs slabs."""
+    return n_nodes * n_nodes <= _SLAB_ARRAYS * n * n * n_slabs
+
+
+def support_interaction(u: np.ndarray, support: Support, grid: Grid3D) -> np.ndarray:
+    """V = F[xi u] per mode on the support's slabs L, shape (n_modes, |L|), from the
+    internal field u at its nodes."""
+    return forward_slab(support.to_slabs(support.xi * u, grid), grid)
 
 
 def born_iterate(
     u0: np.ndarray,
-    kernel_xx: GreenKernelTable,
-    xi_samples: np.ndarray,
-    grid: Grid3D,
+    operator: SupportOperator,
     tol: float = 1e-13,
     max_iter: int = 1000,
 ) -> ForwardResult:
-    """Fixed-point iteration for the internal field's per-mode values on k z-slabs,
-    returned once the update norm meets the tolerance; every other ending raises.
+    """Restarted GMRES for the internal field u at the support's nodes S, returned
+    once its residual meets the tolerance; every other ending raises.
 
     Parameters
     ----------
-    u0 : (n_modes, k) complex ndarray
-        Incident per-mode values on the slabs (medium.incident_field_spectral).
-    kernel_xx : GreenKernelTable
-        Scatterer-to-scatterer table on the same slabs, rows and columns;
-        its omega is the frequency.
-    xi_samples : (nx, ny, k) real ndarray
-        Inhomogeneity coefficient on the slabs.
-    grid : Grid3D
-        Scatterer grid, whose transverse lattice the transforms use.
+    u0 : (|S|,) complex ndarray
+        Incident field at the nodes (medium.incident_field_nodes).
+    operator : SupportOperator
+        u -> K(xi u) on S; its omega is the frequency.
     tol : float
-        Relative stopping tolerance ||U_n - U_{n-1}|| <= tol * ||U0||, both norms
-        over the slabs: on xi's support L, update norm on L <= tol * ||U0 on L||.
+        Relative stopping tolerance ||u0 - (I - K xi) u|| <= tol * ||u0||, both norms
+        over S.
     max_iter : int
-        Iteration cap.
+        Cap on operator applications.
 
     Raises
     ------
-    DivergenceError
-        If the last _GROWTH_LIMIT + 1 update norms strictly increase.
     ForwardError
-        If max_iter iterations end short of the tolerance.
+        If max_iter applications end short of the tolerance, or the residual is
+        not finite.
     """
-    if kernel_xx.n_rows != u0.shape[1] or kernel_xx.n_cols != u0.shape[1]:
-        raise ValueError("kernel table does not cover the incident field's slabs")
-
     threshold = tol * float(np.linalg.norm(u0))
-    u = u0
+    u = np.zeros(u0.shape, dtype=complex)
+    r = np.asarray(u0, dtype=complex)
+    beta = float(np.linalg.norm(r))
     residuals: list[float] = []
-    for _ in range(max_iter):
-        u_next = u0 + kernel_xx.apply(interaction_spectral(u, xi_samples, grid))
-        residuals.append(float(np.linalg.norm(u_next - u)))
-        u = u_next
-        if residuals[-1] <= threshold:
-            return ForwardResult(u, len(residuals), np.asarray(residuals))
-        recent = residuals[-_GROWTH_LIMIT - 1:]
-        if len(recent) > _GROWTH_LIMIT and all(a < b for a, b in zip(recent, recent[1:])):
-            raise DivergenceError(
-                f"update norm grew for {_GROWTH_LIMIT} consecutive iterations "
-                f"(omega = {kernel_xx.omega}; scatterer too strong for the Born series)"
+    while beta > threshold:
+        m = min(_RESTART, max_iter - len(residuals))
+        if m == 0:
+            raise ForwardError(
+                f"GMRES did not converge in {max_iter} operator applications "
+                f"(omega = {operator.omega}, tol = {tol:g})"
             )
-    raise ForwardError(
-        f"Born iteration did not converge in {max_iter} iterations "
-        f"(omega = {kernel_xx.omega}, tol = {tol:g})"
-    )
+        # Arnoldi with classical Gram-Schmidt applied twice: A basis[:k] = basis[:k+1].T h
+        basis = np.zeros((m + 1, r.size), dtype=complex)
+        basis[0] = r / beta
+        h = np.zeros((m + 1, m), dtype=complex)
+        tri = np.zeros((m, m), dtype=complex)  # h rotated to upper triangular form
+        rot = np.zeros((m, 2), dtype=complex)  # Givens rotations (c, s), s real
+        g = np.zeros(m + 1, dtype=complex)  # beta e1, rotated alike
+        g[0] = beta
+        k = 0
+        while k < m:
+            w = basis[k] - operator.apply(basis[k])
+            for _ in range(2):
+                coef = (basis[:k + 1] @ w.conj()).conj()
+                w -= coef @ basis[:k + 1]
+                h[:k + 1, k] += coef
+            h[k + 1, k] = np.linalg.norm(w)
+            col = h[:k + 2, k].copy()
+            for i, (c, s) in enumerate(rot[:k]):
+                col[i : i + 2] = np.conj(c) * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            norm = np.hypot(abs(col[k]), abs(col[k + 1]))
+            if norm == 0.0:
+                raise ForwardError(
+                    f"GMRES broke down: I - K xi is singular on its Krylov space "
+                    f"(omega = {operator.omega})"
+                )
+            rot[k] = col[k] / norm, abs(col[k + 1]) / norm
+            tri[:k + 1, k] = col[:k + 1]
+            tri[k, k] = norm
+            g[k], g[k + 1] = np.conj(rot[k, 0]) * g[k], -rot[k, 1] * g[k]
+            k += 1
+            residuals.append(float(abs(g[k])))
+            if not np.isfinite(residuals[-1]):
+                raise ForwardError(f"GMRES residual is not finite (omega = {operator.omega})")
+            if residuals[-1] <= threshold or h[k, k - 1] == 0.0:
+                break
+            basis[k] = w / h[k, k - 1]
+        y = np.linalg.solve(tri[:k, :k], g[:k])
+        u += y @ basis[:k]
+        # the residual from the Arnoldi relation, with no further application
+        coef = -(h[:k + 1, :k] @ y)
+        coef[0] += beta
+        r = coef @ basis[:k + 1]
+        beta = float(np.linalg.norm(r))
+    return ForwardResult(u, len(residuals), np.asarray(residuals))
 
 
 def scattered_data(
     kernel_xy: GreenKernelTable, recv_grid: Grid3D, v_values: np.ndarray
 ) -> tuple[SpectralField, ComplexField]:
     """Receiver-layer data W = w^2 int G_hat(z - z') V dz' from the interaction
-    spectrum's per-mode values V (interaction_spectral) on the table's columns.
+    spectrum's per-mode values V (support_interaction) on the table's columns.
 
     Returns
     -------

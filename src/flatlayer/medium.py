@@ -13,8 +13,10 @@ A table may cover index subsets of its grids' z nodes (the slabs where xi is non
 carries its columns' trapezoid weights from the full grid, so a subset's end slabs keep their
 interior weight and the subset may have gaps. A table is the per-mode operator
 omega^2 int G_hat(z - z') . dz' of its omega, weights included (GreenKernelTable.apply,
-column_scale); every solver stage takes it from there. The incident field samples G once per
-slab and distinct distance of the sources at each height.
+column_scale); every solver stage takes it from there. On xi's support S (Support), the
+forward operator may instead be the dense S x S matrix of G between the nodes (node_kernel),
+sampled as the tables sample G. The incident field samples G once per slab and distinct
+distance of the sources at each height, or once per node of S.
 """
 
 from __future__ import annotations
@@ -180,6 +182,33 @@ def trapezoid_weights(z_nodes: np.ndarray) -> np.ndarray:
     return w
 
 
+def _distinct_distances(grid: Grid3D) -> tuple[np.ndarray, np.ndarray]:
+    """(rho2_unique, node): the distinct squared transverse distances rho^2 of one
+    (N/2+1)^2 quadrant of grid.centred()'s nodes, |offset| = 0, h, ..., N/2 h along each
+    axis, and node[b, a], the index into rho2_unique of the node b steps along y and a
+    along x. rho2_unique[0] is the origin's."""
+    n, half = grid.nx, grid.nx // 2
+    centred = grid.centred()
+    quadrant = np.r_[half:n, 0]  # |offset| = 0, h, ..., N/2 h
+    rho2 = centred.y_coords()[quadrant, None] ** 2 + centred.x_coords()[None, quadrant] ** 2
+    rho2_unique, node = np.unique(rho2, return_inverse=True)
+    # (b, a); the inverse's shape differs between numpy versions
+    return rho2_unique, node.reshape(rho2.shape)
+
+
+def _green_samples(grid: Grid3D, dz: np.ndarray, omega: float,
+                   rho2_unique: np.ndarray) -> np.ndarray:
+    """G at each z-offset dz and distinct squared transverse distance, shape
+    (dz.size, rho2_unique.size); the rho = 0 sample at zero offset is G's disk
+    average over one cell."""
+    r = np.sqrt(rho2_unique + dz[:, None] ** 2)
+    singular = np.abs(dz) < 1e-14
+    r[singular, 0] = 1.0  # placeholder, overwritten below
+    g = green_point(r, omega)
+    g[singular, 0] = green_cell_average(grid.hx * grid.hy, omega)
+    return g
+
+
 def green_spectra(grid: Grid3D, dz: np.ndarray, omega: float, modes: np.ndarray) -> np.ndarray:
     """Transverse spectrum of G for the given modes at each z-offset, shape (dz.size, modes.size).
 
@@ -191,11 +220,7 @@ def green_spectra(grid: Grid3D, dz: np.ndarray, omega: float, modes: np.ndarray)
     average over one cell) and gathers the nodes from those samples, in batches of offsets.
     """
     n, half = grid.nx, grid.nx // 2
-    centred = grid.centred()
-    quadrant = np.r_[half:n, 0]  # |offset| = 0, h, ..., N/2 h
-    rho2 = centred.y_coords()[quadrant, None] ** 2 + centred.x_coords()[None, quadrant] ** 2
-    rho2_unique, node = np.unique(rho2, return_inverse=True)  # rho2_unique[0] is the origin's
-    node = node.reshape(rho2.shape)  # (b, a); the inverse's shape differs between numpy versions
+    rho2_unique, node = _distinct_distances(grid)
     a = np.arange(half + 1)
     cos = np.cos(2 * np.pi * (np.outer(a, a) % n) / n) * np.where(a % half, 2.0, 1.0)  # (k, a)
     k = np.abs(np.fft.fftfreq(n, d=1.0 / n)).astype(np.intp)
@@ -205,17 +230,20 @@ def green_spectra(grid: Grid3D, dz: np.ndarray, omega: float, modes: np.ndarray)
     block = max(1, _GATHER_BYTES // (node.size * out.itemsize))
     for start in range(0, dz.size, block):
         d = dz[start:start + block]
-        r = np.sqrt(rho2_unique + d[:, None] ** 2)  # (dz, distinct rho^2)
-        singular = np.abs(d) < 1e-14
-        r[singular, 0] = 1.0  # placeholder, overwritten below
-        g = green_point(r, omega)
-        g[singular, 0] = green_cell_average(grid.hx * grid.hy, omega)
-        q = np.take(g, node, axis=1)  # (dz, b, a)
+        q = np.take(_green_samples(grid, d, omega, rho2_unique), node, axis=1)  # (dz, b, a)
         # real matrices on interleaved real/imaginary parts, one (N/2+1)^2 product per offset
         t = (grid.hy * cos @ q.view(float)).view(complex).transpose(0, 2, 1)  # (dz, a, k2)
         spec = (grid.hx * cos @ np.ascontiguousarray(t).view(float)).view(complex)  # (dz, k1, k2)
         out[start:start + block] = spec.reshape(d.size, -1)[:, pick]
     return out
+
+
+def _offset_table(row_z: np.ndarray, col_z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, offset_index): the unique z-differences row_z[k] - col_z[l], rounded to
+    _OFFSET_DECIMALS, and each pair's index into them, shape (row_z.size, col_z.size)."""
+    diff = np.round(row_z[:, None] - col_z[None, :], _OFFSET_DECIMALS)
+    offsets, inverse = np.unique(diff, return_inverse=True)
+    return offsets, inverse.reshape(diff.shape).astype(np.intp)
 
 
 def check_kernel_grids(grid_src: Grid3D, grid_recv: Grid3D, lattice: ModeLattice) -> None:
@@ -248,9 +276,7 @@ def build_green_kernel(
     row_z = grid_recv.z_nodes[rows]
     col_z = grid_src.z_nodes[cols]
     col_weights = trapezoid_weights(grid_src.z_nodes)[cols]
-    diff = np.round(row_z[:, None] - col_z[None, :], _OFFSET_DECIMALS)
-    offsets, inverse = np.unique(diff, return_inverse=True)
-    offset_index = inverse.reshape(diff.shape).astype(np.intp)
+    offsets, offset_index = _offset_table(row_z, col_z)
 
     rep, class_of = lattice.symmetry_classes()
     values = green_spectra(grid_src, offsets, omega, rep)
@@ -267,6 +293,71 @@ def build_green_kernel(
         values=values,
         class_of=class_of,
     )
+
+
+@dataclass(frozen=True)
+class Support:
+    """S, the nodes where xi is nonzero, ordered by z-slab, then x, then y; xi there;
+    and L, the z-slabs that hold them (slabs, increasing), slot[i] being the position
+    in L of node i's slab."""
+
+    ix: np.ndarray
+    iy: np.ndarray
+    iz: np.ndarray
+    xi: np.ndarray
+    slabs: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def of(cls, xi: np.ndarray) -> "Support":
+        """The support of xi sampled on a grid's nodes, shape (nx, ny, nz)."""
+        iz, ix, iy = np.nonzero(np.moveaxis(xi, 2, 0))
+        slabs, slot = np.unique(iz, return_inverse=True)
+        return cls(ix, iy, iz, xi[ix, iy, iz], slabs, slot.reshape(iz.shape))
+
+    @property
+    def size(self) -> int:
+        return self.xi.size
+
+    def to_slabs(self, values: np.ndarray, grid: Grid3D) -> np.ndarray:
+        """The (|L|, nx, ny) slabs holding values at S and zero elsewhere."""
+        slabs = np.zeros((self.slabs.size, grid.nx, grid.ny), dtype=complex)
+        slabs[self.slot, self.ix, self.iy] = values
+        return slabs
+
+    def from_slabs(self, slabs: np.ndarray) -> np.ndarray:
+        """The values at S of (|L|, nx, ny) slabs."""
+        return slabs[self.slot, self.ix, self.iy]
+
+
+def node_kernel(grid: Grid3D, omega: float, support: Support) -> np.ndarray:
+    """The S x S matrix omega^2 hx hy mu_j xi_j G(x_i - x_j) of u -> K(xi u) on support's
+    nodes, mu being the trapezoid weights of grid's z nodes.
+
+    The transverse offset is the minimum image on the periodic lattice and the z-offset is
+    rounded as the tables round it, and G is sampled as green_spectra samples it (once per
+    z-offset and distinct distance, the zero-distance entry being G's cell average), so the
+    matrix is the one the L-slab table applies between the slab transforms, up to rounding.
+    """
+    n = grid.nx
+    z = grid.z_nodes[support.slabs]
+    offsets, offset_index = _offset_table(z, z)
+    rho2_unique, node = _distinct_distances(grid)
+    samples = _green_samples(grid, offsets, omega, rho2_unique).ravel()
+    weights = trapezoid_weights(grid.z_nodes)[support.iz]
+    scale = omega * omega * grid.hx * grid.hy * weights * support.xi
+    size = support.size
+    out = np.empty((size, size), dtype=complex)
+    step = max(1, _GATHER_BYTES // max(1, size * 8))
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        dx = np.abs(support.ix[rows, None] - support.ix[None, :])
+        dy = np.abs(support.iy[rows, None] - support.iy[None, :])
+        flat = offset_index[support.slot[rows, None], support.slot[None, :]] * rho2_unique.size
+        flat += node[np.minimum(dy, n - dy), np.minimum(dx, n - dx)]
+        np.take(samples, flat, out=out[rows])
+    out *= scale
+    return out
 
 
 @dataclass(frozen=True)
@@ -302,19 +393,33 @@ def check_sources(sources: SourceSet, grid: Grid3D) -> None:
             raise ValueError(f"source at {tuple(map(float, p))} coincides with a grid node")
 
 
-def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float,
-                            slabs: slice | np.ndarray = slice(None)) -> np.ndarray:
-    """Per-mode values (N*N, k) of the incident field u0 = sum_m A_m G(|x - x_m|) on
-    the k z-slabs grid.z_nodes[slabs] (every slab by default).
+def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> np.ndarray:
+    """Per-mode values (N*N, nz) of the incident field u0 = sum_m A_m G(|x - x_m|) on
+    every z-slab of grid.
 
-    Samples the superposed point-source field on those slabs' nodes, then transforms.
+    Samples the superposed point-source field on the grid's nodes, then transforms.
     A source coinciding with a node of grid would make u0 singular there and is
     rejected.
     """
     check_sources(sources, grid)
     # sampled in a function of its own, so that its temporaries are freed before the
     # transform allocates; kept alive, they raised invert's peak on flbench thin by 3 MiB
-    return forward_slab(_incident_slabs(sources, grid, grid.z_nodes[slabs], omega), grid)
+    return forward_slab(_incident_slabs(sources, grid, grid.z_nodes, omega), grid)
+
+
+def incident_field_nodes(sources: SourceSet, grid: Grid3D, omega: float,
+                         support: Support) -> np.ndarray:
+    """u0 = sum_m A_m G(|x - x_m|) at support's nodes, shape (|S|,): the samples
+    incident_field_spectral transforms there, bitwise (the same distances, summed over
+    the sources in their given order)."""
+    check_sources(sources, grid)
+    x, y = grid.x_coords()[support.ix], grid.y_coords()[support.iy]
+    z = grid.z_nodes[support.iz]
+    out = np.zeros(support.size, dtype=complex)
+    for p, a in zip(sources.positions, sources.amplitudes):
+        out += a * green_point(np.sqrt(((x - p[0]) ** 2 + (y - p[1]) ** 2) + (z - p[2]) ** 2),
+                               omega)
+    return out
 
 
 def _incident_slabs(sources: SourceSet, grid: Grid3D, z: np.ndarray, omega: float) -> np.ndarray:

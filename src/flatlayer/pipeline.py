@@ -4,10 +4,11 @@ and timing benchmarks.
 Every stage writes its artifacts plus a manifest (JSON, stable key order)
 recording the config hash, wall times, diagnostics, and a checksummed file
 inventory, so any reconstruction can be traced to the exact inputs that
-produced it. Synthesis works on L, the z-slabs where xi is nonzero: it
-builds the scatterer table's L rows and columns and the receiver table's L
-columns (never cached, as they depend on xi), and iterates on L until the
-update norm on L is <= tol * ||U0 on L||. Inversion and the timing sweep
+produced it. Synthesis works on S, the nodes where xi is nonzero, and L,
+the z-slabs that hold them: it solves for the internal field at S by GMRES,
+with the dense S x S kernel or the scatterer table's L rows and columns, and
+applies the receiver table's L columns (never cached, as they depend on
+xi). Inversion and the timing sweep
 use the full tables, cached on disk keyed by lattice period, z nodes and
 frequency, reusable across noise levels, regularizer sweeps and window
 positions. Cache files hold every mode's column, tables in memory one per
@@ -29,7 +30,15 @@ import numpy as np
 
 from .fieldio import export_slices_csv, read_field, write_field
 from .fields import ComplexField, Grid3D, make_grids
-from .forward import ForwardResult, add_noise, born_iterate, interaction_spectral, scattered_data
+from .forward import (
+    ForwardResult,
+    SupportOperator,
+    add_noise,
+    born_iterate,
+    dense_fits,
+    scattered_data,
+    support_interaction,
+)
 from .inverse import (
     ModeSolveStats,
     extract_xi_lsq,
@@ -41,10 +50,13 @@ from .manifest import ManifestBuilder, read_manifest
 from .medium import (
     _GATHER_BYTES,
     GreenKernelTable,
+    Support,
     build_green_kernel,
     check_kernel_grids,
     check_sources,
+    incident_field_nodes,
     incident_field_spectral,
+    node_kernel,
     trapezoid_weights,
 )
 from .metrics import TimingRecord, localization_report, slice_relative_error, timing_fit
@@ -219,7 +231,7 @@ def frequency_tables(
     return kernel_xx, kernel_xy, u0
 
 
-SupportTables = tuple[GreenKernelTable, GreenKernelTable, np.ndarray]
+SupportTables = tuple[SupportOperator, GreenKernelTable, np.ndarray]
 
 
 def support_tables(
@@ -228,31 +240,34 @@ def support_tables(
     grid_x: Grid3D,
     grid_y: Grid3D,
     lattice: ModeLattice,
-    support: np.ndarray,
+    support: Support,
 ) -> SupportTables:
-    """K_LL, K_yL and U0 on L at omega, L being the scatterer slabs support: the
-    scatterer table's L rows and columns, every receiver row's L columns, and the
-    incident per-mode values on L."""
-    kernel_ll = build_green_kernel(grid_x, grid_x, omega, lattice, rows=support, cols=support)
-    kernel_yl = build_green_kernel(grid_x, grid_y, omega, lattice, cols=support)
-    u0 = incident_field_spectral(config.sources, grid_x, omega, support)
-    return kernel_ll, kernel_yl, u0
+    """The operator u -> K(xi u) on xi's nonzero nodes S, K_yL and u0 at S, at omega.
+
+    The operator is the dense S x S matrix when forward.dense_fits allows it, and the
+    scatterer table's L rows and columns otherwise, L being the support's slabs; K_yL
+    is every receiver row's L columns.
+    """
+    if dense_fits(support.size, grid_x.nx, support.slabs.size):
+        operator = SupportOperator(omega, support, grid_x,
+                                   matrix=node_kernel(grid_x, omega, support))
+    else:
+        kernel_ll = build_green_kernel(grid_x, grid_x, omega, lattice,
+                                       rows=support.slabs, cols=support.slabs)
+        operator = SupportOperator(omega, support, grid_x, kernel_ll=kernel_ll)
+    kernel_yl = build_green_kernel(grid_x, grid_y, omega, lattice, cols=support.slabs)
+    u0 = incident_field_nodes(config.sources, grid_x, omega, support)
+    return operator, kernel_yl, u0
 
 
 def forward_frequency(
-    config: RunConfig,
-    tables: SupportTables,
-    grid_x: Grid3D,
-    grid_y: Grid3D,
-    xi_support: np.ndarray,
-    seed: int,
+    config: RunConfig, tables: SupportTables, grid_y: Grid3D, seed: int
 ) -> tuple[ForwardResult, ComplexField]:
-    """Born solve on L and (optionally noisy) receiver data for one frequency,
-    from support_tables and xi's samples on L, shape (nx, ny, |L|)."""
-    kernel_ll, kernel_yl, u0 = tables
-    fwd = born_iterate(u0, kernel_ll, xi_support, grid_x,
-                       tol=config.forward.tol, max_iter=config.forward.max_iter)
-    v = interaction_spectral(fwd.u_values, xi_support, grid_x)
+    """Forward solve on xi's support and (optionally noisy) receiver data for one
+    frequency, from support_tables."""
+    operator, kernel_yl, u0 = tables
+    fwd = born_iterate(u0, operator, tol=config.forward.tol, max_iter=config.forward.max_iter)
+    v = support_interaction(fwd.u_values, operator.support, operator.grid)
     _, w_field = scattered_data(kernel_yl, grid_y, v)
     return fwd, add_noise(w_field, config.delta, seed)
 
@@ -262,23 +277,22 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     data dumps.
 
     One W dump per frequency; deterministic given config and seed. Every
-    frequency is solved before anything is written, so a Born divergence
-    or non-convergence (raised with the offending frequency in its
+    frequency is solved before anything is written, so a forward solve that
+    ends short of its tolerance (raised with the offending frequency in its
     message) leaves no data behind.
     """
     out = Path(out_dir)
     grid_x, grid_y = make_grids(config.grid)
     lattice = ModeLattice.for_grid(grid_x)
-    xi = config.phantom.sample_on(grid_x)
-    support = np.flatnonzero(xi.any(axis=(0, 1)))
-    xi_support = xi[:, :, support]
+    support = Support.of(config.phantom.sample_on(grid_x))
 
     manifest = ManifestBuilder("synthesize", config.config_hash())
     manifest.set("grid_x", grid_x.content_key())
     manifest.set("grid_y", grid_y.content_key())
     manifest.set("noise", {"delta": config.delta, "seed": config.seed})
-    z = grid_x.z_nodes[support]
-    manifest.set("forward_support", {"slabs": int(support.size), "of": grid_x.nz,
+    z = grid_x.z_nodes[support.slabs]
+    manifest.set("forward_support", {"nodes": support.size, "slabs": int(support.slabs.size),
+                                     "of": grid_x.nz,
                                      "z": [float(z[0]), float(z[-1])] if z.size else None})
     solved = []
     for i, omega in enumerate(config.frequencies):
@@ -287,24 +301,26 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
         manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        solved.append(forward_frequency(config, tables, grid_x, grid_y, xi_support,
-                                        config.seed + i))
+        solved.append((tables[0].form, *forward_frequency(config, tables, grid_y,
+                                                          config.seed + i)))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
 
     out.mkdir(parents=True, exist_ok=True)
-    iterations, data_files = {}, []
-    for i, (omega, (fwd, w_out)) in enumerate(zip(config.frequencies, solved)):
+    forms, iterations, data_files = {}, {}, []
+    for i, (omega, (form, fwd, w_out)) in enumerate(zip(config.frequencies, solved)):
         w_path = out / f"w_{i:03d}.laf"
         write_field(w_out, w_path)
         manifest.add_file(w_path, out)
         manifest.add_file(_write_csv(
             out / f"residuals_{i:03d}.csv",
-            ["iteration", "update_norm"],
+            ["application", "residual_norm"],
             [(n + 1, repr(float(r))) for n, r in enumerate(fwd.residual_history)],
         ), out)
+        forms[f"{i:03d}"] = form
         iterations[f"{i:03d}"] = fwd.iterations
         data_files.append({"index": i, "omega": omega, "file": w_path.name})
 
+    manifest.set("forward_operator", forms)
     manifest.set("forward_iterations", iterations)
     manifest.set("data_files", data_files)
     manifest.write(out / "manifest.json")
@@ -520,13 +536,11 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     for grid_x, grid_y in grids:
         # the sweep times the inversion only: no bump is localized on these grids
         lattice = ModeLattice.for_grid(grid_x)
-        xi = config.phantom.sample_on(grid_x)
-        support = np.flatnonzero(xi.any(axis=(0, 1)))
+        support = Support.of(config.phantom.sample_on(grid_x))
         frequencies = []
         for omega in config.frequencies:
             synth = support_tables(config, omega, grid_x, grid_y, lattice, support)
-            _, w_field = forward_frequency(config, synth, grid_x, grid_y, xi[:, :, support],
-                                           config.seed)
+            _, w_field = forward_frequency(config, synth, grid_y, config.seed)
             tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
             frequencies.append((omega, tables, forward_xy(w_field)))
         invert_pass(grid_x, frequencies)  # warm-up

@@ -116,6 +116,14 @@ def incident_per_source(sources, grid, omega):
     return forward_slab(slabs, grid)
 
 
+def full_slab_interaction(grid, u_values, xi):
+    """V = F[xi * F^-1[U]] per mode on every z-slab of grid, from per-mode values U
+    of shape (n_modes, nz) and xi on grid's nodes."""
+    slabs = inverse_slab(u_values, grid)
+    slabs *= np.moveaxis(xi, 2, 0)
+    return forward_slab(slabs, grid)
+
+
 def full_grid_born_data(config, omega):
     """Reference for synthesis on xi's support: config's receiver data at omega from
     the Born iteration on every scatterer slab, with the full tables and the whole
@@ -129,9 +137,7 @@ def full_grid_born_data(config, omega):
     u0 = fl.incident_field_spectral(config.sources, gx, omega)
 
     def interaction(u):
-        slabs = inverse_slab(u, gx)
-        slabs *= np.moveaxis(xi, 2, 0)
-        return forward_slab(slabs, gx)
+        return full_slab_interaction(gx, u, xi)
 
     u, threshold = u0, config.forward.tol * np.linalg.norm(u0)
     for iterations in range(1, config.forward.max_iter + 1):
@@ -141,6 +147,28 @@ def full_grid_born_data(config, omega):
             break
     _, w = fl.scattered_data(kxy, gy, interaction(u))
     return w.values, iterations
+
+
+def dense_operator(grid, omega, xi):
+    """The dense form of u -> K(xi u) on xi's nonzero nodes of grid."""
+    support = fl.Support.of(xi)
+    return fl.SupportOperator(omega, support, grid, matrix=fl.node_kernel(grid, omega, support))
+
+
+def forward_everywhere(xi, sources, u0, kernel_xx, kernel_xy, grid_y):
+    """The forward solve on xi's support (dense form, default tol) and, for the inverse
+    tests, the internal field's per-mode values on every slab, U0 + K_xx V with V zero
+    off the support's slabs. u0 is the incident spectrum on kernel_xx's grid. Returns
+    (fwd, u_values, w_spec, w_field)."""
+    grid_x = u0.grid
+    operator = dense_operator(grid_x, kernel_xx.omega, xi)
+    support = operator.support
+    fwd = fl.born_iterate(fl.incident_field_nodes(sources, grid_x, kernel_xx.omega, support),
+                          operator)
+    v = np.zeros(u0.values.shape, dtype=complex)
+    v[:, support.slabs] = fl.support_interaction(fwd.u_values, support, grid_x)
+    w_spec, w_field = fl.scattered_data(kernel_xy, grid_y, v)
+    return fwd, u0.values + kernel_xx.apply(v), w_spec, w_field
 
 
 def assert_slices_parse_back(directory, stem, field):
@@ -177,7 +205,7 @@ def tiny_grids():
 @pytest.fixture(scope="session")
 def desk():
     """Desk-scale bundle at omega = 2: grids, full kernel tables, forward solve on
-    every slab, data.
+    xi's support with the internal field on every slab, data.
 
     Shared by the forward/inverse/regularizer tests and the acceptance
     suite; computed once per session.
@@ -192,11 +220,8 @@ def desk():
     kernel_xx = fl.build_green_kernel(grid_x, grid_x, omega, lattice)
     kernel_xy = fl.build_green_kernel(grid_x, grid_y, omega, lattice)
     u0 = fl.SpectralField(grid_x, fl.incident_field_spectral(sources, grid_x, omega))
-    # on every slab, so that the inverse tests have the whole internal field
-    fwd = fl.born_iterate(u0.values, kernel_xx, xi_exact, grid_x)
-    w_spec, w_field = fl.scattered_data(
-        kernel_xy, grid_y, fl.interaction_spectral(fwd.u_values, xi_exact, grid_x)
-    )
+    fwd, u_values, w_spec, w_field = forward_everywhere(xi_exact, sources, u0, kernel_xx,
+                                                        kernel_xy, grid_y)
     return {
         "config": cfg,
         "grid_x": grid_x,
@@ -210,6 +235,7 @@ def desk():
         "kernel_xy": kernel_xy,
         "u0": u0,
         "forward": fwd,
+        "u_values": u_values,
         "w_spec": w_spec,
         "w_field": w_field,
     }

@@ -13,7 +13,14 @@ import pytest
 import yaml
 
 import flatlayer as fl
-from conftest import mode_frequencies, mode_magnitude, reconstruct
+from conftest import (
+    dense_operator,
+    forward_everywhere,
+    full_slab_interaction,
+    mode_frequencies,
+    mode_magnitude,
+    reconstruct,
+)
 from flatlayer.cli import main as cli_main
 from flatlayer.manifest import read_manifest
 from flatlayer.medium import green_spectra
@@ -63,10 +70,7 @@ def multi_frequency(desk):
             kxx = fl.build_green_kernel(gx, gx, omega, lat)
             kxy = fl.build_green_kernel(gx, gy, omega, lat)
             u0 = fl.SpectralField(gx, fl.incident_field_spectral(sources, gx, omega))
-            fwd = fl.born_iterate(u0.values, kxx, xi_exact, gx)
-            _, w_field = fl.scattered_data(
-                kxy, gy, fl.interaction_spectral(fwd.u_values, xi_exact, gx)
-            )
+            fwd, _, _, w_field = forward_everywhere(xi_exact, sources, u0, kxx, kxy, gy)
         iteration_counts[omega] = fwd.iterations
         v_spec, _ = fl.solve_modes(fl.forward_xy(w_field), kxy, omega, reg, gx)
         u_spec = fl.recompute_internal_field(v_spec, u0, kxx)
@@ -174,22 +178,22 @@ def test_criterion_3_regularizer_oracles():
 
 
 def test_criterion_4_forward_solver(desk, multi_frequency):
-    with criterion(4, "forward solver: exact one-step, omega ordering, fixed point", budget=300.0):
-        gx = desk["grid_x"]
+    with criterion(4, "forward solver: empty support, omega ordering, fixed point", budget=300.0):
+        gx, omega = desk["grid_x"], desk["omega"]
         u0 = desk["u0"].values
-        res0 = fl.born_iterate(u0, desk["kernel_xx"], np.zeros(gx.shape), gx)
-        assert res0.iterations == 1
-        assert np.array_equal(res0.u_values, u0)
+        # xi = 0 has no support: u = u0 there, with no operator application
+        empty = dense_operator(gx, omega, np.zeros(gx.shape))
+        res0 = fl.born_iterate(
+            fl.incident_field_nodes(desk["sources"], gx, omega, empty.support), empty)
+        assert res0.iterations == 0 and res0.u_values.size == 0
 
         _, _, iterations = multi_frequency
         assert iterations[1.0] < iterations[2.0] < iterations[3.0], iterations
 
-        from flatlayer.forward import interaction_spectral
-
-        fwd = desk["forward"]
-        v = interaction_spectral(fwd.u_values, desk["xi_exact"], gx)
+        u_values = desk["u_values"]
+        v = full_slab_interaction(gx, u_values, desk["xi_exact"])
         rhs = u0 + desk["kernel_xx"].apply(v)
-        residual = np.linalg.norm(rhs - fwd.u_values)
+        residual = np.linalg.norm(rhs - u_values)
         assert residual <= 10 * 1e-13 * np.linalg.norm(u0)
         print(f"\n  iterations: {iterations}, fixed-point residual "
               f"{residual / np.linalg.norm(u0):.2e} of ||U0||")
@@ -225,7 +229,7 @@ def test_criterion_7_thin_layer(desk, recon_exact):
         xi_exact = desk["xi_exact"]
         kxy = fl.build_green_kernel(gx, gy, omega, lat)
         _, w_field = fl.scattered_data(
-            kxy, gy, fl.interaction_spectral(desk["forward"].u_values, xi_exact, gx)
+            kxy, gy, full_slab_interaction(gx, desk["u_values"], xi_exact)
         )
         v_spec, _ = fl.solve_modes(
             fl.forward_xy(w_field), kxy, omega, fl.RegularizerConfig(), gx

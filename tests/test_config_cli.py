@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from flatlayer.runconfig import (
     load_config,
 )
 
-from conftest import assert_slices_parse_back
+from conftest import assert_slices_parse_back, full_slab_interaction
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESET_DIR = ROOT / "configs"
@@ -82,7 +83,8 @@ def write_config(tmp_path, name="run.yaml", **overrides):
 
 # one bump centred on the scatterer node (0, 0, 0.5): unlike the three-bump
 # phantom, which falls between the nodes of tiny_config_dict's N = 16 lattice,
-# it samples to a nonzero xi there (on 3 of the 7 slabs) and Born runs 19 iterations
+# it samples to a nonzero xi there (on 3 nodes, one on each of 3 of the 7 slabs),
+# and GMRES takes 3 operator applications (Born took 19 iterations)
 NODE_BUMP = {"amplitude": 0.3, "bumps": [{"center": [0.0, 0.0, 0.5], "radius": 0.4, "weight": 1.0}]}
 
 
@@ -250,6 +252,33 @@ def test_benchmark_workload_configs_parse(tmp_path, monkeypatch):
             assert config.grid.n_transverse == work.n
 
 
+def test_presets_and_benchmark_workloads_take_the_dense_forward_operator(tmp_path,
+                                                                         monkeypatch):
+    """From sizes only, with no solve: every preset's support, bench.yaml's at each of
+    its N values, and every flbench workload's meets forward.dense_fits, so synthesize
+    applies the dense S x S matrix and builds no scatterer table for any of them."""
+    path = ROOT / "flbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("flbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # dataclasses look it up
+    spec.loader.exec_module(workloads)
+    configs = {}
+    for preset in sorted(PRESET_DIR.glob("*.yaml")):
+        configs[preset.stem] = config = load_config(preset)
+        if preset.stem == "bench":
+            for n in config.bench_n:
+                configs[f"bench N={n}"] = replace(config, grid=replace(config.grid,
+                                                                       n_transverse=n))
+    for name, work in workloads.WORKLOADS.items():
+        configs[f"flbench {name}"] = config_from_dict(work.config(None, tmp_path, complex(1.0)))
+    assert len(configs) == 7 + 3 + 3
+    for name, config in configs.items():
+        grid_x, _ = fl.make_grids(config.grid)
+        support = fl.Support.of(config.phantom.sample_on(grid_x))
+        assert support.size > 0, name
+        assert fl.dense_fits(support.size, grid_x.nx, support.slabs.size), name
+
+
 def test_cli_full_pipeline(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # N = 32 so the coarse lattice actually resolves the bumps
@@ -375,27 +404,28 @@ def test_cli_rerun_reproduces_checksums(tmp_path, monkeypatch):
     wa = (tmp_path / "a" / "w_000.laf").read_bytes()
     wb = (tmp_path / "b" / "w_000.laf").read_bytes()
     assert wa == wb
-    # the reruns compare real data from a real Born loop
+    # the reruns compare real data from a real GMRES solve
     assert np.any(read_field(tmp_path / "a" / "w_000.laf").values != 0)
     assert read_manifest(tmp_path / "a" / "manifest.json")["forward_iterations"]["000"] > 1
 
 
 def test_cli_phantom_between_nodes_gives_zero_data_in_one_step(tmp_path, monkeypatch):
     """tiny_config_dict's bumps miss every node of its N = 16 lattice: xi is zero
-    on every slab, so the interaction V is zero and Born stops after one step."""
+    on every slab, so the interaction V is zero and the forward solve stops at its
+    one step, the residual check on the empty support, with no operator application."""
     monkeypatch.chdir(tmp_path)
     config = config_from_dict(tiny_config_dict())
     grid_x, _ = fl.make_grids(config.grid)
     xi = config.phantom.sample_on(grid_x)
     assert not xi.any(axis=(0, 1)).any()  # the support is empty
     u0 = fl.incident_field_spectral(config.sources, grid_x, 2.0)
-    assert np.all(fl.interaction_spectral(u0, xi, grid_x) == 0)
+    assert np.all(full_slab_interaction(grid_x, u0, xi) == 0)
     cfg = write_config(tmp_path)
     assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
     assert np.all(read_field(tmp_path / "d" / "w_000.laf").values == 0)
     manifest = read_manifest(tmp_path / "d" / "manifest.json")
-    assert manifest["forward_iterations"] == {"000": 1}
-    assert manifest["forward_support"] == {"slabs": 0, "of": 7, "z": None}
+    assert manifest["forward_iterations"] == {"000": 0}
+    assert manifest["forward_support"] == {"nodes": 0, "slabs": 0, "of": 7, "z": None}
 
 
 def read_strict_json(path):
@@ -428,8 +458,10 @@ def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, mon
 
 @st.composite
 def tiny_runs(draw):
-    """A config dict on an N <= 16 grid with NODE_BUMP's phantom, any regularizer
-    setting RegularizerConfig accepts, and noise level delta."""
+    """A config dict on an N <= 16 grid with NODE_BUMP's bump at any radius and an
+    amplitude of either sign (slow inclusions, xi < 0, included), one or two
+    frequencies, any forward tol and max_iter,
+    any regularizer setting RegularizerConfig accepts, and noise level delta."""
     method = draw(st.sampled_from(["tsvd", "tikhonov"]))
     reg = {"method": method}
     if method == "tsvd":
@@ -441,7 +473,12 @@ def tiny_runs(draw):
     grid = {**tiny_config_dict()["grid"], "n_transverse": draw(st.sampled_from([2, 4, 8, 16])),
             "scatterer_nz": draw(st.integers(2, 7)), "receiver_nz": draw(st.integers(2, 5))}
     noise = {"delta": draw(st.floats(0.0, 1.0)), "seed": 1234}
-    return tiny_config_dict(grid=grid, phantom=NODE_BUMP, regularizer=reg, noise=noise)
+    bump = dict(NODE_BUMP["bumps"][0], radius=draw(st.floats(0.1, 15.0)))
+    phantom = {"amplitude": draw(st.floats(-50.0, 50.0)), "bumps": [bump]}
+    frequencies = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=2))
+    forward = {"tol": 10.0 ** draw(st.floats(-16.0, 1.0)), "max_iter": draw(st.integers(1, 60))}
+    return tiny_config_dict(grid=grid, phantom=phantom, regularizer=reg, noise=noise,
+                            frequencies=frequencies, forward=forward)
 
 
 @given(tiny_runs())
@@ -622,16 +659,29 @@ def test_omitted_keys_take_the_record_defaults():
     assert config_from_dict(data).forward == ForwardOptions(tol=1e-13, max_iter=5)
 
 
-def test_cli_divergence_exit_code(tmp_path, monkeypatch):
+def test_cli_scatterer_beyond_the_born_series_synthesizes(tmp_path, monkeypatch):
+    """A scatterer far too strong for the Born series, which diverged on it (exit 3),
+    synthesizes: GMRES on its |S| = 3 nodes ends within 3 operator applications. A
+    cap below that still ends in exit 3 with nothing written."""
     monkeypatch.chdir(tmp_path)
     data = tiny_config_dict(frequencies=[3.0])
-    # N = 32 so the coarse lattice resolves the (far too strong) scatterer
+    # N = 32 so the coarse lattice resolves the scatterer
     data["grid"]["n_transverse"] = 32
     data["phantom"]["amplitude"] = 20.0
-    cfg = tmp_path / "diverge.yaml"
+    cfg = tmp_path / "strong.yaml"
     with open(cfg, "w") as fh:
         yaml.safe_dump(data, fh)
-    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 3
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    manifest = read_manifest(tmp_path / "d" / "manifest.json")
+    assert manifest["forward_support"]["nodes"] == 3
+    assert 0 < manifest["forward_iterations"]["000"] <= 3
+    w = read_field(tmp_path / "d" / "w_000.laf").values
+    assert np.all(np.isfinite(w)) and np.any(w != 0)
+    data["forward"] = {"max_iter": 2}
+    with open(cfg, "w") as fh:
+        yaml.safe_dump(data, fh)
+    assert main(["synthesize", "--config", str(cfg), "--out", "capped"]) == 3
+    assert not (tmp_path / "capped").exists()
 
 
 def test_cli_grid_mismatch_rejected_before_compute(tmp_path, monkeypatch):
@@ -825,7 +875,7 @@ def test_cli_corrupt_kernel_cache_is_rebuilt(tmp_path, monkeypatch):
 def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     data = tiny_config_dict(forward={"tol": 1e-13, "max_iter": 2})
-    # N = 32 so the coarse lattice resolves the bumps and Born needs > 2 steps
+    # N = 32 so the coarse lattice resolves the bumps and GMRES needs > 2 applications
     data["grid"]["n_transverse"] = 32
     cfg = tmp_path / "capped.yaml"
     with open(cfg, "w") as fh:
@@ -975,12 +1025,15 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
         assert main(["invert", "--config", traced, "--data", "data", "--out", "recon"]) == 0
     finally:
         tracer.restore()
-    # synthesize builds its two tables for xi's support and loads none
+    # synthesize builds the receiver table's columns on xi's support and loads none:
+    # its operator on NODE_BUMP's 3 nodes is the dense matrix, with no scatterer table
     assert "pipeline.get_kernel" not in synthesize
-    assert synthesize.count("medium.build_green_kernel") == 2
+    assert synthesize.count("medium.build_green_kernel") == 1
     metrics = spans.layer_metrics(tracer.spans, "tsvd")
-    assert metrics["pipeline.cache_misses"] == 4 and metrics["pipeline.cache_hits"] == 2
-    assert metrics["forward.born_iterations"] > 1
+    # the set-up's 2 builds and synthesize's 1
+    assert metrics["pipeline.cache_misses"] == 3 and metrics["pipeline.cache_hits"] == 2
+    # forward.born_iterations counts GMRES's operator applications: at most |S| = 3
+    assert 1 < metrics["forward.born_iterations"] <= 3
     assert metrics["medium.incident_s"] > 0 and metrics["spectral.fft_s"] > 0
     assert metrics["inverse.failed_modes"] == 0
     assert all(np.isfinite(value) for value in metrics.values())
@@ -998,5 +1051,6 @@ def test_readme_library_snippet_runs():
     namespace = {}
     exec(compile(snippet, "<README.md Library>", "exec"), namespace)
     assert namespace["fwd"].iterations >= 1
+    assert namespace["operator"].form == "dense"
     assert namespace["ext"].xi.shape == namespace["grid_x"].shape
     assert np.isfinite(namespace["curve"].mean)

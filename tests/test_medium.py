@@ -6,7 +6,12 @@ from hypothesis import strategies as st
 import flatlayer as fl
 from conftest import fft_green_spectra, incident_per_source, three_bumps
 from flatlayer.fields import Grid3D
-from flatlayer.medium import green_cell_average, green_spectra, trapezoid_weights
+from flatlayer.medium import (
+    _incident_slabs,
+    green_cell_average,
+    green_spectra,
+    trapezoid_weights,
+)
 
 
 def test_green_point_static():
@@ -309,6 +314,41 @@ def test_incident_field_matches_per_source_oracle(case, omega):
         return
     got = fl.incident_field_spectral(sources, grid, omega)
     assert got.tobytes() == expected.tobytes()
+
+
+@given(incident_cases(), st.floats(0.1, 4.0))
+def test_incident_field_nodes_are_the_slab_samples_bitwise(case, omega):
+    """u0 at a set of nodes is bitwise what the slab sampler gives there."""
+    grid, sources = case
+    support = fl.Support.of(np.random.default_rng(5).random(grid.shape) < 0.4)
+    try:
+        incident_per_source(sources, grid, omega)
+    except ValueError:
+        with pytest.raises(ValueError, match="coincides"):
+            fl.incident_field_nodes(sources, grid, omega, support)
+        return
+    got = fl.incident_field_nodes(sources, grid, omega, support)
+    slabs = _incident_slabs(sources, grid, grid.z_nodes, omega)
+    assert got.tobytes() == slabs[support.iz, support.ix, support.iy].tobytes()
+
+
+@pytest.mark.parametrize("y_bounds", [(-10.0, 10.0), (-7.0, 9.0)], ids=["square", "hx!=hy"])
+def test_node_kernel_matches_the_slab_form(y_bounds):
+    """The dense S x S matrix applies the operator that the scatterer table on L
+    applies between the slab transforms, also with unequal spacings and a window
+    off the centre."""
+    cfg = fl.GridConfig(y_bounds=y_bounds, n_transverse=64, scatterer_nz=21, receiver_nz=5)
+    gx, _ = fl.make_grids(cfg)
+    support = fl.Support.of(three_bumps(0.3).sample_on(gx))
+    assert support.size > 20 and support.slabs.size > 1
+    kernel_ll = fl.build_green_kernel(gx, gx, 2.0, fl.ModeLattice.for_grid(gx),
+                                      rows=support.slabs, cols=support.slabs)
+    slab = fl.SupportOperator(2.0, support, gx, kernel_ll=kernel_ll)
+    dense = fl.SupportOperator(2.0, support, gx, matrix=fl.node_kernel(gx, 2.0, support))
+    rng = np.random.default_rng(11)
+    u = rng.standard_normal(support.size) + 1j * rng.standard_normal(support.size)
+    expected = slab.apply(u)
+    assert np.max(np.abs(dense.apply(u) - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_phantom_bump_centers():
