@@ -22,7 +22,7 @@ from .fields import ComplexField, Grid3D, SpectralField, l2_norm
 from .medium import GreenKernelTable, Support
 from .spectral import forward_slab, inverse_slab, inverse_xy
 
-# Krylov vectors per GMRES cycle; a restart begins the next cycle from the residual
+# Krylov vectors per GMRES cycle; a restart begins the next cycle from the true residual
 _RESTART = 20
 # per-mode arrays on L that one application of the slab form holds at its peak
 # (the slab transforms' and the table's temporaries; measured with tracemalloc)
@@ -157,11 +157,14 @@ def born_iterate(
             basis[k] = w / h[k, k - 1]
         y = np.linalg.solve(tri[:k, :k], g[:k])
         u += y @ basis[:k]
-        # the residual from the Arnoldi relation, with no further application
-        coef = -(h[:k + 1, :k] @ y)
-        coef[0] += beta
-        r = coef @ basis[:k + 1]
-        beta = float(np.linalg.norm(r))
+        if residuals[-1] <= threshold:
+            break
+        if len(residuals) < max_iter:
+            # a restart begins from the true residual u0 - (I - K xi) u, as the
+            # Arnoldi relation's residual drifts from it over restarts
+            r = u0 - u + operator.apply(u)
+            beta = float(np.linalg.norm(r))
+            residuals.append(beta)
     return ForwardResult(u, len(residuals), np.asarray(residuals))
 
 

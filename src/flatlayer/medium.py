@@ -410,16 +410,9 @@ def incident_field_spectral(sources: SourceSet, grid: Grid3D, omega: float) -> n
 def incident_field_nodes(sources: SourceSet, grid: Grid3D, omega: float,
                          support: Support) -> np.ndarray:
     """u0 = sum_m A_m G(|x - x_m|) at support's nodes, shape (|S|,): the samples
-    incident_field_spectral transforms there, bitwise (the same distances, summed over
-    the sources in their given order)."""
+    incident_field_spectral transforms, taken on the support's slabs L only."""
     check_sources(sources, grid)
-    x, y = grid.x_coords()[support.ix], grid.y_coords()[support.iy]
-    z = grid.z_nodes[support.iz]
-    out = np.zeros(support.size, dtype=complex)
-    for p, a in zip(sources.positions, sources.amplitudes):
-        out += a * green_point(np.sqrt(((x - p[0]) ** 2 + (y - p[1]) ** 2) + (z - p[2]) ** 2),
-                               omega)
-    return out
+    return support.from_slabs(_incident_slabs(sources, grid, grid.z_nodes[support.slabs], omega))
 
 
 def _incident_slabs(sources: SourceSet, grid: Grid3D, z: np.ndarray, omega: float) -> np.ndarray:

@@ -28,8 +28,9 @@ class ForwardOptions:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ConfigError(f"forward.tol must be positive, got {self.tol!r}")
+        # u = 0 already meets a relative tolerance of 1 or more
+        if not 0 < self.tol < 1:
+            raise ConfigError(f"forward.tol must lie in (0, 1), got {self.tol!r}")
         if self.max_iter < 1:
             raise ConfigError(f"forward.max_iter must be at least 1, got {self.max_iter!r}")
 

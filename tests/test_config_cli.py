@@ -460,7 +460,7 @@ def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, mon
 def tiny_runs(draw):
     """A config dict on an N <= 16 grid with NODE_BUMP's bump at any radius and an
     amplitude of either sign (slow inclusions, xi < 0, included), one or two
-    frequencies, any forward tol and max_iter,
+    frequencies, a forward tol from 1e-16 to 10 (1 or more exits 2) and any max_iter,
     any regularizer setting RegularizerConfig accepts, and noise level delta."""
     method = draw(st.sampled_from(["tsvd", "tikhonov"]))
     reg = {"method": method}
@@ -594,6 +594,8 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         ({"forward": {"max_iter": -1}}, "forward.max_iter"),
         ({"forward": {"tol": 0.0}}, "forward.tol"),
         ({"forward": {"tol": -1.0}}, "forward.tol"),
+        ({"forward": {"tol": 1.0}}, "forward.tol"),
+        ({"forward": {"tol": 10.0}}, "forward.tol"),
         ({"extraction": {"eps_div": 2.0}}, "extraction.eps_div"),
         ({"extraction": {"eps_div": 1.0}}, "extraction.eps_div"),
         ({"extraction": {"eps_div": -1e-3}}, "extraction.eps_div"),

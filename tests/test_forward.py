@@ -103,8 +103,9 @@ def test_monotone_residual_decay_in_contraction_regime(small_setup):
 @pytest.mark.parametrize("omega, amplitude", [(2.0, 0.3), (3.0, -1.5), (3.0, -2.0), (6.0, 0.4)])
 def test_gmres_residuals_never_increase(small_setup, omega, amplitude):
     """GMRES minimizes the residual over growing Krylov spaces, and a restart begins
-    from the residual reached, so the recorded residuals never increase; the last one
-    meets the tolerance and is the residual of the returned field."""
+    from the true residual of the field reached, so the recorded residuals never
+    increase; the last one meets the tolerance and is the residual of the returned
+    field."""
     _, gx, _, _, sources = small_setup
     operator, u0, res = solve_on_support(gx, sources, omega, three_bumps(amplitude).sample_on(gx))
     r = res.residual_history
@@ -113,6 +114,38 @@ def test_gmres_residuals_never_increase(small_setup, omega, amplitude):
     assert r[-1] <= 1e-13 * np.linalg.norm(u0)
     true = np.linalg.norm(u0 - res.u_values + operator.apply(res.u_values))
     assert true <= 2e-13 * np.linalg.norm(u0)
+
+
+def strong_scatterer():
+    """An N = 16 grid, a strong scatterer over its whole lattice and three sources:
+    GMRES needs over 400 applications, some 20 restarts."""
+    cfg = fl.GridConfig(scatterer_z=(-0.5, 1.5), n_transverse=16, scatterer_nz=7, receiver_nz=5)
+    gx, _ = fl.make_grids(cfg)
+    bump = fl.Bump(center=(0.0, 0.0, 0.5), radius=8.9, weight=1.0)
+    return gx, fl.Phantom(amplitude=3.0, bumps=(bump,)).sample_on(gx), fl.SourceSet.line_y(
+        (-2.0, 0.0, 2.0))
+
+
+def test_many_restarts_end_on_the_true_residual():
+    """Each restart begins from the true residual, so the field returned after many
+    restarts meets the tolerance in it, not only in the Arnoldi relation's."""
+    gx, xi, sources = strong_scatterer()
+    operator, u0, res = solve_on_support(gx, sources, 2.0, xi)
+    assert res.iterations == res.residual_history.size > 400
+    true = np.linalg.norm(u0 - res.u_values + operator.apply(res.u_values))
+    assert true <= 1e-13 * np.linalg.norm(u0)
+
+
+@pytest.mark.parametrize("cap", [20, 21, 22, 41])
+def test_max_iter_caps_applications_across_restarts(cap):
+    """The application that gives a restart its true residual counts against max_iter:
+    a cap at, just after or in the middle of a restart ends at that many applications."""
+    gx, xi, sources = strong_scatterer()
+    operator = CountingOperator(dense_operator(gx, 2.0, xi))
+    u0 = fl.incident_field_nodes(sources, gx, 2.0, operator.operator.support)
+    with pytest.raises(ForwardError, match=f"did not converge in {cap} operator"):
+        fl.born_iterate(u0, operator, max_iter=cap)
+    assert operator.calls == cap
 
 
 # flbench thick's grid: N = 64, M = M1 = 41
