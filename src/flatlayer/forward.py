@@ -89,6 +89,10 @@ def born_iterate(
     """Restarted GMRES for the internal field u at the support's nodes S, returned
     once its residual meets the tolerance; every other ending raises.
 
+    Each application's residual is ||beta e1 - H_k y||, the residual of the field
+    u + Q_k y, with y from lstsq on the cycle's Hessenberg matrix. A Krylov space that
+    turns invariant short of the solution ends its cycle; the restarts then stall.
+
     Parameters
     ----------
     u0 : (|S|,) complex ndarray
@@ -104,15 +108,16 @@ def born_iterate(
     Raises
     ------
     ForwardError
-        If max_iter applications end short of the tolerance, or the residual is
-        not finite.
+        If max_iter applications end short of the tolerance, or a residual is not finite.
     """
     threshold = tol * float(np.linalg.norm(u0))
     u = np.zeros(u0.shape, dtype=complex)
     r = np.asarray(u0, dtype=complex)
     beta = float(np.linalg.norm(r))
     residuals: list[float] = []
-    while beta > threshold:
+    while beta > threshold or not np.isfinite(beta):
+        if not np.isfinite(beta):  # u0, or a restart's true residual
+            raise ForwardError(f"GMRES residual is not finite (omega = {operator.omega})")
         m = min(_RESTART, max_iter - len(residuals))
         if m == 0:
             raise ForwardError(
@@ -123,39 +128,23 @@ def born_iterate(
         basis = np.zeros((m + 1, r.size), dtype=complex)
         basis[0] = r / beta
         h = np.zeros((m + 1, m), dtype=complex)
-        tri = np.zeros((m, m), dtype=complex)  # h rotated to upper triangular form
-        rot = np.zeros((m, 2), dtype=complex)  # Givens rotations (c, s), s real
-        g = np.zeros(m + 1, dtype=complex)  # beta e1, rotated alike
-        g[0] = beta
-        k = 0
-        while k < m:
-            w = basis[k] - operator.apply(basis[k])
+        rhs = np.zeros(m + 1, dtype=complex)  # beta e1
+        rhs[0] = beta
+        for k in range(1, m + 1):
+            w = basis[k - 1] - operator.apply(basis[k - 1])
             for _ in range(2):
-                coef = (basis[:k + 1] @ w.conj()).conj()
-                w -= coef @ basis[:k + 1]
-                h[:k + 1, k] += coef
-            h[k + 1, k] = np.linalg.norm(w)
-            col = h[:k + 2, k].copy()
-            for i, (c, s) in enumerate(rot[:k]):
-                col[i : i + 2] = np.conj(c) * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
-            norm = np.hypot(abs(col[k]), abs(col[k + 1]))
-            if norm == 0.0:
-                raise ForwardError(
-                    f"GMRES broke down: I - K xi is singular on its Krylov space "
-                    f"(omega = {operator.omega})"
-                )
-            rot[k] = col[k] / norm, abs(col[k + 1]) / norm
-            tri[:k + 1, k] = col[:k + 1]
-            tri[k, k] = norm
-            g[k], g[k + 1] = np.conj(rot[k, 0]) * g[k], -rot[k, 1] * g[k]
-            k += 1
-            residuals.append(float(abs(g[k])))
-            if not np.isfinite(residuals[-1]):
+                coef = (basis[:k] @ w.conj()).conj()
+                w -= coef @ basis[:k]
+                h[:k, k - 1] += coef
+            h[k, k - 1] = np.linalg.norm(w)
+            # checked before lstsq, which raises LinAlgError on a non-finite h
+            if not np.isfinite(h[k, k - 1]):
                 raise ForwardError(f"GMRES residual is not finite (omega = {operator.omega})")
+            y = np.linalg.lstsq(h[:k + 1, :k], rhs[:k + 1], rcond=None)[0]
+            residuals.append(float(np.linalg.norm(rhs[:k + 1] - h[:k + 1, :k] @ y)))
             if residuals[-1] <= threshold or h[k, k - 1] == 0.0:
                 break
             basis[k] = w / h[k, k - 1]
-        y = np.linalg.solve(tri[:k, :k], g[:k])
         u += y @ basis[:k]
         if residuals[-1] <= threshold:
             break

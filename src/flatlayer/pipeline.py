@@ -511,8 +511,8 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
     Writes the timing table and the fitted power law t = t0 * N^p.
     """
     n_list = list(n_values) if n_values is not None else list(config.bench_n)
-    if not n_list:
-        raise ConfigError("bench needs a nonempty list of N values")
+    if not n_list or len(set(n_list)) < len(n_list):
+        raise ConfigError(f"bench needs a nonempty list of distinct N values, got {n_list}")
     # every N is checked before any is swept: its grids by Grid3D's rules, its sources
     try:
         grids = [make_grids(replace(config.grid, n_transverse=n)) for n in n_list]

@@ -200,6 +200,21 @@ def test_cli_source_on_scatterer_node_exit_code(tmp_path, monkeypatch):
     assert not (tmp_path / "b").exists()
 
 
+@pytest.mark.parametrize("where", ["--n-list", "bench.n_values"])
+def test_cli_bench_repeated_n_exit_code(tmp_path, monkeypatch, where):
+    """An N given twice would fit the timing exponent to passes at one N: a config
+    error before any N is swept, with nothing written."""
+    monkeypatch.chdir(tmp_path)
+    if where == "--n-list":
+        cfg = write_config(tmp_path)
+        args = ["--n-list", "16,16"]
+    else:
+        cfg = write_config(tmp_path, bench={"n_values": [16, 8, 16]})
+        args = []
+    assert main(["bench", "--config", str(cfg), "--out", "b", *args]) == 2
+    assert not (tmp_path / "b").exists()
+
+
 def test_cli_bump_beyond_localization_radius_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     data = tiny_config_dict()
@@ -484,7 +499,8 @@ def tiny_runs(draw):
 @given(tiny_runs())
 def test_accepted_configs_run_or_exit_with_a_documented_code(run):
     """synthesize, invert and evaluate each exit 0, 2, 3 or 4 on every such run,
-    never with a traceback, and every manifest they write is strict JSON."""
+    never with a traceback, and every manifest they write is strict JSON; a synthesize
+    that exits 0 records one finite residual per operator application."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty accuracy curve warns
         root = Path(tmp)
@@ -498,6 +514,13 @@ def test_accepted_configs_run_or_exit_with_a_documented_code(run):
         for stage in (d, r, e):
             if (Path(stage) / "manifest.json").exists():
                 read_strict_json(Path(stage) / "manifest.json")
+        if codes[0] == 0:
+            # one finite residual per operator application, over restarts and both forms
+            iterations = read_manifest(Path(d) / "manifest.json")["forward_iterations"]
+            for i, count in iterations.items():
+                rows = (Path(d) / f"residuals_{i}.csv").read_text().splitlines()[1:]
+                assert len(rows) == count, (i, rows)
+                assert all(np.isfinite(float(row.split(",")[1])) for row in rows), rows
 
 
 def test_per_frequency_manifest_maps_keep_frequencies_that_print_alike(tmp_path, monkeypatch):
@@ -890,6 +913,26 @@ def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
     assert main(["synthesize", "--config", str(cfg), "--out", "ok"]) == 0
     manifest = read_manifest(tmp_path / "ok" / "manifest.json")
     assert manifest["forward_iterations"]["000"] > 2
+
+
+def test_cli_non_finite_forward_residual_writes_nothing(tmp_path, monkeypatch, capsys):
+    """A phantom amplitude of 1e300 overflows the Arnoldi step, and sources of
+    amplitude 1.7e308 the incident field: each is a numerical failure that names the
+    non-finite residual, not a traceback, and no data is written."""
+    monkeypatch.chdir(tmp_path)
+    phantom = {"amplitude": 1.0e300,
+               "bumps": [{"center": [0.0, 0.0, 0.5], "radius": 2.0, "weight": 1.0}]}
+    cfg = write_config(tmp_path, phantom=phantom)
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 3
+    assert "GMRES residual is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+    # sources whose incident field overflows at the bump's node: not all-zero data
+    sources = {"points": [{"position": [0.01, 0.0, 0.5], "amplitude": 1.7e308},
+                          {"position": [-0.01, 0.0, 0.5], "amplitude": -1.7e308}]}
+    cfg = write_config(tmp_path, phantom=dict(phantom, amplitude=0.3), sources=sources)
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 3
+    assert "GMRES residual is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_failed_mode_solve_writes_nothing(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,14 +52,23 @@ def solve_on_support(gx, sources, omega, xi, **kwargs):
 
 
 class CountingOperator:
-    """A SupportOperator that counts its applications."""
+    """A SupportOperator that counts its applications and keeps their inputs."""
 
     def __init__(self, operator):
-        self.operator, self.omega, self.calls = operator, operator.omega, 0
+        self.operator, self.omega, self.inputs = operator, operator.omega, []
+
+    @property
+    def calls(self):
+        return len(self.inputs)
 
     def apply(self, u):
-        self.calls += 1
+        self.inputs.append(u.copy())
         return self.operator.apply(u)
+
+
+def scripted(apply):
+    """A CountingOperator around the function apply, at omega = 2."""
+    return CountingOperator(SimpleNamespace(omega=2.0, apply=apply))
 
 
 @pytest.mark.parametrize("case", ["zero scatterer", "zero source"])
@@ -114,6 +124,70 @@ def test_gmres_residuals_never_increase(small_setup, omega, amplitude):
     assert r[-1] <= 1e-13 * np.linalg.norm(u0)
     true = np.linalg.norm(u0 - res.u_values + operator.apply(res.u_values))
     assert true <= 2e-13 * np.linalg.norm(u0)
+
+
+@pytest.mark.parametrize("omega, amplitude", [(2.0, 0.3), (3.0, -1.5), (3.0, -2.0), (6.0, 0.4)])
+def test_first_cycle_residuals_are_krylov_minima(small_setup, omega, amplitude):
+    """Within the first cycle, the k-th recorded residual is min ||u0 - A x|| over the
+    Krylov space spanned by u0, A u0, ..., A^(k-1) u0, with A = I - K xi, computed here
+    from an orthonormal basis of those explicit vectors."""
+    _, gx, _, _, sources = small_setup
+    operator, u0, res = solve_on_support(gx, sources, omega, three_bumps(amplitude).sample_on(gx))
+    a = np.eye(u0.size) - operator.matrix
+    n = min(res.iterations, 20)
+    krylov = [u0 / np.linalg.norm(u0)]
+    for _ in range(n - 1):
+        v = a @ krylov[-1]
+        krylov.append(v / np.linalg.norm(v))
+    q, _ = np.linalg.qr(np.column_stack(krylov))
+    checked = 0
+    for k in range(1, n + 1):
+        if res.residual_history[k - 1] <= 1e-8 * np.linalg.norm(u0):
+            break
+        aq = a @ q[:, :k]
+        y = np.linalg.lstsq(aq, u0, rcond=None)[0]
+        assert res.residual_history[k - 1] == pytest.approx(np.linalg.norm(u0 - aq @ y),
+                                                             rel=1e-6)
+        checked += 1
+    assert checked >= 2
+
+
+def test_non_finite_operator_raises():
+    operator = scripted(lambda u: np.full(u.shape, np.nan, dtype=complex))
+    with pytest.raises(ForwardError, match="GMRES residual is not finite"):
+        fl.born_iterate(np.ones(5, dtype=complex), operator)
+    assert operator.calls == 1
+
+
+@pytest.mark.parametrize("u0", [[1.0, np.nan], [1.0, np.inf], [1e300, 1e300]],
+                         ids=["nan", "inf", "norm-overflows"])
+def test_non_finite_incident_field_raises(u0):
+    """u0 with a non-finite norm is refused before the first application: its
+    threshold would be as large, and u = 0 would meet it."""
+    operator = scripted(lambda u: u)
+    with pytest.raises(ForwardError, match="GMRES residual is not finite"):
+        fl.born_iterate(np.asarray(u0, dtype=complex), operator)
+    assert operator.calls == 0
+
+
+def test_singular_operator_stalls_to_the_cap():
+    """With I - K xi = 0 every Krylov space is invariant and misses the solution: each
+    cycle ends after one application and each restart finds u0 again, so the solve
+    stops at max_iter, having applied the operator to finite vectors only."""
+    operator = scripted(lambda u: u)
+    with pytest.raises(ForwardError, match="did not converge in 7 operator applications"):
+        fl.born_iterate(np.ones(5, dtype=complex), operator, max_iter=7)
+    assert operator.calls == 7
+    assert all(np.all(np.isfinite(u)) for u in operator.inputs)
+
+
+def test_one_node_support_converges_in_one_application(small_setup):
+    _, gx, _, _, sources = small_setup
+    xi = np.zeros(gx.shape)
+    xi[16, 16, 5] = 0.3
+    operator, u0, res = solve_on_support(gx, sources, 2.0, xi)
+    assert u0.size == 1 and res.iterations == 1
+    assert res.u_values[0] == pytest.approx(u0[0] / (1.0 - operator.matrix[0, 0]), rel=1e-14)
 
 
 def strong_scatterer():
