@@ -29,7 +29,7 @@ class ModeSolveStats:
     """Per-mode solver diagnostics for one frequency."""
 
     ranks: np.ndarray  # retained rank per mode
-    uncertified_classes: int  # classes whose TSVD sketch failed its certificate
+    uncertified_classes: int  # classes whose sketch failed its certificate
     # always 0, as a failed solve raises ModeSolveError; the benchmark's traced
     # inverse.failed_modes still reads it
     failed_modes: int = 0

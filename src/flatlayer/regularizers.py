@@ -4,8 +4,8 @@ Each transverse mode m yields a small dense complex system
 A^(m) x = b^(m) with A^(m)[k, l] = omega^2 * mu_l * G_hat(z_k - z'_l, Omega^(m)),
 rows indexed by receiver z-nodes and columns by unknown scatterer z-nodes.
 The systems are severely ill-posed (singular values decay rapidly, the
-faster the more evanescent the mode), so solutions are normal (minimal-norm)
-least-squares solutions through a truncated SVD, or Tikhonov-regularized.
+faster the more evanescent the mode), so solutions filter the SVD: a
+truncated SVD (normal solutions over the kept values) or Tikhonov.
 """
 
 from __future__ import annotations
@@ -46,10 +46,11 @@ class RegularizerConfig:
             raise ValueError("tikhonov takes a fixed alpha; the discrepancy policy is TSVD's")
 
 
-# rank, Gaussian seed and residual bound of the fixed-cut TSVD's sketch
+# rank, Gaussian seed, residual bound and Tikhonov's tail filter factor of the sketch
 _SKETCH_RANK = 8
 _SKETCH_SEED = 20110601
 _SKETCH_RESIDUAL = 1e-8
+_SKETCH_FILTER = 1e-10
 
 
 def solve_mode_block(
@@ -68,46 +69,38 @@ def solve_mode_block(
     Returns
     -------
     (x, rank, uncertified) : (n_sys, n_src, n_rhs) solutions, (n_sys, n_rhs)
-        retained ranks (for Tikhonov the full minimum dimension) and the
-        number of systems whose sketch failed its certificate.
+        retained ranks (the number of filter factors >= 1/2) and the number
+        of systems whose sketch failed its certificate.
 
-    TSVD returns the minimal-norm least-squares solution over the singular
-    values kept by the configured truncation policy, chosen per right-hand
-    side; Tikhonov returns the unique minimizer of
-    ||A x - b||^2 + alpha ||x||^2 from the normal equations, solved once per
-    system for all its right-hand sides. All-zero systems yield zero
-    solutions with rank 0.
+    Every policy is one filter on each system's singular triplets (_filter):
+    TSVD gives the minimal-norm least-squares solution over the values its
+    policy keeps, per right-hand side; Tikhonov the minimizer of
+    ||A x - b||^2 + alpha ||x||^2. All-zero systems solve to 0, rank 0.
 
-    The fixed cut keeps at most 4-5 singular values per mode of these
-    kernels, so it takes its triplets from a rank-K sketch (_sketch_svd)
-    of each system that passes a certificate: (i) the K-th sketched value
-    lies below the cut, so every kept value is inside the sketch, and
-    (ii) every kept triplet has ||A v_i - s_i u_i|| <= 1e-8 s_i
-    (A^H u_i = s_i v_i holds by construction). A full SVD serves the
-    uncertified systems, systems with min(n_recv, n_src) <= K and the
-    discrepancy policy.
+    The fixed policy takes its triplets from a rank-K sketch (_sketch_svd)
+    of each system that passes a certificate at a cut, tsvd_rel_threshold
+    * s_max for TSVD (4-5 values per mode of these kernels lie above it)
+    and sqrt(_SKETCH_FILTER * alpha) for Tikhonov (filter factors below it
+    are under _SKETCH_FILTER): (i) the K-th sketched value lies below the
+    cut, so every value above it is inside the sketch, and (ii) each of
+    those has ||A v_i - s_i u_i|| <= 1e-8 s_i (A^H u_i = s_i v_i holds by
+    construction). A full SVD serves the uncertified systems, systems with
+    min(n_recv, n_src) <= K and the discrepancy policy.
     """
     n_sys, n_recv, n_src = matrices.shape
-    if reg.method == "tikhonov":
-        ranks = np.zeros((n_sys, rhs.shape[2]), dtype=int)
-        ah = np.conj(np.transpose(matrices, (0, 2, 1)))
-        lhs = ah @ matrices + reg.tikhonov_alpha * np.eye(n_src)
-        x = np.linalg.solve(lhs, ah @ rhs)
-        ranks[np.any(matrices, axis=(1, 2))] = min(n_recv, n_src)  # an all-zero system: 0
-        return x, ranks, 0
-
     x = np.empty((n_sys, n_src, rhs.shape[2]), dtype=complex)
     ranks = np.empty((n_sys, rhs.shape[2]), dtype=int)
     full, uncertified = np.ones(n_sys, dtype=bool), 0  # systems left to the full SVD
     if reg.selection_policy == "fixed" and min(n_recv, n_src) > _SKETCH_RANK:
         u, s, vh = _sketch_svd(matrices)
-        cut = reg.tsvd_rel_threshold * s[:, :1]
+        cut = (reg.tsvd_rel_threshold * s[:, :1] if reg.method == "tsvd"
+               else np.sqrt(_SKETCH_FILTER * reg.tikhonov_alpha))
         resid = np.linalg.norm(matrices @ _ct(vh) - u * s[:, None, :], axis=1)
-        ok = (s[:, -1] < cut[:, 0]) & np.all((s < cut) | (resid <= _SKETCH_RESIDUAL * s), axis=1)
-        x[ok], ranks[ok] = _tsvd(u[ok], s[ok], vh[ok], rhs[ok], reg)
+        ok = (s[:, -1:] < cut)[:, 0] & np.all((s < cut) | (resid <= _SKETCH_RESIDUAL * s), axis=1)
+        x[ok], ranks[ok] = _filter(u[ok], s[ok], vh[ok], rhs[ok], reg)
         full, uncertified = ~ok, int(np.count_nonzero(~ok))
     if full.any():
-        x[full], ranks[full] = _tsvd(
+        x[full], ranks[full] = _filter(
             *np.linalg.svd(matrices[full], full_matrices=False), rhs[full], reg
         )
     return x, ranks, uncertified
@@ -132,11 +125,16 @@ def _sketch_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q @ _ct(zh), s, _ct(w)
 
 
-def _tsvd(
+def _filter(
     u: np.ndarray, s: np.ndarray, vh: np.ndarray, rhs: np.ndarray, reg: RegularizerConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """TSVD solutions and ranks from the (leading) singular triplets of each system."""
+    """Solutions V diag(f/s) U^H b and ranks #{f >= 1/2} from the (leading) singular
+    triplets of each system, f = s^2/(s^2 + alpha) for Tikhonov, 1 or 0 for TSVD."""
     beta = _ct(u) @ rhs  # (n_sys, r, n_rhs)
+    if reg.method == "tikhonov":
+        coef = beta * (s / (s * s + reg.tikhonov_alpha))[:, :, None]  # f/s is 0 at s = 0
+        keep = np.broadcast_to((s * s >= reg.tikhonov_alpha)[:, :, None], beta.shape)  # f >= 1/2
+        return _ct(vh) @ coef, keep.sum(axis=1)
     r = s.shape[1]
     if reg.selection_policy == "fixed":
         keep = (s >= reg.tsvd_rel_threshold * s[:, :1])[:, :, None]

@@ -238,7 +238,7 @@ def read_yaml(path: str | Path) -> dict:
     """The top-level mapping of a YAML config file, not yet validated."""
     try:
         with open(path) as fh:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=yaml.CSafeLoader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(data, dict):

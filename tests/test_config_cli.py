@@ -26,6 +26,7 @@ from flatlayer.runconfig import (
     RunConfig,
     config_from_dict,
     load_config,
+    read_yaml,
 )
 
 from conftest import assert_slices_parse_back, full_slab_interaction
@@ -99,6 +100,14 @@ def test_presets_parse_and_validate():
         config = load_config(preset)
         gx, gy = fl.make_grids(config.grid)
         assert gx.same_transverse_lattice(gy)
+
+
+def test_presets_read_alike_by_the_c_and_python_yaml_loaders():
+    """read_yaml parses with PyYAML's C loader; every preset gives the dict that the
+    pure-Python SafeLoader gives, value types included."""
+    for preset in sorted(PRESET_DIR.glob("*.yaml")):
+        expected = yaml.load(preset.read_text(), Loader=yaml.SafeLoader)
+        assert repr(read_yaml(preset)) == repr(expected), preset.name
 
 
 def test_preset_parameters_match_experiment_setup():
@@ -369,6 +378,18 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     assert all(float(r.split(",")[2]) >= 0 for r in rows[1:])
 
 
+@pytest.mark.parametrize("alpha", [1e-20, 1e-300])
+def test_cli_tikhonov_inverts_at_a_tiny_alpha(tmp_path, monkeypatch, alpha):
+    """Tikhonov filters the singular triplets, so an accepted alpha far below the
+    rounding of A^H A (singular here, M1 = 5 < M = 7) still inverts to a finite xi."""
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, phantom=NODE_BUMP,
+                       regularizer={"method": "tikhonov", "tikhonov_alpha": alpha})
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    assert main(["invert", "--config", str(cfg), "--data", "d", "--out", "r"]) == 0
+    assert np.all(np.isfinite(read_field(tmp_path / "r" / "xi_000.laf").values))
+
+
 def test_rerun_manifests_list_only_the_files_that_run_wrote(tmp_path, monkeypatch):
     """A stage rerun into a used directory leaves the earlier run's files there,
     but its manifest lists exactly the files the rerun wrote."""
@@ -476,7 +497,8 @@ def tiny_runs(draw):
     """A config dict on an N <= 16 grid with NODE_BUMP's bump at any radius and an
     amplitude of either sign (slow inclusions, xi < 0, included), one or two
     frequencies, a forward tol from 1e-16 to 10 (1 or more exits 2) and any max_iter,
-    any regularizer setting RegularizerConfig accepts, and noise level delta."""
+    any regularizer setting RegularizerConfig accepts (a Tikhonov alpha log-uniform
+    over 1e-300 to 1e3), and noise level delta."""
     method = draw(st.sampled_from(["tsvd", "tikhonov"]))
     reg = {"method": method}
     if method == "tsvd":
@@ -484,7 +506,7 @@ def tiny_runs(draw):
         if draw(st.booleans()):
             reg.update(selection_policy="discrepancy", noise_delta=draw(st.floats(0.0, 1.0)))
     else:
-        reg["tikhonov_alpha"] = draw(st.floats(0.0, 1e3, exclude_min=True))
+        reg["tikhonov_alpha"] = 10.0 ** draw(st.floats(-300.0, 3.0))
     grid = {**tiny_config_dict()["grid"], "n_transverse": draw(st.sampled_from([2, 4, 8, 16])),
             "scatterer_nz": draw(st.integers(2, 7)), "receiver_nz": draw(st.integers(2, 5))}
     noise = {"delta": draw(st.floats(0.0, 1.0)), "seed": 1234}
@@ -500,7 +522,8 @@ def tiny_runs(draw):
 def test_accepted_configs_run_or_exit_with_a_documented_code(run):
     """synthesize, invert and evaluate each exit 0, 2, 3 or 4 on every such run,
     never with a traceback, and every manifest they write is strict JSON; a synthesize
-    that exits 0 records one finite residual per operator application."""
+    that exits 0 records one finite residual per operator application, and a Tikhonov
+    invert of its data exits 0."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty accuracy curve warns
         root = Path(tmp)
@@ -515,6 +538,7 @@ def test_accepted_configs_run_or_exit_with_a_documented_code(run):
             if (Path(stage) / "manifest.json").exists():
                 read_strict_json(Path(stage) / "manifest.json")
         if codes[0] == 0:
+            assert codes[1] == 0 or run["regularizer"]["method"] == "tsvd", codes
             # one finite residual per operator application, over restarts and both forms
             iterations = read_manifest(Path(d) / "manifest.json")["forward_iterations"]
             for i, count in iterations.items():

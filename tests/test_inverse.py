@@ -133,6 +133,27 @@ def test_class_solves_meet_tikhonov_normal_equations(desk):
     assert np.max(backward) <= 1e-8
 
 
+@pytest.mark.parametrize("alpha, uncertified, tol", [(1e-8, 0, 1e-10), (1e-12, 97, 1e-8)])
+def test_class_solves_match_the_full_svd_tikhonov_filter(desk, alpha, uncertified, tol):
+    """Tikhonov from the certified sketches lies within tol of every mode's full-SVD
+    filter V diag(s/(s^2 + alpha)) U^H b, and its rank counts the s^2 >= alpha; at the
+    smaller alpha the cut sqrt(1e-10 alpha) sends some classes to the full SVD."""
+    reg = fl.RegularizerConfig(method="tikhonov", tikhonov_alpha=alpha)
+    noisy = fl.add_noise(desk["w_field"], 1e-7, 56)
+    mats, rhs = desk_mode_systems(desk, noisy)
+    v_spec, stats = fl.solve_modes(
+        fl.SpectralField(desk["grid_y"], rhs), desk["kernel_xy"], desk["omega"],
+        reg, desk["grid_x"],
+    )
+    u, s, vh = np.linalg.svd(mats, full_matrices=False)
+    beta = np.einsum("mji,mj->mi", u.conj(), rhs) * s / (s * s + alpha)
+    want = np.einsum("mji,mj->mi", vh.conj(), beta)
+    err = np.linalg.norm(v_spec.values - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.max(err) <= tol
+    assert stats.uncertified_classes == uncertified
+    assert np.array_equal(stats.ranks, np.count_nonzero(s * s >= alpha, axis=1))
+
+
 def test_class_solves_keep_discrepancy_ranks_per_mode(desk):
     delta = 1e-5
     reg = fl.RegularizerConfig(method="tsvd", selection_policy="discrepancy", noise_delta=delta)
