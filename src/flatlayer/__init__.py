@@ -26,7 +26,6 @@ from .forward import (
 from .inverse import (
     XiExtraction,
     extract_xi_lsq,
-    extract_xi_single,
     recompute_internal_field,
     solve_modes,
 )

@@ -223,12 +223,16 @@ def export_slices_csv(field: ComplexField, directory: str | Path, stem: str) -> 
     rows[:, :, [w, 2 * w + 1, 3 * w + 2]] = ord(",")
     rows[:, :, 4 * w + 3:] = np.frombuffer(b"\r\n", dtype=np.uint8)
     rows = rows.reshape(g.nx * g.ny, _ROW)
+    plus_zero = number_text(np.zeros(1))
     paths = []
     for iz in range(g.nz):
-        # (re, im) pairs of the slab, ix-major
-        text = number_text(field.values[:, :, iz].ravel().view(np.float64)).reshape(-1, 2, w)
+        slab = field.values[:, :, iz].ravel()  # ix-major
+        # a real slab (every xi dump's: each imaginary part has +0.0's all-zero bits)
+        # formats its re column and takes one +0.0 for im; any other, its (re, im) pairs
+        real = not slab.imag.view(np.uint64).any()
+        text = number_text(slab.real if real else slab.view(np.float64)).reshape(-1, 2 - real, w)
         rows[:, 2 * w + 2:3 * w + 2] = text[:, 0]
-        rows[:, 3 * w + 3:4 * w + 3] = text[:, 1]
+        rows[:, 3 * w + 3:4 * w + 3] = plus_zero if real else text[:, 1]
         path = directory / f"{stem}_z{iz:03d}.csv"
         with open(path, "wb") as fh:
             fh.write(buf)

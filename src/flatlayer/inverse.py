@@ -126,18 +126,6 @@ def recompute_internal_field(
     return SpectralField(grid, u0_spec.values + kernel_xx.apply(v_spec.values))
 
 
-def extract_xi_single(
-    v_field: ComplexField, u_field: ComplexField, eps_div: float = 1e-3
-) -> XiExtraction:
-    """xi = Re(V / u): the least-squares extraction over this one frequency.
-
-    Nodes with |u| < eps_div * max|u| take the background value 0 (no NaN
-    or Inf can escape); the imaginary residue of the division is reported
-    as a quality diagnostic.
-    """
-    return extract_xi_lsq([v_field], [u_field], eps_div)
-
-
 def extract_xi_lsq(
     v_fields: list[ComplexField] | tuple[ComplexField, ...],
     u_fields: list[ComplexField] | tuple[ComplexField, ...],
@@ -147,8 +135,9 @@ def extract_xi_lsq(
 
     Minimizes sum_w |u_w xi - V_w|^2 over real xi:
     xi = Re(sum_w conj(u_w) V_w) / sum_w |u_w|^2, masked to 0 where the
-    denominator falls below eps_div^2 of its maximum; the imaginary part of
-    the ratio is reported as imag_norm.
+    denominator falls below eps_div^2 of its maximum, so no NaN or Inf can
+    escape; the imaginary part of the ratio is reported as imag_norm. Over
+    one frequency this is Re(V / u), masked where |u| < eps_div * max|u|.
     """
     if len(v_fields) == 0 or len(v_fields) != len(u_fields):
         raise ValueError("need matching nonempty V and u field lists")

@@ -42,7 +42,6 @@ from .forward import (
 from .inverse import (
     ModeSolveStats,
     extract_xi_lsq,
-    extract_xi_single,
     recompute_internal_field,
     solve_modes,
 )
@@ -63,6 +62,10 @@ from .metrics import TimingRecord, localization_report, slice_relative_error, ti
 from .regularizers import RegularizerConfig
 from .runconfig import ConfigError, RunConfig
 from .spectral import ModeLattice, SpectralField, forward_xy, inverse_xy
+
+# flbench/spans.py still wraps this old name of the one-frequency extraction;
+# nothing in src calls it
+extract_xi_single = extract_xi_lsq
 
 # run_bench times each N at least this many passes and seconds, after one untimed warm-up pass
 _BENCH_PASSES = 3
@@ -360,9 +363,9 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
     """Reconstruct the coefficient from a synthesize stage's artifacts.
 
     Consumes the data manifest plus W dumps, checks grid compatibility
-    before any compute, and writes xi dumps (per frequency, plus the
-    least-squares combination when configured), slice CSVs, diagnostics,
-    and a manifest.
+    before any compute, and writes xi dumps (one per frequency, or the
+    least-squares combination alone when configured), slice CSVs, the
+    retained-rank histogram of every frequency, diagnostics, and a manifest.
     """
     data_dir = Path(data_dir)
     out = Path(out_dir)
@@ -405,32 +408,35 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         )
         manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
 
-    # xi_<tag> per frequency, tagged by its index, then the least-squares combination
-    eps_div = config.extraction.eps_div
-    artifacts = [(f"{i:03d}", inv, extract_xi_single(inv.v_field, inv.u_field, eps_div))
-                 for i, inv in enumerate(inversions)]
+    # one artifact xi_<tag> per frequency, tagged by its index, or the least-squares
+    # combination alone: each extracts over its frequencies and writes their ranks
+    solved = [(f"{i:03d}", inv) for i, inv in enumerate(inversions)]
     if config.extraction.combine == "least_squares":
-        ext = extract_xi_lsq([inv.v_field for inv in inversions],
-                             [inv.u_field for inv in inversions], eps_div)
-        artifacts.append(("combined", None, ext))
+        groups = [("combined", "all", solved)]
+    else:
+        groups = [(tag, repr(inv.omega), [(tag, inv)]) for tag, inv in solved]
+    artifacts = [(tag, omega, ranked, extract_xi_lsq([inv.v_field for _, inv in ranked],
+                                                     [inv.u_field for _, inv in ranked],
+                                                     config.extraction.eps_div))
+                 for tag, omega, ranked in groups]
 
     # every dump is read and inverted before the output directory is made,
     # so a stage that fails on its inputs leaves no directory behind
     out.mkdir(parents=True, exist_ok=True)
     diag_rows = []
     rank_stats = {}
-    for tag, inv, ext in artifacts:
+    for tag, omega, ranked, ext in artifacts:
         field = ComplexField(grid_x, ext.xi.astype(complex))
         written = [out / f"xi_{tag}.laf"]
         write_field(field, written[0])
         written += export_slices_csv(field, out / f"slices_xi_{tag}", f"xi_{tag}")
-        if inv is not None:
+        for rank_tag, inv in ranked:
             written.append(_write_csv(
-                out / f"rank_hist_{tag}.csv",
+                out / f"rank_hist_{rank_tag}.csv",
                 ["rank", "modes"],
                 sorted(inv.stats.rank_histogram().items()),
             ))
-            rank_stats[tag] = {
+            rank_stats[rank_tag] = {
                 "min": int(inv.stats.ranks.min()),
                 "median": float(np.median(inv.stats.ranks)),
                 "max": int(inv.stats.ranks.max()),
@@ -438,12 +444,7 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
             }
         for p in written:
             manifest.add_file(p, out)
-        diag_rows.append((
-            f"xi_{tag}",
-            "all" if inv is None else repr(inv.omega),
-            repr(ext.imag_norm),
-            repr(ext.masked_fraction),
-        ))
+        diag_rows.append((f"xi_{tag}", omega, repr(ext.imag_norm), repr(ext.masked_fraction)))
 
     manifest.add_file(_write_csv(
         out / "diagnostics.csv",
@@ -452,7 +453,7 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
     ), out)
     manifest.set("rank_stats", rank_stats)
     manifest.set("artifacts", [{"name": f"xi_{tag}", "file": f"xi_{tag}.laf"}
-                               for tag, _, _ in artifacts])
+                               for tag, *_ in artifacts])
     manifest.write(out / "manifest.json")
     return out
 

@@ -75,7 +75,7 @@ def multi_frequency(desk):
         v_spec, _ = fl.solve_modes(fl.forward_xy(w_field), kxy, omega, reg, gx)
         u_spec = fl.recompute_internal_field(v_spec, u0, kxx)
         v_f, u_f = fl.inverse_xy(v_spec), fl.inverse_xy(u_spec)
-        ext = fl.extract_xi_single(v_f, u_f)
+        ext = fl.extract_xi_lsq([v_f], [u_f])
         curves[omega] = fl.slice_relative_error(ext.xi, xi_exact, gx)
         vs.append(v_f)
         us.append(u_f)
@@ -235,7 +235,7 @@ def test_criterion_7_thin_layer(desk, recon_exact):
             fl.forward_xy(w_field), kxy, omega, fl.RegularizerConfig(), gx
         )
         u_spec = fl.recompute_internal_field(v_spec, desk["u0"], desk["kernel_xx"])
-        ext = fl.extract_xi_single(fl.inverse_xy(v_spec), fl.inverse_xy(u_spec))
+        ext = fl.extract_xi_lsq([fl.inverse_xy(v_spec)], [fl.inverse_xy(u_spec)])
         curve_thin = fl.slice_relative_error(ext.xi, xi_exact, gx)
         locs = fl.localization_report(ext.xi, phantom, gx)
 

@@ -363,8 +363,15 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     assert recon == tmp_path / "recon"
     manifest = read_manifest(recon / "manifest.json")
     names = [a["name"] for a in manifest["artifacts"]]
-    assert names == ["xi_000", "xi_001", "xi_combined"]
+    # the combined field is the one artifact; every frequency's solves keep their ranks
+    assert names == ["xi_combined"]
     assert set(manifest["rank_stats"]) == {"000", "001"}
+    written = sorted(["diagnostics.csv", "rank_hist_000.csv", "rank_hist_001.csv",
+                      "xi_combined.laf",
+                      *(f"slices_xi_combined/xi_combined_z{iz:03d}.csv" for iz in range(7))])
+    assert sorted(e["path"] for e in manifest["files"]) == written
+    assert sorted(str(p.relative_to(recon)) for p in recon.rglob("*") if p.is_file()) == sorted(
+        [*written, "manifest.json"])
     # M1 = 5 receiver planes: every class is factored in full, none sketched
     assert all(r["uncertified_classes"] == 0 for r in manifest["rank_stats"].values())
     for name in names:
@@ -375,6 +382,7 @@ def test_run_invert_writes_inversion_outputs(tmp_path, monkeypatch):
     rows = (recon / "diagnostics.csv").read_text().splitlines()
     assert rows[0].split(",")[:3] == ["artifact", "omega", "imag_norm"]
     assert [r.split(",")[0] for r in rows[1:]] == names
+    assert [r.split(",")[1] for r in rows[1:]] == ["all"]
     assert all(float(r.split(",")[2]) >= 0 for r in rows[1:])
 
 
@@ -420,9 +428,18 @@ def test_rerun_manifests_list_only_the_files_that_run_wrote(tmp_path, monkeypatc
     lsq = write_config(tmp_path, name="lsq.yaml", frequencies=[1.0, 2.0],
                        extraction={"combine": "least_squares"})
     assert main(["synthesize", "--config", str(per), "--out", "d2"]) == 0
-    for cfg in (lsq, per):
-        assert main(["invert", "--config", str(cfg), "--data", "d2", "--out", "r"]) == 0
-        assert main(["evaluate", "--config", str(cfg), "--recon", "r", "--out", "e"]) == 0
+    assert main(["invert", "--config", str(lsq), "--data", "d2", "--out", "r"]) == 0
+    assert main(["evaluate", "--config", str(lsq), "--recon", "r", "--out", "e"]) == 0
+    assert listed("r") == sorted([
+        "diagnostics.csv", "rank_hist_000.csv", "rank_hist_001.csv", "xi_combined.laf",
+        *slices("slices_xi_combined", "xi_combined"),
+    ])
+    assert listed("e") == ["accuracy_xi_combined.csv", "localization_xi_combined.csv"]
+    ranks = {i: (tmp_path / "r" / f"rank_hist_{i}.csv").read_bytes() for i in ("000", "001")}
+    assert main(["invert", "--config", str(per), "--data", "d2", "--out", "r"]) == 0
+    assert main(["evaluate", "--config", str(per), "--recon", "r", "--out", "e"]) == 0
+    # the same per-mode solves, whichever extraction follows them
+    assert ranks == {i: (tmp_path / "r" / f"rank_hist_{i}.csv").read_bytes() for i in ranks}
     assert (tmp_path / "r" / "xi_combined.laf").exists()
     assert listed("r") == sorted([
         "diagnostics.csv", "rank_hist_000.csv", "rank_hist_001.csv", "xi_000.laf",
@@ -498,7 +515,7 @@ def tiny_runs(draw):
     amplitude of either sign (slow inclusions, xi < 0, included), one or two
     frequencies, a forward tol from 1e-16 to 10 (1 or more exits 2) and any max_iter,
     any regularizer setting RegularizerConfig accepts (a Tikhonov alpha log-uniform
-    over 1e-300 to 1e3), and noise level delta."""
+    over 1e-300 to 1e3), noise level delta and either extraction.combine."""
     method = draw(st.sampled_from(["tsvd", "tikhonov"]))
     reg = {"method": method}
     if method == "tsvd":
@@ -514,8 +531,9 @@ def tiny_runs(draw):
     phantom = {"amplitude": draw(st.floats(-50.0, 50.0)), "bumps": [bump]}
     frequencies = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=2))
     forward = {"tol": 10.0 ** draw(st.floats(-16.0, 1.0)), "max_iter": draw(st.integers(1, 60))}
+    extraction = {"combine": draw(st.sampled_from(["per_frequency", "least_squares"]))}
     return tiny_config_dict(grid=grid, phantom=phantom, regularizer=reg, noise=noise,
-                            frequencies=frequencies, forward=forward)
+                            frequencies=frequencies, forward=forward, extraction=extraction)
 
 
 @given(tiny_runs())
@@ -523,7 +541,9 @@ def test_accepted_configs_run_or_exit_with_a_documented_code(run):
     """synthesize, invert and evaluate each exit 0, 2, 3 or 4 on every such run,
     never with a traceback, and every manifest they write is strict JSON; a synthesize
     that exits 0 records one finite residual per operator application, and a Tikhonov
-    invert of its data exits 0."""
+    invert of its data exits 0. An invert that exits 0 lists one artifact per frequency
+    or the combined field alone, each with one slice file per z-slab and no other slice
+    directory, and an evaluate that exits 0 reports exactly those artifacts."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty accuracy curve warns
         root = Path(tmp)
@@ -545,6 +565,20 @@ def test_accepted_configs_run_or_exit_with_a_documented_code(run):
                 rows = (Path(d) / f"residuals_{i}.csv").read_text().splitlines()[1:]
                 assert len(rows) == count, (i, rows)
                 assert all(np.isfinite(float(row.split(",")[1])) for row in rows), rows
+        if codes[1] == 0:
+            recon = read_manifest(Path(r) / "manifest.json")
+            names = [a["name"] for a in recon["artifacts"]]
+            if run["extraction"]["combine"] == "least_squares":
+                assert names == ["xi_combined"], names
+            else:
+                assert names == [f"xi_{i:03d}" for i in range(len(run["frequencies"]))], names
+            nz = run["grid"]["scatterer_nz"]
+            listed = [e["path"] for e in recon["files"] if e["path"].startswith("slices_")]
+            assert sorted(listed) == sorted(f"slices_{name}/{name}_z{iz:03d}.csv"
+                                            for name in names for iz in range(nz)), listed
+            if codes[2] == 0:
+                summary = read_manifest(Path(e) / "manifest.json")["summary"]
+                assert sorted(summary) == sorted(names), summary
 
 
 def test_per_frequency_manifest_maps_keep_frequencies_that_print_alike(tmp_path, monkeypatch):

@@ -94,6 +94,26 @@ def test_csv_slice_export(sample_field, tmp_path):
     assert_slices_parse_back(tmp_path / "edges", "e", edges)
 
 
+def test_csv_slices_of_a_real_field_match_the_pairwise_text(sample_field, tmp_path):
+    """A slab whose imaginary parts are all +0.0 takes one formatted zero for its im
+    column; one with a -0.0 or a nonzero imaginary part formats every pair. Either
+    way each row's re and im are number_text of the node's (re, im)."""
+    g = sample_field.grid
+    values = sample_field.values.real.astype(complex)  # +0.0 imaginary parts
+    values[3, 5, 1] = complex(0.25, -0.0)  # slab 1: one -0.0
+    values[:, :, 2] = sample_field.values[:, :, 2]  # slab 2: nonzero imaginary parts
+    values[:, :, 3] = complex(-0.0, 0.0)  # slab 3: real, all -0.0
+    field = fl.ComplexField(g, values)
+    export_slices_csv(field, tmp_path / "s", "xi")
+    assert_slices_parse_back(tmp_path / "s", "xi", field)
+    for iz in range(g.nz):
+        raw = (tmp_path / "s" / f"xi_z{iz:03d}.csv").read_bytes()
+        rows = np.frombuffer(raw[11:], dtype=np.uint8).reshape(-1, 101)
+        pairs = number_text(values[:, :, iz].ravel().view(np.float64)).reshape(-1, 48)
+        assert rows[:, 50:74].tobytes() == pairs[:, :24].tobytes(), iz
+        assert rows[:, 75:99].tobytes() == pairs[:, 24:].tobytes(), iz
+
+
 def _widened(x: float) -> str:
     """The oracle: Python's "%+.16e" with its exponent padded to three digits."""
     return re.sub(r"e([+-])(\d+)$", lambda m: f"e{m[1]}{int(m[2]):03d}", "%+.16e" % x)
