@@ -17,7 +17,7 @@ from .forward import ForwardError
 from .inverse import ModeSolveError
 from .manifest import ManifestError
 from .pipeline import run_bench, run_evaluate, run_invert, run_phantom, run_synthesize
-from .runconfig import ConfigError, config_from_dict, read_yaml
+from .runconfig import ConfigError, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,19 +36,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, data: bool = False, recon: bool = False):
         p.add_argument("--config", required=True, help="YAML run configuration")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override noise seed")
-        p.add_argument(
-            "--freq",
-            default=None,
-            help="override frequency list, comma separated (e.g. 1,2,3)",
-        )
-        p.add_argument("--delta", type=float, default=None, help="override noise level")
-        p.add_argument(
-            "--method",
-            choices=("tsvd", "tikhonov"),
-            default=None,
-            help="override regularizer method",
-        )
         if data:
             p.add_argument("--data", required=True, help="synthesize output directory")
         if recon:
@@ -58,34 +45,14 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("synthesize", help="forward-solve and write data dumps"))
     common(sub.add_parser("invert", help="reconstruct from data dumps"), data=True)
     common(sub.add_parser("evaluate", help="accuracy and localization reports"), recon=True)
-    bench = sub.add_parser("bench", help="timing sweep over transverse sizes")
-    common(bench)
-    bench.add_argument(
-        "--n-list", default=None, help="comma-separated powers of two (e.g. 32,64,128)"
-    )
+    common(sub.add_parser("bench", help="timing sweep over transverse sizes"))
     return parser
-
-
-def _apply_overrides(data: dict, args: argparse.Namespace) -> dict:
-    """data, a parsed config file, with the command line's overrides written in,
-    so that they pass the checks the file's own values do."""
-    def put(section: str, key: str, value):
-        # a section that is not a mapping is left for the reader to reject
-        if value is not None and isinstance(data.setdefault(section, {}), dict):
-            data[section][key] = value
-
-    put("noise", "seed", args.seed)
-    put("noise", "delta", args.delta)
-    put("regularizer", "method", args.method)
-    if args.freq is not None:
-        data["frequencies"] = [tok for tok in args.freq.split(",") if tok]
-    return data
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = config_from_dict(_apply_overrides(read_yaml(args.config), args))
+        config = load_config(args.config)
         out = Path(args.out)
         if args.command == "phantom":
             run_phantom(config, out)
@@ -96,13 +63,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "evaluate":
             run_evaluate(config, args.recon, out)
         elif args.command == "bench":
-            n_list = None
-            if args.n_list:
-                try:
-                    n_list = [int(tok) for tok in args.n_list.split(",") if tok]
-                except ValueError as exc:
-                    raise ConfigError(f"bad --n-list {args.n_list!r}") from exc
-            run_bench(config, n_list, out)
+            run_bench(config, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

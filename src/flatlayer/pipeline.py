@@ -184,12 +184,6 @@ def get_kernel(
     return table
 
 
-def _cache_dir(config: RunConfig) -> Path | None:
-    if not config.output.kernel_cache:
-        return None
-    return Path(config.output.kernel_cache_dir)
-
-
 def _write_csv(path: Path, header: list[str], rows) -> Path:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -264,15 +258,16 @@ def support_tables(
 
 
 def forward_frequency(
-    config: RunConfig, tables: SupportTables, grid_y: Grid3D, seed: int
+    config: RunConfig, tables: SupportTables, grid_y: Grid3D, index: int
 ) -> tuple[ForwardResult, ComplexField]:
-    """Forward solve on xi's support and (optionally noisy) receiver data for one
-    frequency, from support_tables."""
+    """Forward solve on xi's support and (optionally noisy) receiver data for the
+    frequency of that index, from support_tables; its noise is drawn from seed
+    config.seed + index."""
     operator, kernel_yl, u0 = tables
     fwd = born_iterate(u0, operator, tol=config.forward.tol, max_iter=config.forward.max_iter)
     v = support_interaction(fwd.u_values, operator.support, operator.grid)
     _, w_field = scattered_data(kernel_yl, grid_y, v)
-    return fwd, add_noise(w_field, config.delta, seed)
+    return fwd, add_noise(w_field, config.delta, config.seed + index)
 
 
 def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
@@ -304,8 +299,7 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
         manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        solved.append((tables[0].form, *forward_frequency(config, tables, grid_y,
-                                                          config.seed + i)))
+        solved.append((tables[0].form, *forward_frequency(config, tables, grid_y, i)))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -387,7 +381,7 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         )
 
     lattice = ModeLattice.for_grid(grid_x)
-    cache = _cache_dir(config)
+    cache = Path(config.output.kernel_cache_dir) if config.output.kernel_cache else None
     manifest = ManifestBuilder("invert", config.config_hash())
     manifest.set("data_manifest_config_hash", data_manifest.get("config_hash"))
     manifest.set("grid_x", grid_x.content_key())
@@ -501,17 +495,18 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     return out
 
 
-def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path) -> Path:
-    """Time the inverse solve over a sweep of transverse sizes N.
+def run_bench(config: RunConfig, out_dir: str | Path) -> Path:
+    """Time the inverse solve over the transverse sizes N of config.bench_n.
 
-    Every N is prepared first, with one untimed warm-up pass so that
+    Every N is prepared first, its tables built in memory (the kernel cache
+    is neither read nor written), with one untimed warm-up pass so that
     first-call costs do not weigh on the short runs. The timed passes then
     go round-robin over the N values until each has at least _BENCH_PASSES
     passes and _BENCH_SECONDS of them, so that one slow spell of the machine
     cannot cover all passes of a short N; each N records its fastest pass.
     Writes the timing table and the fitted power law t = t0 * N^p.
     """
-    n_list = list(n_values) if n_values is not None else list(config.bench_n)
+    n_list = list(config.bench_n)
     if not n_list or len(set(n_list)) < len(n_list):
         raise ConfigError(f"bench needs a nonempty list of distinct N values, got {n_list}")
     # every N is checked before any is swept: its grids by Grid3D's rules, its sources
@@ -521,8 +516,6 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
             check_sources(config.sources, grid_x)
     except ValueError as exc:
         raise ConfigError(f"bench: {exc}") from exc
-
-    cache = _cache_dir(config)
 
     def invert_pass(grid_x: Grid3D, frequencies: list) -> float:
         # mode solves, recomputation and extraction on prebuilt tables
@@ -539,10 +532,10 @@ def run_bench(config: RunConfig, n_values: list[int] | None, out_dir: str | Path
         lattice = ModeLattice.for_grid(grid_x)
         support = Support.of(config.phantom.sample_on(grid_x))
         frequencies = []
-        for omega in config.frequencies:
+        for i, omega in enumerate(config.frequencies):
             synth = support_tables(config, omega, grid_x, grid_y, lattice, support)
-            _, w_field = forward_frequency(config, synth, grid_y, config.seed)
-            tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
+            _, w_field = forward_frequency(config, synth, grid_y, i)
+            tables = frequency_tables(config, omega, grid_x, grid_y, lattice, None)
             frequencies.append((omega, tables, forward_xy(w_field)))
         invert_pass(grid_x, frequencies)  # warm-up
         prepared.append((grid_x, frequencies))

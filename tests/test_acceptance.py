@@ -26,7 +26,7 @@ from flatlayer.manifest import read_manifest
 from flatlayer.medium import green_spectra
 from flatlayer.pipeline import run_bench
 from flatlayer.regularizers import solve_mode_block
-from flatlayer.runconfig import OutputOptions, RunConfig
+from flatlayer.runconfig import RunConfig
 
 NOISE_SEED = 20260810
 
@@ -266,9 +266,9 @@ def test_criterion_9_timing_scaling(desk, tmp_path):
             frequencies=(2.0,),
             sources=desk["sources"],
             phantom=desk["phantom"],
-            output=OutputOptions(kernel_cache=False),
+            bench_n=(32, 64, 128),
         )
-        out = run_bench(config, [32, 64, 128], tmp_path / "bench")
+        out = run_bench(config, tmp_path / "bench")
         fit = read_manifest(out / "manifest.json")["fit"]
         assert 1.7 <= fit["exponent"] <= 2.4, fit
         print(f"\n  fitted exponent {fit['exponent']:.3f}, t0 {fit['t0']:.2e}s")

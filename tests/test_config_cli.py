@@ -202,10 +202,11 @@ def test_cli_source_on_scatterer_node_exit_code(tmp_path, monkeypatch):
     assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
     # x = 0.625 is a node at N=32 only: bench checks every N it sweeps
     data["sources"] = {"points": [{"position": [0.625, 0.0, 0.5]}]}
-    cfg.write_text(yaml.safe_dump(data))
-    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "32"]) == 2
+    for n_values in ([32], [16, 32]):
+        data["bench"] = {"n_values": n_values}
+        cfg.write_text(yaml.safe_dump(data))
+        assert main(["bench", "--config", str(cfg), "--out", "b"]) == 2, n_values
     # every N is checked before the first is swept: nothing is run or written
-    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "16,32"]) == 2
     assert not (tmp_path / "b").exists()
 
 
@@ -215,12 +216,15 @@ def test_cli_bench_repeated_n_exit_code(tmp_path, monkeypatch, where):
     error before any N is swept, with nothing written."""
     monkeypatch.chdir(tmp_path)
     if where == "--n-list":
-        cfg = write_config(tmp_path)
-        args = ["--n-list", "16,16"]
+        # the flag is gone: its repeated list is refused as a usage error, and
+        # the same list through its config key is a config error
+        cfg = write_config(tmp_path, bench={"n_values": [16, 16]})
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "16,16"])
+        assert exc.value.code == 2
     else:
         cfg = write_config(tmp_path, bench={"n_values": [16, 8, 16]})
-        args = []
-    assert main(["bench", "--config", str(cfg), "--out", "b", *args]) == 2
+    assert main(["bench", "--config", str(cfg), "--out", "b"]) == 2
     assert not (tmp_path / "b").exists()
 
 
@@ -593,16 +597,23 @@ def test_per_frequency_manifest_maps_keep_frequencies_that_print_alike(tmp_path,
     assert list(read_manifest(tmp_path / "r" / "manifest.json")["rank_stats"]) == ["000", "001"]
 
 
-def test_cli_overrides(tmp_path, monkeypatch):
+@pytest.mark.parametrize("command, flag", [
+    ("synthesize", ["--seed", "9"]),
+    ("synthesize", ["--delta", "1e-6"]),
+    ("synthesize", ["--freq", "1.5"]),
+    ("invert", ["--method", "tikhonov"]),
+    ("bench", ["--n-list", "4,8"]),
+], ids=["seed", "delta", "freq", "method", "n-list"])
+def test_cli_refuses_removed_override_flags(tmp_path, monkeypatch, command, flag):
+    """The config file is a run's only input: a flag that once overrode one of its
+    keys is argparse's usage error, exit 2, before anything is read or written."""
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path)
-    assert main([
-        "synthesize", "--config", str(cfg), "--out", "d",
-        "--freq", "1.5", "--delta", "1e-6", "--seed", "9",
-    ]) == 0
-    manifest = read_manifest(tmp_path / "d" / "manifest.json")
-    assert manifest["data_files"][0]["omega"] == 1.5
-    assert manifest["noise"] == {"delta": 1e-6, "seed": 9}
+    cfg = write_config(tmp_path, bench={"n_values": [4, 8]})
+    data = ["--data", "d"] if command == "invert" else []
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cfg), "--out", "o", *data, *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
@@ -622,51 +633,50 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         },
     )
     assert main(["synthesize", "--config", str(overlap), "--out", "o"]) == 2
-    # bad frequency override -> config error
-    cfg = write_config(tmp_path)
-    assert main(["synthesize", "--config", str(cfg), "--out", "o", "--freq", "x"]) == 2
-    # an override on a section that is not a mapping -> config error, nothing written
+    # a frequency that is not a number -> config error
+    freq = write_config(tmp_path, name="freq-x.yaml", frequencies=["x"])
+    assert main(["synthesize", "--config", str(freq), "--out", "o"]) == 2
+    # a section that is not a mapping -> config error, nothing written
     flat = write_config(tmp_path, name="noise-5.yaml", noise=5)
-    assert main(["synthesize", "--config", str(flat), "--out", "o5", "--delta", "1e-5"]) == 2
+    assert main(["synthesize", "--config", str(flat), "--out", "o5"]) == 2
     assert not (tmp_path / "o5").exists()
+    cfg = write_config(tmp_path)
     # invert without data -> I/O error
     assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 4
-    # a --method override the other regularizer settings do not allow -> config error
-    for name, reg, method in [
-        ("neg-alpha.yaml", {"method": "tsvd", "tikhonov_alpha": -1.0}, "tikhonov"),
-        ("zero-cut.yaml", {"method": "tikhonov", "tsvd_rel_threshold": 0.0}, "tsvd"),
-        ("policy.yaml", {"method": "tsvd", "selection_policy": "discrepancy",
-                         "noise_delta": 1e-7}, "tikhonov"),
+    # a method the other regularizer settings do not allow -> config error
+    for name, reg in [
+        ("neg-alpha.yaml", {"method": "tikhonov", "tikhonov_alpha": -1.0}),
+        ("zero-cut.yaml", {"method": "tsvd", "tsvd_rel_threshold": 0.0}),
     ]:
         cfg = write_config(tmp_path, name=name, regularizer=reg)
-        assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o",
-                     "--method", method]) == 2
+        assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 2
     # Tikhonov with the discrepancy policy, which only TSVD applies -> config error
     cfg = write_config(tmp_path, name="tik-disc.yaml", regularizer={
         "method": "tikhonov", "selection_policy": "discrepancy", "noise_delta": 1e-7})
     assert main(["invert", "--config", str(cfg), "--data", "nowhere", "--out", "o"]) == 2
-    # a nan or infinite number in the config or an override -> config error, nothing written
+    # a nan or infinite number in the config -> config error, nothing written
     nan, inf = float("nan"), float("inf")
     tiny = tiny_config_dict()
     bump = dict(tiny["phantom"]["bumps"][0], radius=nan)
-    for i, (overrides, args) in enumerate([
-        ({"frequencies": [nan]}, []),
-        ({"frequencies": [inf]}, []),
-        ({"noise": {"delta": nan}}, []),
-        ({"noise": {"delta": inf}}, []),
-        ({"sources": {"points": [{"position": [0.0, nan, 6.0]}]}}, []),
-        ({"sources": {"points": [{"position": [0.0, 0.0, 6.0], "amplitude": inf}]}}, []),
-        ({"sources": {"points": [{"position": [0.0, 0.0, 6.0], "amplitude": [1.0, nan]}]}}, []),
-        ({"phantom": dict(tiny["phantom"], amplitude=nan)}, []),
-        ({"phantom": {"bumps": [bump]}}, []),
-        ({}, ["--freq", "nan"]),
-        ({}, ["--delta", "nan"]),
-        ({}, ["--delta", "1e400"]),
+    for i, overrides in enumerate([
+        {"frequencies": [nan]},
+        {"frequencies": [inf]},
+        {"noise": {"delta": nan}},
+        {"noise": {"delta": inf}},
+        {"sources": {"points": [{"position": [0.0, nan, 6.0]}]}},
+        {"sources": {"points": [{"position": [0.0, 0.0, 6.0], "amplitude": inf}]}},
+        {"sources": {"points": [{"position": [0.0, 0.0, 6.0], "amplitude": [1.0, nan]}]}},
+        {"phantom": dict(tiny["phantom"], amplitude=nan)},
+        {"phantom": {"bumps": [bump]}},
+        # numeric strings, as YAML reads 1e400 without a dot
+        {"frequencies": ["nan"]},
+        {"noise": {"delta": "nan"}},
+        {"noise": {"delta": "1e400"}},
     ]):
         cfg = write_config(tmp_path, name=f"nonfinite-{i}.yaml", **overrides)
         out = f"nonfinite-{i}"
         capsys.readouterr()
-        assert main(["synthesize", "--config", str(cfg), "--out", out, *args]) == 2, i
+        assert main(["synthesize", "--config", str(cfg), "--out", out]) == 2, i
         assert "must be a finite number" in capsys.readouterr().err, i
         assert not (tmp_path / out).exists()
     # a value no run can use -> config error before any table is built or cached
@@ -801,14 +811,39 @@ def test_cli_evaluate_rejects_artifacts_from_a_shifted_window(tmp_path, monkeypa
 
 def test_cli_bench_smoke(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path)
-    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "4,8"]) == 0
+    cfg = write_config(tmp_path, bench={"n_values": [4, 8]},
+                       output={"kernel_cache": True, "kernel_cache_dir": "cache"})
+    assert main(["bench", "--config", str(cfg), "--out", "b"]) == 0
     rows = (tmp_path / "b" / "timing.csv").read_text().splitlines()
     assert rows[0] == "n,m,m1,seconds"
     assert len(rows) == 3
     assert all(float(r.split(",")[3]) > 0 for r in rows[1:])
+    # bench times inversions on tables it builds in memory, even with the cache on
+    assert not (tmp_path / "cache").exists()
     # empty/odd n lists are config errors
-    assert main(["bench", "--config", str(cfg), "--out", "b2", "--n-list", "7"]) == 2
+    for i, n_values in enumerate(([], [7])):
+        cfg = write_config(tmp_path, name=f"bad-n-{i}.yaml", bench={"n_values": n_values})
+        assert main(["bench", "--config", str(cfg), "--out", "b2"]) == 2, n_values
+    assert not (tmp_path / "b2").exists()
+
+
+def test_bench_seeds_each_frequency_as_synthesize_does(tmp_path, monkeypatch):
+    """Frequency i's noise is drawn from seed + i in bench as in synthesize."""
+    monkeypatch.chdir(tmp_path)
+    seeds, add_noise = [], pipeline.add_noise
+
+    def recording(w_field, delta, seed):
+        seeds.append(seed)
+        return add_noise(w_field, delta, seed)
+
+    monkeypatch.setattr(pipeline, "add_noise", recording)
+    cfg = write_config(tmp_path, frequencies=[2.0, 3.0], noise={"delta": 1e-5, "seed": 55},
+                       bench={"n_values": [8]})
+    assert main(["bench", "--config", str(cfg), "--out", "b"]) == 0
+    assert seeds == [55, 56]
+    seeds.clear()
+    assert main(["synthesize", "--config", str(cfg), "--out", "d"]) == 0
+    assert seeds == [55, 56]
 
 
 def test_cli_malformed_dump_exit_code(tmp_path, monkeypatch):
@@ -1006,7 +1041,8 @@ def test_cli_failed_mode_solve_writes_nothing(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(inverse, "solve_mode_block", failing)
     assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "r"]) == 3
     assert "omega = 2.0 for classes 0-" in capsys.readouterr().err
-    assert main(["bench", "--config", str(cfg), "--out", "b", "--n-list", "4,8"]) == 3
+    bench = write_config(tmp_path, name="bench.yaml", bench={"n_values": [4, 8]})
+    assert main(["bench", "--config", str(bench), "--out", "b"]) == 3
     assert not (tmp_path / "r").exists() and not (tmp_path / "b").exists()
 
 
