@@ -25,6 +25,7 @@ from .forward import (
 )
 from .inverse import (
     XiExtraction,
+    XiSums,
     extract_xi_lsq,
     recompute_internal_field,
     solve_modes,

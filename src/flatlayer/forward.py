@@ -185,6 +185,8 @@ def add_noise(w_field: ComplexField, delta: float, seed: int) -> ComplexField:
     rng = np.random.default_rng(seed)
     shape = w_field.values.shape
     noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    noise_field = ComplexField(w_field.grid, noise)
-    scale = delta * l2_norm(w_field) / l2_norm(noise_field)
-    return ComplexField(w_field.grid, w_field.values + scale * noise)
+    scale = delta * l2_norm(w_field) / l2_norm(ComplexField(w_field.grid, noise))
+    noisy = noise * scale  # the field froze noise
+    del noise
+    noisy += w_field.values
+    return ComplexField(w_field.grid, noisy)

@@ -6,7 +6,8 @@ systems, one per transverse mode. Their regularized solutions assemble the
 interaction spectrum V_hat on the scatterer slab; the internal field U_hat
 follows by one application of the scatterer-to-scatterer kernel; and the
 coefficient comes from the pointwise identity u * xi = V, either per
-frequency (division) or jointly over frequencies (least squares).
+frequency (division) or jointly over frequencies (least squares), from
+running sums to which each frequency's fields are added in turn (XiSums).
 """
 
 from __future__ import annotations
@@ -123,15 +124,46 @@ def recompute_internal_field(
         raise ValueError("U0 and V spectra must share shape")
     if kernel_xx.n_rows != grid.nz or kernel_xx.n_cols != grid.nz:
         raise ValueError("kernel table does not cover the scatterer grid")
-    return SpectralField(grid, u0_spec.values + kernel_xx.apply(v_spec.values))
+    u_values = kernel_xx.apply(v_spec.values)
+    u_values += u0_spec.values
+    return SpectralField(grid, u_values)
 
 
-def extract_xi_lsq(
-    v_fields: list[ComplexField] | tuple[ComplexField, ...],
-    u_fields: list[ComplexField] | tuple[ComplexField, ...],
-    eps_div: float = 1e-3,
-) -> XiExtraction:
-    """Pointwise real least squares for xi over several frequencies.
+class XiSums:
+    """The running sums of the pointwise least squares for xi over frequencies,
+    num = sum_w conj(u_w) V_w and den = sum_w |u_w|^2, one frequency added at a time."""
+
+    def __init__(self, shape: tuple[int, int, int]):
+        self.num = np.zeros(shape, dtype=complex)
+        self.den = np.zeros(shape, dtype=float)
+
+    @classmethod
+    def of(cls, v_fields: list[ComplexField] | tuple[ComplexField, ...],
+           u_fields: list[ComplexField] | tuple[ComplexField, ...]) -> "XiSums":
+        """The sums over matching lists of V and u fields, one pair per frequency."""
+        if len(v_fields) == 0 or len(v_fields) != len(u_fields):
+            raise ValueError("need matching nonempty V and u field lists")
+        sums = cls(v_fields[0].values.shape)
+        for v_field, u_field in zip(v_fields, u_fields):
+            sums.add(v_field, u_field)
+        return sums
+
+    def add(self, v_field: ComplexField, u_field: ComplexField) -> None:
+        """Add one frequency's conj(u) V and |u|^2."""
+        v, u = v_field.values, u_field.values
+        if v.shape != self.num.shape or u.shape != self.num.shape:
+            raise ValueError("all fields must share one grid")
+        term = np.conj(u)
+        term *= v
+        self.num += term
+        del term
+        power = np.abs(u)
+        np.square(power, out=power)
+        self.den += power
+
+
+def extract_xi_lsq(sums: XiSums, eps_div: float = 1e-3) -> XiExtraction:
+    """Pointwise real least squares for xi over the frequencies added to sums.
 
     Minimizes sum_w |u_w xi - V_w|^2 over real xi:
     xi = Re(sum_w conj(u_w) V_w) / sum_w |u_w|^2, masked to 0 where the
@@ -139,16 +171,7 @@ def extract_xi_lsq(
     escape; the imaginary part of the ratio is reported as imag_norm. Over
     one frequency this is Re(V / u), masked where |u| < eps_div * max|u|.
     """
-    if len(v_fields) == 0 or len(v_fields) != len(u_fields):
-        raise ValueError("need matching nonempty V and u field lists")
-    shape = v_fields[0].values.shape
-    num = np.zeros(shape, dtype=complex)
-    den = np.zeros(shape, dtype=float)
-    for vf, uf in zip(v_fields, u_fields):
-        if vf.values.shape != shape or uf.values.shape != shape:
-            raise ValueError("all fields must share one grid")
-        num += np.conj(uf.values) * vf.values
-        den += np.abs(uf.values) ** 2
+    num, den, shape = sums.num, sums.den, sums.num.shape
     mask = (den >= (eps_div ** 2) * np.max(den)) & (den > 0.0)
     ratio = np.zeros(shape, dtype=complex)
     np.divide(num, den.astype(complex), out=ratio, where=mask)

@@ -8,6 +8,22 @@ from pathlib import Path
 
 from . import __version__
 
+# Linux's status file of the running process; its VmHWM line is the peak resident set
+_STATUS = Path("/proc/self/status")
+
+
+def peak_rss_mib() -> float | None:
+    """This process's peak resident set so far (VmHWM) in MiB, to 0.1 MiB; None where
+    the status file does not exist."""
+    try:
+        text = _STATUS.read_text()
+    except FileNotFoundError:
+        return None
+    for line in text.splitlines():
+        if line.startswith("VmHWM:"):
+            return round(int(line.split()[1]) / 1024, 1)  # given in kB
+    return None
+
 
 def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
@@ -43,7 +59,13 @@ class ManifestBuilder:
         })
 
     def write(self, path: Path) -> None:
-        """Write strict JSON: a nan or infinity raises ValueError before the file is opened."""
+        """Write strict JSON: a nan or infinity raises ValueError before the file is opened.
+
+        Records the process's peak resident set so far as peak_rss_mib, where it can be read.
+        """
+        peak = peak_rss_mib()
+        if peak is not None:
+            self.data["peak_rss_mib"] = peak
         text = json.dumps(self.data, indent=2, sort_keys=True, allow_nan=False)
         with open(path, "w") as fh:
             fh.write(text + "\n")

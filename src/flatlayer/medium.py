@@ -22,7 +22,7 @@ distance of the sources at each height, or once per node of S.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -164,14 +164,23 @@ class GreenKernelTable:
             raise ValueError(
                 f"expected shape {(self.n_modes, self.n_cols)}, got {v.shape}"
             )
-        vw = v * self.col_weights[None, :]
         out = np.empty((self.n_modes, self.n_rows), dtype=complex)
         for start, stop in self.mode_chunks():
-            stacked = self.stack_members(start, stop, vw).transpose(0, 2, 1)
-            product = self.mode_matrices(start, stop) @ stacked
+            # weighted a chunk at a time, so that no weighted copy of v is made
+            stacked = self.stack_members(start, stop, v)
+            stacked *= self.col_weights
+            product = self.mode_matrices(start, stop) @ stacked.transpose(0, 2, 1)
             self.scatter_members(start, stop, product.transpose(0, 2, 1), out)
-        del vw  # before the product below, so that it can reuse vw's memory
-        return self.omega * self.omega * out
+        out *= self.omega * self.omega
+        return out
+
+    def columns(self, cols: np.ndarray) -> "GreenKernelTable":
+        """This table on its source columns cols only: the same offsets and spectra."""
+        picked = (self.col_z[cols], self.col_weights[cols], self.offset_index[:, cols])
+        for arr in picked:
+            arr.setflags(write=False)
+        col_z, col_weights, offset_index = picked
+        return replace(self, col_z=col_z, col_weights=col_weights, offset_index=offset_index)
 
 
 def trapezoid_weights(z_nodes: np.ndarray) -> np.ndarray:
@@ -463,18 +472,17 @@ class Bump:
         if not self.radius > 0.0:
             raise ValueError(f"phantom bump radius must be positive, got {self.radius!r}")
 
-    def quadratic_form(self, x, y, z):
+    def quadratic_form(self, x, y, z) -> np.ndarray:
+        """q at (broadcastable) coordinates, a new array of their broadcast shape. The
+        terms are added in place, each term broadcast from the axes it depends on."""
         dx = np.asarray(x, dtype=float) - self.center[0]
         dy = np.asarray(y, dtype=float) - self.center[1]
         dz = np.asarray(z, dtype=float) - self.center[2]
-        return (
-            dx * dx
-            + dy * dy
-            + dz * dz
-            + self.cross_xy * dx * dy
-            + self.cross_xz * dx * dz
-            + self.cross_yz * dy * dz
-        )
+        q = np.asarray(dx * dx + dy * dy + dz * dz)
+        q += self.cross_xy * dx * dy
+        q += self.cross_xz * dx * dz
+        q += self.cross_yz * dy * dz
+        return q
 
 
 @dataclass(frozen=True)
@@ -488,12 +496,19 @@ class Phantom:
         """Evaluate xi at (broadcastable) coordinates."""
         total = np.zeros(np.broadcast(np.asarray(x), np.asarray(y), np.asarray(z)).shape)
         for b in self.bumps:
+            # weight * max(1 - q / radius^2, 0), in q's memory
             q = b.quadratic_form(x, y, z)
-            total += b.weight * np.maximum(1.0 - q / (b.radius * b.radius), 0.0)
-        out = self.amplitude * total
-        return out if out.ndim else float(out)
+            q /= b.radius * b.radius
+            np.subtract(1.0, q, out=q)
+            np.maximum(q, 0.0, out=q)
+            q *= b.weight
+            total += q
+            del q  # before the next bump's q is made
+        total *= self.amplitude
+        return total if total.ndim else float(total)
 
     def sample_on(self, grid: Grid3D) -> np.ndarray:
-        """xi sampled on all grid nodes, shape (nx, ny, nz)."""
-        xg, yg, zg = grid.meshgrid()
-        return self(xg, yg, zg)
+        """xi sampled on all grid nodes, shape (nx, ny, nz), from the node coordinates
+        along each axis broadcast against each other."""
+        return self(grid.x_coords()[:, None, None], grid.y_coords()[None, :, None],
+                    grid.z_nodes[None, None, :])

@@ -60,8 +60,12 @@ def slice_relative_error(
     """
     if xi_appr.shape != grid.shape or xi_exact.shape != grid.shape:
         raise ValueError("fields must be sampled on the given grid")
-    diff_norms = np.linalg.norm((xi_appr - xi_exact).reshape(-1, grid.nz), axis=0)
     exact_norms = np.linalg.norm(xi_exact.reshape(-1, grid.nz), axis=0)
+    # np.linalg.norm's sum of squares along axis 0, squared in the difference's memory
+    diff = xi_appr - xi_exact
+    np.square(diff, out=diff)
+    diff_norms = np.sqrt(np.add.reduce(diff.reshape(-1, grid.nz), axis=0))
+    del diff
     supported = exact_norms > 0.0
     if not np.any(supported):
         warnings.warn("exact coefficient vanishes on every slice; empty curve")
@@ -85,16 +89,18 @@ def localization_report(
     """
     if xi_appr.shape != grid.shape:
         raise ValueError("field must be sampled on the given grid")
-    xg, yg, zg = grid.meshgrid()
+    # node coordinates along each axis, broadcast against each other
+    x, y, z = grid.x_coords(), grid.y_coords(), grid.z_nodes
     out = []
     for b in phantom.bumps:
         cx, cy, cz = b.center
-        ball = (xg - cx) ** 2 + (yg - cy) ** 2 + (zg - cz) ** 2 <= search_radius ** 2
+        ball = ((x[:, None, None] - cx) ** 2 + (y[None, :, None] - cy) ** 2
+                + (z[None, None, :] - cz) ** 2 <= search_radius ** 2)
         if not np.any(ball):
             raise ValueError(f"no grid nodes within {search_radius} of {b.center}")
-        masked = np.where(ball, xi_appr, -np.inf)
-        ix, iy, iz = np.unravel_index(np.argmax(masked), xi_appr.shape)
-        found = (float(xg[ix, iy, iz]), float(yg[ix, iy, iz]), float(zg[ix, iy, iz]))
+        peak = np.argmax(np.where(ball, xi_appr, -np.inf))
+        ix, iy, iz = np.unravel_index(peak, xi_appr.shape)
+        found = (float(x[ix]), float(y[iy]), float(z[iz]))
         offset = float(np.hypot(np.hypot(found[0] - cx, found[1] - cy), found[2] - cz))
         out.append(
             BumpLocalization(

@@ -12,7 +12,9 @@ xi). Inversion and the timing sweep
 use the full tables, cached on disk keyed by lattice period, z nodes and
 frequency, reusable across noise levels, regularizer sweeps and window
 positions. Cache files hold every mode's column, tables in memory one per
-class.
+class. Inversion takes one frequency at a time and, within it, one table at
+a time (invert_frequency), folding each frequency into the extraction's
+running sums, so that its memory does not grow with the frequencies.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ import os
 import tempfile
 import time
 import zipfile
-from dataclasses import dataclass, replace
+from collections.abc import Iterator
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +44,7 @@ from .forward import (
 )
 from .inverse import (
     ModeSolveStats,
+    XiSums,
     extract_xi_lsq,
     recompute_internal_field,
     solve_modes,
@@ -210,25 +214,52 @@ def run_phantom(config: RunConfig, out_dir: str | Path) -> Path:
     return out
 
 
-FrequencyTables = tuple[GreenKernelTable, GreenKernelTable, SpectralField]
-
-
-def frequency_tables(
+def frequency_inputs(
     config: RunConfig,
     omega: float,
+    w_path: Path,
     grid_x: Grid3D,
     grid_y: Grid3D,
     lattice: ModeLattice,
     cache: Path | None,
-) -> FrequencyTables:
-    """Scatterer and receiver kernel tables plus the incident spectrum at omega."""
-    kernel_xx = get_kernel(grid_x, grid_x, omega, lattice, cache)
-    kernel_xy = get_kernel(grid_x, grid_y, omega, lattice, cache)
-    u0 = SpectralField(grid_x, incident_field_spectral(config.sources, grid_x, omega))
-    return kernel_xx, kernel_xy, u0
+) -> Iterator:
+    """invert_frequency's inputs at omega, each made when it is taken: W's spectrum from
+    the dump at w_path, the receiver table, the scatterer table and U0's spectrum."""
+    yield forward_xy(_read_data(w_path, grid_y))
+    yield get_kernel(grid_x, grid_y, omega, lattice, cache)
+    yield get_kernel(grid_x, grid_x, omega, lattice, cache)
+    yield _incident_spectrum(config, omega, grid_x)
 
 
-SupportTables = tuple[SupportOperator, GreenKernelTable, np.ndarray]
+def _read_data(path: Path, grid_y: Grid3D) -> ComplexField:
+    w_field = read_field(path)
+    if w_field.grid.content_key() != grid_y.content_key():
+        raise ConfigError(
+            f"data dump {path.name} lies on {w_field.grid.content_key()}, "
+            f"config expects {grid_y.content_key()}"
+        )
+    return w_field
+
+
+def _incident_spectrum(config: RunConfig, omega: float, grid_x: Grid3D) -> SpectralField:
+    return SpectralField(grid_x, incident_field_spectral(config.sources, grid_x, omega))
+
+
+# the operator on S, K_yL and u0 at S; forward_frequency empties the list
+SupportTables = list
+
+
+def support_operator(
+    omega: float, grid_x: Grid3D, lattice: ModeLattice, support: Support
+) -> SupportOperator:
+    """The operator u -> K(xi u) on xi's nonzero nodes S at omega: the dense S x S matrix
+    when forward.dense_fits allows it, and the scatterer table's L rows and columns
+    otherwise, L being the support's slabs."""
+    if dense_fits(support.size, grid_x.nx, support.slabs.size):
+        return SupportOperator(omega, support, grid_x, matrix=node_kernel(grid_x, omega, support))
+    kernel_ll = build_green_kernel(grid_x, grid_x, omega, lattice,
+                                   rows=support.slabs, cols=support.slabs)
+    return SupportOperator(omega, support, grid_x, kernel_ll=kernel_ll)
 
 
 def support_tables(
@@ -239,22 +270,10 @@ def support_tables(
     lattice: ModeLattice,
     support: Support,
 ) -> SupportTables:
-    """The operator u -> K(xi u) on xi's nonzero nodes S, K_yL and u0 at S, at omega.
-
-    The operator is the dense S x S matrix when forward.dense_fits allows it, and the
-    scatterer table's L rows and columns otherwise, L being the support's slabs; K_yL
-    is every receiver row's L columns.
-    """
-    if dense_fits(support.size, grid_x.nx, support.slabs.size):
-        operator = SupportOperator(omega, support, grid_x,
-                                   matrix=node_kernel(grid_x, omega, support))
-    else:
-        kernel_ll = build_green_kernel(grid_x, grid_x, omega, lattice,
-                                       rows=support.slabs, cols=support.slabs)
-        operator = SupportOperator(omega, support, grid_x, kernel_ll=kernel_ll)
-    kernel_yl = build_green_kernel(grid_x, grid_y, omega, lattice, cols=support.slabs)
-    u0 = incident_field_nodes(config.sources, grid_x, omega, support)
-    return operator, kernel_yl, u0
+    """[support_operator, K_yL (every receiver row's L columns), u0 at S] at omega."""
+    return [support_operator(omega, grid_x, lattice, support),
+            build_green_kernel(grid_x, grid_y, omega, lattice, cols=support.slabs),
+            incident_field_nodes(config.sources, grid_x, omega, support)]
 
 
 def forward_frequency(
@@ -262,11 +281,18 @@ def forward_frequency(
 ) -> tuple[ForwardResult, ComplexField]:
     """Forward solve on xi's support and (optionally noisy) receiver data for the
     frequency of that index, from support_tables; its noise is drawn from seed
-    config.seed + index."""
+    config.seed + index.
+
+    Takes the tables out of their list, so that each is freed once no step needs it:
+    the operator once V exists, K_yL once W does.
+    """
     operator, kernel_yl, u0 = tables
+    tables.clear()
     fwd = born_iterate(u0, operator, tol=config.forward.tol, max_iter=config.forward.max_iter)
     v = support_interaction(fwd.u_values, operator.support, operator.grid)
+    del operator, u0
     _, w_field = scattered_data(kernel_yl, grid_y, v)
+    del kernel_yl, v
     return fwd, add_noise(w_field, config.delta, config.seed + index)
 
 
@@ -299,7 +325,8 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
         manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
 
         t0 = time.perf_counter()
-        solved.append((tables[0].form, *forward_frequency(config, tables, grid_y, i)))
+        form = tables[0].form
+        solved.append((form, *forward_frequency(config, tables, grid_y, i)))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -324,33 +351,28 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     return out
 
 
-@dataclass(frozen=True)
-class FrequencyInversion:
-    """Per-frequency reconstruction pieces kept for extraction and diagnostics."""
-
-    omega: float
-    v_field: ComplexField
-    u_field: ComplexField
-    stats: ModeSolveStats
-
-
 def invert_frequency(
-    w_spec: SpectralField,
-    omega: float,
-    tables: FrequencyTables,
-    reg: RegularizerConfig,
-    grid_x: Grid3D,
-) -> FrequencyInversion:
-    """Algorithm core for one frequency: mode solves plus field recomputation."""
-    kernel_xx, kernel_xy, u0 = tables
+    inputs: Iterator, omega: float, reg: RegularizerConfig, grid_x: Grid3D, sums: XiSums
+) -> ModeSolveStats:
+    """Algorithm core for one frequency: the mode solves, the field recomputation and
+    the transforms back to real space, whose V and u are added to sums.
+
+    inputs yields W's spectrum, the receiver table, the scatterer table and U0's
+    spectrum, in that order (frequency_inputs). Each is taken when its step begins and
+    dropped when the step ends, so that one table is alive at a time.
+    """
+    w_spec, kernel_xy = next(inputs), next(inputs)
     v_spec, stats = solve_modes(w_spec, kernel_xy, omega, reg, grid_x)
+    del w_spec, kernel_xy
+    kernel_xx, u0 = next(inputs), next(inputs)
     u_spec = recompute_internal_field(v_spec, u0, kernel_xx)
-    return FrequencyInversion(
-        omega=omega,
-        v_field=inverse_xy(v_spec),
-        u_field=inverse_xy(u_spec),
-        stats=stats,
-    )
+    del kernel_xx, u0
+    v_field = inverse_xy(v_spec)
+    del v_spec
+    u_field = inverse_xy(u_spec)
+    del u_spec
+    sums.add(v_field, u_field)
+    return stats
 
 
 def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> Path:
@@ -386,33 +408,28 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
     manifest.set("data_manifest_config_hash", data_manifest.get("config_hash"))
     manifest.set("grid_x", grid_x.content_key())
 
-    inversions: list[FrequencyInversion] = []
-    for entry in entries:
-        w_field = read_field(data_dir / entry["file"])
-        if w_field.grid.content_key() != grid_y.content_key():
-            raise ConfigError(
-                f"data dump {entry['file']} lies on {w_field.grid.content_key()}, "
-                f"config expects {grid_y.content_key()}"
-            )
-        t0 = time.perf_counter()
-        omega = entry["omega"]
-        tables = frequency_tables(config, omega, grid_x, grid_y, lattice, cache)
-        inversions.append(
-            invert_frequency(forward_xy(w_field), omega, tables, config.regularizer, grid_x)
-        )
-        manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
-
     # one artifact xi_<tag> per frequency, tagged by its index, or the least-squares
     # combination alone: each extracts over its frequencies and writes their ranks
-    solved = [(f"{i:03d}", inv) for i, inv in enumerate(inversions)]
-    if config.extraction.combine == "least_squares":
-        groups = [("combined", "all", solved)]
-    else:
-        groups = [(tag, repr(inv.omega), [(tag, inv)]) for tag, inv in solved]
-    artifacts = [(tag, omega, ranked, extract_xi_lsq([inv.v_field for _, inv in ranked],
-                                                     [inv.u_field for _, inv in ranked],
-                                                     config.extraction.eps_div))
-                 for tag, omega, ranked in groups]
+    combined = config.extraction.combine == "least_squares"
+    sums = XiSums(grid_x.shape) if combined else None
+    eps_div = config.extraction.eps_div
+    artifacts, ranked = [], []
+    for i, entry in enumerate(entries):
+        t0 = time.perf_counter()
+        tag, omega = f"{i:03d}", entry["omega"]
+        inputs = frequency_inputs(config, omega, data_dir / entry["file"], grid_x, grid_y,
+                                  lattice, cache)
+        own = sums if combined else XiSums(grid_x.shape)
+        stats = invert_frequency(inputs, omega, config.regularizer, grid_x, own)
+        if combined:
+            ranked.append((tag, stats))
+        else:
+            artifacts.append((tag, repr(omega), [(tag, stats)], extract_xi_lsq(own, eps_div)))
+        del own
+        manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
+    if combined:
+        artifacts.append(("combined", "all", ranked, extract_xi_lsq(sums, eps_div)))
+        del sums
 
     # every dump is read and inverted before the output directory is made,
     # so a stage that fails on its inputs leaves no directory behind
@@ -424,17 +441,17 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         written = [out / f"xi_{tag}.laf"]
         write_field(field, written[0])
         written += export_slices_csv(field, out / f"slices_xi_{tag}", f"xi_{tag}")
-        for rank_tag, inv in ranked:
+        for rank_tag, stats in ranked:
             written.append(_write_csv(
                 out / f"rank_hist_{rank_tag}.csv",
                 ["rank", "modes"],
-                sorted(inv.stats.rank_histogram().items()),
+                sorted(stats.rank_histogram().items()),
             ))
             rank_stats[rank_tag] = {
-                "min": int(inv.stats.ranks.min()),
-                "median": float(np.median(inv.stats.ranks)),
-                "max": int(inv.stats.ranks.max()),
-                "uncertified_classes": inv.stats.uncertified_classes,
+                "min": int(stats.ranks.min()),
+                "median": float(np.median(stats.ranks)),
+                "max": int(stats.ranks.max()),
+                "uncertified_classes": stats.uncertified_classes,
             }
         for p in written:
             manifest.add_file(p, out)
@@ -518,12 +535,12 @@ def run_bench(config: RunConfig, out_dir: str | Path) -> Path:
         raise ConfigError(f"bench: {exc}") from exc
 
     def invert_pass(grid_x: Grid3D, frequencies: list) -> float:
-        # mode solves, recomputation and extraction on prebuilt tables
+        # invert's per-frequency code and extraction, on prebuilt tables
         t0 = time.perf_counter()
-        invs = [invert_frequency(w_spec, omega, tables, config.regularizer, grid_x)
-                for omega, tables, w_spec in frequencies]
-        extract_xi_lsq([inv.v_field for inv in invs], [inv.u_field for inv in invs],
-                       config.extraction.eps_div)
+        sums = XiSums(grid_x.shape)
+        for omega, inputs in frequencies:
+            invert_frequency(iter(inputs), omega, config.regularizer, grid_x, sums)
+        extract_xi_lsq(sums, config.extraction.eps_div)
         return time.perf_counter() - t0
 
     prepared = []
@@ -533,10 +550,15 @@ def run_bench(config: RunConfig, out_dir: str | Path) -> Path:
         support = Support.of(config.phantom.sample_on(grid_x))
         frequencies = []
         for i, omega in enumerate(config.frequencies):
-            synth = support_tables(config, omega, grid_x, grid_y, lattice, support)
+            # the data's K_yL is the receiver table's L columns
+            kernel_xy = get_kernel(grid_x, grid_y, omega, lattice)
+            synth = [support_operator(omega, grid_x, lattice, support),
+                     kernel_xy.columns(support.slabs),
+                     incident_field_nodes(config.sources, grid_x, omega, support)]
             _, w_field = forward_frequency(config, synth, grid_y, i)
-            tables = frequency_tables(config, omega, grid_x, grid_y, lattice, None)
-            frequencies.append((omega, tables, forward_xy(w_field)))
+            frequencies.append((omega, (forward_xy(w_field), kernel_xy,
+                                        get_kernel(grid_x, grid_x, omega, lattice),
+                                        _incident_spectrum(config, omega, grid_x))))
         invert_pass(grid_x, frequencies)  # warm-up
         prepared.append((grid_x, frequencies))
 

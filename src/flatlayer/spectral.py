@@ -70,20 +70,32 @@ def _phase_factors(grid: Grid3D) -> tuple[np.ndarray, np.ndarray]:
 
 
 def forward_slab(slabs: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Per-mode values (N*N, k) of a batch of k N x N slabs, shape (k, N, N)."""
-    n = grid.nx
+    """Per-mode values (N*N, k) of a batch of k N x N slabs, shape (k, N, N).
+
+    The transform writes into the per-mode array through a (k, N, N) view of it and
+    scales there, so it allocates nothing else of that size.
+    """
+    n, k = grid.nx, slabs.shape[0]
     px, py = _phase_factors(grid)
-    spec = np.fft.ifft2(slabs, axes=(-2, -1)) * (n * n * grid.hx * grid.hy)
+    values = np.empty((n * n, k), dtype=complex)
+    spec = values.T.reshape(k, n, n)
+    np.fft.ifftn(slabs, axes=(-2, -1), out=spec)  # numpy's ifft2 ignores out
+    spec *= n * n * grid.hx * grid.hy
     spec *= px[:, None] * py[None, :]
-    return spec.reshape(slabs.shape[0], n * n).T
+    return values
 
 
-def inverse_slab(values: np.ndarray, grid: Grid3D) -> np.ndarray:
-    """Inverse of forward_slab: the (k, N, N) slabs of per-mode values (N*N, k)."""
+def inverse_slab(values: np.ndarray, grid: Grid3D, out: np.ndarray | None = None) -> np.ndarray:
+    """Inverse of forward_slab: the (k, N, N) slabs of per-mode values (N*N, k), written
+    into out when it is given, transformed and scaled there."""
     px, py = _phase_factors(grid)
     spec = values.T.reshape(values.shape[1], grid.nx, grid.ny)
-    scaled = spec * (np.conj(px)[:, None] * np.conj(py)[None, :])
-    return np.fft.fft2(scaled, axes=(-2, -1)) / (grid.nx * grid.ny * grid.hx * grid.hy)
+    if out is None:
+        out = np.empty(spec.shape, dtype=complex)
+    np.multiply(spec, np.conj(px)[:, None] * np.conj(py)[None, :], out=out)
+    np.fft.fft2(out, axes=(-2, -1), out=out)
+    out /= grid.nx * grid.ny * grid.hx * grid.hy
+    return out
 
 
 def forward_xy(field: ComplexField) -> SpectralField:
@@ -98,4 +110,6 @@ def forward_xy(field: ComplexField) -> SpectralField:
 
 def inverse_xy(spec: SpectralField) -> ComplexField:
     """Inverse transform; inverse_xy(forward_xy(f)) == f to round-off."""
-    return ComplexField(spec.grid, np.moveaxis(inverse_slab(spec.values, spec.grid), 0, 2))
+    values = np.empty(spec.grid.shape, dtype=complex)
+    inverse_slab(spec.values, spec.grid, out=np.moveaxis(values, 2, 0))
+    return ComplexField(spec.grid, values)

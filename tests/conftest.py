@@ -250,6 +250,7 @@ def reconstruct(desk, w_field, reg=None, eps_div=1e-3):
         fl.forward_xy(w_field), desk["kernel_xy"], desk["omega"], reg, grid_x
     )
     u_spec = fl.recompute_internal_field(v_spec, desk["u0"], desk["kernel_xx"])
-    ext = fl.extract_xi_lsq([fl.inverse_xy(v_spec)], [fl.inverse_xy(u_spec)], eps_div)
+    sums = fl.XiSums.of([fl.inverse_xy(v_spec)], [fl.inverse_xy(u_spec)])
+    ext = fl.extract_xi_lsq(sums, eps_div)
     curve = fl.slice_relative_error(ext.xi, desk["xi_exact"], grid_x)
     return ext, curve, stats

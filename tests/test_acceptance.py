@@ -75,11 +75,11 @@ def multi_frequency(desk):
         v_spec, _ = fl.solve_modes(fl.forward_xy(w_field), kxy, omega, reg, gx)
         u_spec = fl.recompute_internal_field(v_spec, u0, kxx)
         v_f, u_f = fl.inverse_xy(v_spec), fl.inverse_xy(u_spec)
-        ext = fl.extract_xi_lsq([v_f], [u_f])
+        ext = fl.extract_xi_lsq(fl.XiSums.of([v_f], [u_f]))
         curves[omega] = fl.slice_relative_error(ext.xi, xi_exact, gx)
         vs.append(v_f)
         us.append(u_f)
-    ext_ls = fl.extract_xi_lsq(vs, us)
+    ext_ls = fl.extract_xi_lsq(fl.XiSums.of(vs, us))
     curve_ls = fl.slice_relative_error(ext_ls.xi, xi_exact, gx)
     return curves, curve_ls, iteration_counts
 
@@ -235,7 +235,7 @@ def test_criterion_7_thin_layer(desk, recon_exact):
             fl.forward_xy(w_field), kxy, omega, fl.RegularizerConfig(), gx
         )
         u_spec = fl.recompute_internal_field(v_spec, desk["u0"], desk["kernel_xx"])
-        ext = fl.extract_xi_lsq([fl.inverse_xy(v_spec)], [fl.inverse_xy(u_spec)])
+        ext = fl.extract_xi_lsq(fl.XiSums.of([fl.inverse_xy(v_spec)], [fl.inverse_xy(u_spec)]))
         curve_thin = fl.slice_relative_error(ext.xi, xi_exact, gx)
         locs = fl.localization_report(ext.xi, phantom, gx)
 

@@ -233,7 +233,7 @@ def test_recompute_consistent_with_forward_solution(desk):
     assert np.linalg.norm(u.values - u_values) / np.linalg.norm(u_values) < 1e-6
     # the exact V comes back as xi_exact through recomputation and extraction, so the
     # per-mode depth solve is the only source of reconstruction error
-    ext = fl.extract_xi_lsq([fl.inverse_xy(v)], [fl.inverse_xy(u)])
+    ext = fl.extract_xi_lsq(fl.XiSums.of([fl.inverse_xy(v)], [fl.inverse_xy(u)]))
     xi = desk["xi_exact"]
     assert np.max(np.abs(ext.xi - xi)) <= 1e-12 * np.max(np.abs(xi))
     assert ext.masked_fraction == 0
@@ -250,7 +250,7 @@ def test_extract_xi_single_manufactured(tiny_grids):
     gx, _ = tiny_grids
     u_field, xi_true = manufactured_fields(gx)
     v_field = fl.ComplexField(gx, xi_true * u_field.values)
-    ext = fl.extract_xi_lsq([v_field], [u_field], eps_div=0.0 + 1e-300)
+    ext = fl.extract_xi_lsq(fl.XiSums.of([v_field], [u_field]), eps_div=0.0 + 1e-300)
     assert np.allclose(ext.xi, xi_true, rtol=1e-12)
     assert ext.imag_norm < 1e-10 * np.linalg.norm(xi_true)
 
@@ -262,7 +262,7 @@ def test_extract_xi_single_masks_small_field(tiny_grids):
     u_values[2, 3, 1] = 0.0
     u_masked = fl.ComplexField(gx, u_values)
     v_field = fl.ComplexField(gx, xi_true * u_values)
-    ext = fl.extract_xi_lsq([v_field], [u_masked])
+    ext = fl.extract_xi_lsq(fl.XiSums.of([v_field], [u_masked]))
     assert ext.xi[2, 3, 1] == 0.0
     assert np.all(np.isfinite(ext.xi))
     assert ext.masked_fraction > 0
@@ -271,7 +271,7 @@ def test_extract_xi_single_masks_small_field(tiny_grids):
 def test_extract_xi_safe_for_identically_zero_field(tiny_grids):
     gx, _ = tiny_grids
     zero = complex_zeros(gx)
-    ext = fl.extract_xi_lsq([zero], [zero])
+    ext = fl.extract_xi_lsq(fl.XiSums.of([zero], [zero]))
     assert np.all(ext.xi == 0)
     assert np.all(np.isfinite(ext.xi))
     assert ext.masked_fraction == 1.0
@@ -284,7 +284,7 @@ def test_extract_xi_lsq_single_frequency_degenerates(tiny_grids):
     u_field, xi_true = manufactured_fields(gx, seed=15)
     u = u_field.values
     v_field = fl.ComplexField(gx, xi_true * u + 0.01j * u)
-    single = fl.extract_xi_lsq([v_field], [u_field], eps_div=0.5)
+    single = fl.extract_xi_lsq(fl.XiSums.of([v_field], [u_field]), eps_div=0.5)
     kept = np.abs(u) >= 0.5 * np.max(np.abs(u))
     assert 0 < np.count_nonzero(kept) < kept.size
     assert np.allclose(single.xi, np.where(kept, (v_field.values / u).real, 0.0),
@@ -302,7 +302,7 @@ def test_extract_xi_lsq_manufactured_multi_frequency(tiny_grids):
         u = rng.standard_normal(gx.shape) + 1j * rng.standard_normal(gx.shape)
         us.append(fl.ComplexField(gx, u))
         vs.append(fl.ComplexField(gx, xi_true * u))
-    ext = fl.extract_xi_lsq(vs, us, eps_div=1e-300)
+    ext = fl.extract_xi_lsq(fl.XiSums.of(vs, us), eps_div=1e-300)
     assert np.allclose(ext.xi, xi_true, rtol=1e-11)
 
 
@@ -310,6 +310,6 @@ def test_extract_xi_lsq_rejects_mismatched_lists(tiny_grids):
     gx, _ = tiny_grids
     f = complex_zeros(gx)
     with pytest.raises(ValueError, match="matching"):
-        fl.extract_xi_lsq([f, f], [f])
+        fl.XiSums.of([f, f], [f])
     with pytest.raises(ValueError, match="matching"):
-        fl.extract_xi_lsq([], [])
+        fl.XiSums.of([], [])

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import flatlayer as fl
 from flatlayer import fieldio
+from flatlayer import manifest as manifest_module
 from flatlayer.fieldio import MAGIC, export_slices_csv, number_text, read_field, write_field
 from flatlayer.manifest import ManifestBuilder, file_sha256, read_manifest
 
@@ -173,6 +174,14 @@ def test_manifest_inventory(tmp_path):
     assert manifest["files"][0]["path"] == "data.bin"
     assert manifest["files"][0]["sha256"] == file_sha256(artifact)
     assert manifest["stage_seconds"]["forward"] == 1.25
+    # the writing process's own peak resident set, read from /proc/self/status
+    assert manifest["peak_rss_mib"] > 0
+
+
+def test_manifest_leaves_out_the_peak_where_the_status_file_is_missing(tmp_path, monkeypatch):
+    monkeypatch.setattr(manifest_module, "_STATUS", tmp_path / "no-such-status")
+    ManifestBuilder("evaluate", "abc123").write(tmp_path / "manifest.json")
+    assert "peak_rss_mib" not in read_manifest(tmp_path / "manifest.json")
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -222,10 +224,12 @@ def test_incident_field_matches_direct_sampling(tiny_grids):
     pos = np.array([[0.31, -0.27, 6.0]])
     sources = fl.SourceSet(pos, np.array([1.0]))
     field = fl.inverse_xy(fl.SpectralField(gx, fl.incident_field_spectral(sources, gx, 2.0)))
-    xg, yg, zg = gx.meshgrid()
-    r = np.sqrt((xg - pos[0, 0]) ** 2 + (yg - pos[0, 1]) ** 2 + (zg - pos[0, 2]) ** 2)
+    dx = gx.x_coords()[:, None, None] - pos[0, 0]
+    dy = gx.y_coords()[None, :, None] - pos[0, 1]
+    dz = gx.z_nodes[None, None, :] - pos[0, 2]
+    r = np.sqrt(dx ** 2 + dy ** 2 + dz ** 2)
     direct = -np.exp(2j * r) / (4 * np.pi * r)
-    away = np.sqrt((xg - pos[0, 0]) ** 2 + (yg - pos[0, 1]) ** 2) > 1.0
+    away = np.broadcast_to(np.sqrt(dx ** 2 + dy ** 2) > 1.0, gx.shape)
     err = np.max(np.abs((field.values - direct)[away])) / np.max(np.abs(direct[away]))
     assert err < 1e-10
 
@@ -369,3 +373,18 @@ def test_phantom_nonnegative_and_compactly_supported():
     assert np.all(vals >= 0)
     outside = (np.abs(x) > 6) | (np.abs(y) > 6) | (z < -0.5) | (z > 1.5)
     assert np.all(vals[outside] == 0)
+
+
+def test_phantom_sampling_holds_at_most_three_float_fields():
+    """sample_on broadcasts each axis's node coordinates against the others' and
+    evaluates each bump in one array, so its traced peak is at most three float fields
+    of the grid (the three coordinate grids of a meshgrid alone would take that)."""
+    gx, _ = fl.make_grids(fl.GridConfig(n_transverse=64, scatterer_nz=41))
+    tracemalloc.start()
+    try:
+        xi = three_bumps().sample_on(gx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.count_nonzero(xi) > 0
+    assert peak <= 3 * xi.nbytes
