@@ -245,10 +245,6 @@ def _incident_spectrum(config: RunConfig, omega: float, grid_x: Grid3D) -> Spect
     return SpectralField(grid_x, incident_field_spectral(config.sources, grid_x, omega))
 
 
-# the operator on S, K_yL and u0 at S; forward_frequency empties the list
-SupportTables = list
-
-
 def support_operator(
     omega: float, grid_x: Grid3D, lattice: ModeLattice, support: Support
 ) -> SupportOperator:
@@ -262,38 +258,35 @@ def support_operator(
     return SupportOperator(omega, support, grid_x, kernel_ll=kernel_ll)
 
 
-def support_tables(
+def support_inputs(
     config: RunConfig,
     omega: float,
     grid_x: Grid3D,
     grid_y: Grid3D,
     lattice: ModeLattice,
     support: Support,
-) -> SupportTables:
-    """[support_operator, K_yL (every receiver row's L columns), u0 at S] at omega."""
-    return [support_operator(omega, grid_x, lattice, support),
-            build_green_kernel(grid_x, grid_y, omega, lattice, cols=support.slabs),
-            incident_field_nodes(config.sources, grid_x, omega, support)]
+) -> Iterator:
+    """forward_frequency's inputs at omega, each made when it is taken: support_operator,
+    u0 at S and K_yL (every receiver row's L columns)."""
+    yield support_operator(omega, grid_x, lattice, support)
+    yield incident_field_nodes(config.sources, grid_x, omega, support)
+    yield build_green_kernel(grid_x, grid_y, omega, lattice, cols=support.slabs)
 
 
 def forward_frequency(
-    config: RunConfig, tables: SupportTables, grid_y: Grid3D, index: int
-) -> tuple[ForwardResult, ComplexField]:
-    """Forward solve on xi's support and (optionally noisy) receiver data for the
-    frequency of that index, from support_tables; its noise is drawn from seed
-    config.seed + index.
-
-    Takes the tables out of their list, so that each is freed once no step needs it:
-    the operator once V exists, K_yL once W does.
-    """
-    operator, kernel_yl, u0 = tables
-    tables.clear()
+    config: RunConfig, inputs: Iterator, grid_y: Grid3D, index: int
+) -> tuple[str, ForwardResult, ComplexField]:
+    """The operator's form, the forward solve on xi's support and the (optionally noisy)
+    receiver data at the frequency of that index, from support_inputs, with noise drawn
+    from seed config.seed + index. The operator is dropped before K_yL is taken."""
+    operator, u0 = next(inputs), next(inputs)
     fwd = born_iterate(u0, operator, tol=config.forward.tol, max_iter=config.forward.max_iter)
     v = support_interaction(fwd.u_values, operator.support, operator.grid)
+    form = operator.form
     del operator, u0
-    _, w_field = scattered_data(kernel_yl, grid_y, v)
-    del kernel_yl, v
-    return fwd, add_noise(w_field, config.delta, config.seed + index)
+    _, w_field = scattered_data(next(inputs), grid_y, v)
+    del v
+    return form, fwd, add_noise(w_field, config.delta, config.seed + index)
 
 
 def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
@@ -321,12 +314,8 @@ def run_synthesize(config: RunConfig, out_dir: str | Path) -> Path:
     solved = []
     for i, omega in enumerate(config.frequencies):
         t0 = time.perf_counter()
-        tables = support_tables(config, omega, grid_x, grid_y, lattice, support)
-        manifest.add_time(f"setup_{i:03d}", time.perf_counter() - t0)
-
-        t0 = time.perf_counter()
-        form = tables[0].form
-        solved.append((form, *forward_frequency(config, tables, grid_y, i)))
+        inputs = support_inputs(config, omega, grid_x, grid_y, lattice, support)
+        solved.append(forward_frequency(config, inputs, grid_y, i))
         manifest.add_time(f"forward_{i:03d}", time.perf_counter() - t0)
 
     out.mkdir(parents=True, exist_ok=True)
@@ -408,27 +397,26 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
     manifest.set("data_manifest_config_hash", data_manifest.get("config_hash"))
     manifest.set("grid_x", grid_x.content_key())
 
-    # one artifact xi_<tag> per frequency, tagged by its index, or the least-squares
-    # combination alone: each extracts over its frequencies and writes their ranks
-    combined = config.extraction.combine == "least_squares"
-    sums = XiSums(grid_x.shape) if combined else None
-    eps_div = config.extraction.eps_div
-    artifacts, ranked = [], []
-    for i, entry in enumerate(entries):
-        t0 = time.perf_counter()
-        tag, omega = f"{i:03d}", entry["omega"]
-        inputs = frequency_inputs(config, omega, data_dir / entry["file"], grid_x, grid_y,
-                                  lattice, cache)
-        own = sums if combined else XiSums(grid_x.shape)
-        stats = invert_frequency(inputs, omega, config.regularizer, grid_x, own)
-        if combined:
-            ranked.append((tag, stats))
-        else:
-            artifacts.append((tag, repr(omega), [(tag, stats)], extract_xi_lsq(own, eps_div)))
-        del own
-        manifest.add_time(f"invert_{entry['index']:03d}", time.perf_counter() - t0)
-    if combined:
-        artifacts.append(("combined", "all", ranked, extract_xi_lsq(sums, eps_div)))
+    # one artifact xi_<tag> per group of frequency indices: each index alone, tagged by
+    # it, or all of them as the least-squares combination; each group extracts over its
+    # own running sums and writes its frequencies' ranks
+    if config.extraction.combine == "least_squares":
+        groups = [("combined", "all", range(len(entries)))]
+    else:
+        groups = [(f"{i:03d}", repr(e["omega"]), [i]) for i, e in enumerate(entries)]
+    artifacts = []
+    for tag, omega_label, indices in groups:
+        sums, ranked = XiSums(grid_x.shape), []
+        for i in indices:
+            t0 = time.perf_counter()
+            omega = entries[i]["omega"]
+            inputs = frequency_inputs(config, omega, data_dir / entries[i]["file"], grid_x,
+                                      grid_y, lattice, cache)
+            ranked.append((f"{i:03d}", invert_frequency(inputs, omega, config.regularizer,
+                                                        grid_x, sums)))
+            manifest.add_time(f"invert_{entries[i]['index']:03d}", time.perf_counter() - t0)
+        artifacts.append((tag, omega_label, ranked,
+                          extract_xi_lsq(sums, config.extraction.eps_div)))
         del sums
 
     # every dump is read and inverted before the output directory is made,
@@ -476,25 +464,27 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
     recon_manifest = read_manifest(recon_dir / "manifest.json", "artifacts", name=str, file=str)
     grid_x, _ = make_grids(config.grid)
     xi_exact = config.phantom.sample_on(grid_x)
-    artifacts = []
+    # each dump is evaluated while it is read and dropped before the next is read
+    evaluated = []
     for entry in recon_manifest["artifacts"]:
         xi_field = read_field(recon_dir / entry["file"])
         if xi_field.grid.content_key() != grid_x.content_key():
             raise ConfigError(f"artifact {entry['name']} grid does not match config")
-        artifacts.append((entry["name"], xi_field.values.real))
+        xi = xi_field.values.real
+        evaluated.append((entry["name"], slice_relative_error(xi, xi_exact, grid_x),
+                          localization_report(xi, config.phantom, grid_x)))
+        del xi_field, xi
 
     # made only once every listed dump has been read
     out.mkdir(parents=True, exist_ok=True)
     manifest = ManifestBuilder("evaluate", config.config_hash())
     summary = {}
-    for name, xi in artifacts:
-        curve = slice_relative_error(xi, xi_exact, grid_x)
+    for name, curve, locs in evaluated:
         manifest.add_file(_write_csv(
             out / f"accuracy_{name}.csv",
             ["z", "delta_l2"],
             [(repr(float(z)), repr(float(d))) for z, d in zip(curve.z, curve.delta)],
         ), out)
-        locs = localization_report(xi, config.phantom, grid_x)
         manifest.add_file(_write_csv(
             out / f"localization_{name}.csv",
             ["true_x", "true_y", "true_z", "found_x", "found_y", "found_z", "offset", "peak"],
@@ -552,10 +542,10 @@ def run_bench(config: RunConfig, out_dir: str | Path) -> Path:
         for i, omega in enumerate(config.frequencies):
             # the data's K_yL is the receiver table's L columns
             kernel_xy = get_kernel(grid_x, grid_y, omega, lattice)
-            synth = [support_operator(omega, grid_x, lattice, support),
-                     kernel_xy.columns(support.slabs),
-                     incident_field_nodes(config.sources, grid_x, omega, support)]
-            _, w_field = forward_frequency(config, synth, grid_y, i)
+            synth = iter([support_operator(omega, grid_x, lattice, support),
+                          incident_field_nodes(config.sources, grid_x, omega, support),
+                          kernel_xy.columns(support.slabs)])
+            *_, w_field = forward_frequency(config, synth, grid_y, i)
             frequencies.append((omega, (forward_xy(w_field), kernel_xy,
                                         get_kernel(grid_x, grid_x, omega, lattice),
                                         _incident_spectrum(config, omega, grid_x))))

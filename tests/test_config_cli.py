@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flatlayer as fl
@@ -452,6 +452,28 @@ def test_run_invert_holds_one_frequency_at_a_time(tmp_path, monkeypatch):
     assert peak <= 8 * field_bytes
 
 
+def test_run_evaluate_holds_one_dump_at_a_time(tmp_path, monkeypatch):
+    """A three-artifact per_frequency evaluation reads, evaluates and drops one xi dump
+    before it reads the next: its traced peak stays at 2.5 complex dumps (2.32 measured:
+    one dump, the sampled phantom and one real temporary of the metrics; keeping every
+    dump to the end takes 4.99)."""
+    monkeypatch.chdir(tmp_path)
+    data = tiny_config_dict(frequencies=[1.0, 2.0, 3.0])
+    data["grid"].update(n_transverse=64, scatterer_nz=11, receiver_nz=3)
+    config = config_from_dict(data)
+    pipeline.run_synthesize(config, tmp_path / "data")
+    pipeline.run_invert(config, tmp_path / "data", tmp_path / "recon")
+    tracemalloc.start()
+    try:
+        pipeline.run_evaluate(config, tmp_path / "recon", tmp_path / "eval")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(read_manifest(tmp_path / "eval" / "manifest.json")["summary"]) == 3
+    dump_bytes = 64 * 64 * 11 * 16
+    assert peak <= 2.5 * dump_bytes
+
+
 @pytest.mark.parametrize("alpha", [1e-20, 1e-300])
 def test_cli_tikhonov_inverts_at_a_tiny_alpha(tmp_path, monkeypatch, alpha):
     """Tikhonov filters the singular triplets, so an accepted alpha far below the
@@ -469,8 +491,11 @@ def test_rerun_manifests_list_only_the_files_that_run_wrote(tmp_path, monkeypatc
     but its manifest lists exactly the files the rerun wrote."""
     monkeypatch.chdir(tmp_path)
 
+    def in_order(stage_dir):
+        return [e["path"] for e in read_manifest(tmp_path / stage_dir / "manifest.json")["files"]]
+
     def listed(stage_dir):
-        return sorted(e["path"] for e in read_manifest(tmp_path / stage_dir / "manifest.json")["files"])
+        return sorted(in_order(stage_dir))
 
     def slices(directory, name, nz=7):
         return [f"{directory}/{name}_z{iz:03d}.csv" for iz in range(nz)]
@@ -496,23 +521,25 @@ def test_rerun_manifests_list_only_the_files_that_run_wrote(tmp_path, monkeypatc
     assert main(["synthesize", "--config", str(per), "--out", "d2"]) == 0
     assert main(["invert", "--config", str(lsq), "--data", "d2", "--out", "r"]) == 0
     assert main(["evaluate", "--config", str(lsq), "--recon", "r", "--out", "e"]) == 0
-    assert listed("r") == sorted([
-        "diagnostics.csv", "rank_hist_000.csv", "rank_hist_001.csv", "xi_combined.laf",
-        *slices("slices_xi_combined", "xi_combined"),
-    ])
-    assert listed("e") == ["accuracy_xi_combined.csv", "localization_xi_combined.csv"]
+    # each artifact's dump and slices, then its frequencies' ranks, then the diagnostics
+    assert in_order("r") == [
+        "xi_combined.laf", *slices("slices_xi_combined", "xi_combined"),
+        "rank_hist_000.csv", "rank_hist_001.csv", "diagnostics.csv",
+    ]
+    assert in_order("e") == ["accuracy_xi_combined.csv", "localization_xi_combined.csv"]
     ranks = {i: (tmp_path / "r" / f"rank_hist_{i}.csv").read_bytes() for i in ("000", "001")}
     assert main(["invert", "--config", str(per), "--data", "d2", "--out", "r"]) == 0
     assert main(["evaluate", "--config", str(per), "--recon", "r", "--out", "e"]) == 0
     # the same per-mode solves, whichever extraction follows them
     assert ranks == {i: (tmp_path / "r" / f"rank_hist_{i}.csv").read_bytes() for i in ranks}
     assert (tmp_path / "r" / "xi_combined.laf").exists()
-    assert listed("r") == sorted([
-        "diagnostics.csv", "rank_hist_000.csv", "rank_hist_001.csv", "xi_000.laf",
-        "xi_001.laf", *slices("slices_xi_000", "xi_000"), *slices("slices_xi_001", "xi_001"),
-    ])
-    assert listed("e") == [f"{kind}_xi_{i:03d}.csv"
-                           for kind in ("accuracy", "localization") for i in (0, 1)]
+    assert in_order("r") == [
+        "xi_000.laf", *slices("slices_xi_000", "xi_000"), "rank_hist_000.csv",
+        "xi_001.laf", *slices("slices_xi_001", "xi_001"), "rank_hist_001.csv",
+        "diagnostics.csv",
+    ]
+    assert in_order("e") == [f"{kind}_xi_{i:03d}.csv"
+                             for i in (0, 1) for kind in ("accuracy", "localization")]
 
 
 def test_cli_rerun_reproduces_checksums(tmp_path, monkeypatch):
@@ -577,11 +604,13 @@ def test_cli_manifests_are_strict_json_for_an_empty_accuracy_curve(tmp_path, mon
 
 @st.composite
 def tiny_runs(draw):
-    """A config dict on an N <= 16 grid with NODE_BUMP's bump at any radius and an
-    amplitude of either sign (slow inclusions, xi < 0, included), one or two
-    frequencies, a forward tol from 1e-16 to 10 (1 or more exits 2) and any max_iter,
-    any regularizer setting RegularizerConfig accepts (a Tikhonov alpha log-uniform
-    over 1e-300 to 1e3), noise level delta and either extraction.combine."""
+    """A config dict on an N <= 16 grid with NODE_BUMP's bump at any radius, and
+    maybe a second bump of any radius, weight and cross term near a node, at an amplitude
+    of either sign (slow inclusions, xi < 0, included), one or two frequencies, the
+    line sources or three point sources at two heights (two sharing one), a forward
+    tol from 1e-16 to 10 (1 or more exits 2) and any max_iter, any regularizer setting
+    RegularizerConfig accepts (a Tikhonov alpha log-uniform over 1e-300 to 1e3), noise
+    level delta, either extraction.combine and any eps_div in [0, 1)."""
     method = draw(st.sampled_from(["tsvd", "tikhonov"]))
     reg = {"method": method}
     if method == "tsvd":
@@ -593,16 +622,35 @@ def tiny_runs(draw):
     grid = {**tiny_config_dict()["grid"], "n_transverse": draw(st.sampled_from([2, 4, 8, 16])),
             "scatterer_nz": draw(st.integers(2, 7)), "receiver_nz": draw(st.integers(2, 5))}
     noise = {"delta": draw(st.floats(0.0, 1.0)), "seed": 1234}
-    bump = dict(NODE_BUMP["bumps"][0], radius=draw(st.floats(0.1, 15.0)))
-    phantom = {"amplitude": draw(st.floats(-50.0, 50.0)), "bumps": [bump]}
+    bumps = [dict(NODE_BUMP["bumps"][0], radius=draw(st.floats(0.1, 15.0)))]
+    if draw(st.booleans()):
+        # within 0.71 of the scatterer node (0, 0, z), z a node's height in [-0.5, 1.5]
+        nz = grid["scatterer_nz"]
+        z = -0.5 + 2.0 * draw(st.integers(0, nz - 1)) / (nz - 1)
+        center = [draw(st.floats(-0.5, 0.5)), draw(st.floats(-0.5, 0.5)), z]
+        bumps.append({"center": center, "radius": draw(st.floats(0.1, 15.0)),
+                      "weight": draw(st.floats(-3.0, 3.0)),
+                      "cross_yz": draw(st.floats(-1.5, 1.5))})
+    phantom = {"amplitude": draw(st.floats(-50.0, 50.0)), "bumps": bumps}
+    sources = tiny_config_dict()["sources"]
+    if draw(st.booleans()):
+        low, high = draw(st.lists(st.floats(2.0, 6.0), min_size=2, max_size=2, unique=True))
+        sources = {"points": [{"position": [draw(st.floats(-5.0, 5.0)),
+                                            draw(st.floats(-5.0, 5.0)), z]}
+                              for z in (low, low, high)]}
     frequencies = draw(st.lists(st.floats(0.05, 8.0), min_size=1, max_size=2))
-    forward = {"tol": 10.0 ** draw(st.floats(-16.0, 1.0)), "max_iter": draw(st.integers(1, 60))}
-    extraction = {"combine": draw(st.sampled_from(["per_frequency", "least_squares"]))}
+    # the exponent's simplest draw, 0, gives the default tol 1e-13, not an invalid 1
+    forward = {"tol": 10.0 ** (draw(st.floats(-3.0, 14.0)) - 13.0),
+               "max_iter": draw(st.integers(1, 60))}
+    extraction = {"combine": draw(st.sampled_from(["per_frequency", "least_squares"])),
+                  "eps_div": draw(st.floats(0.0, 1.0, exclude_max=True))}
     return tiny_config_dict(grid=grid, phantom=phantom, regularizer=reg, noise=noise,
-                            frequencies=frequencies, forward=forward, extraction=extraction)
+                            sources=sources, frequencies=frequencies, forward=forward,
+                            extraction=extraction)
 
 
 @given(tiny_runs())
+@settings(max_examples=60)  # about 25 ms each; 20 left some draw combinations unrun
 def test_accepted_configs_run_or_exit_with_a_documented_code(run):
     """synthesize, invert and evaluate each exit 0, 2, 3 or 4 on every such run,
     never with a traceback, and every manifest they write is strict JSON; a synthesize

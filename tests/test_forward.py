@@ -17,7 +17,7 @@ from flatlayer.fieldio import read_field
 from flatlayer.forward import ForwardError
 from flatlayer.manifest import read_manifest
 from flatlayer.medium import green_cell_average, trapezoid_weights
-from flatlayer.pipeline import forward_frequency, run_synthesize, support_tables
+from flatlayer.pipeline import forward_frequency, run_synthesize, support_inputs
 from flatlayer.runconfig import RunConfig, load_config
 from flatlayer.spectral import forward_slab
 
@@ -89,8 +89,8 @@ def test_zero_scatterer_or_source_gives_zero_data_in_zero_applications(small_set
     assert res.iterations == operator.calls == 0 and res.residual_history.size == 0
     assert np.all(res.u_values == 0) and res.u_values.size == np.count_nonzero(xi)
     config = RunConfig(grid=cfg, frequencies=(omega,), sources=sources, phantom=phantom)
-    tables = support_tables(config, omega, gx, gy, lat, fl.Support.of(xi))
-    fwd, w = forward_frequency(config, tables, gy, 0)
+    inputs = support_inputs(config, omega, gx, gy, lat, fl.Support.of(xi))
+    _, fwd, w = forward_frequency(config, inputs, gy, 0)
     assert fwd.iterations == 0 and np.all(w.values == 0)
 
 
@@ -303,15 +303,15 @@ def reference_solve(config, omega):
      fl.Phantom(0.002, (fl.Bump((0.0, 0.0, 0.5), 20.0, 1.0),))),
 ], ids=["dense-unequal-spacings", "slab-extended"])
 def test_operator_forms_match_a_dense_reference(form, grid, phantom):
-    """support_tables chooses each form by forward.dense_fits, and either one's
-    solution matches a dense reference solve to 1e-12."""
+    """support_inputs chooses each form by forward.dense_fits, forward_frequency reports
+    it, and either one's solution matches a dense reference solve to 1e-12."""
     sources = fl.SourceSet.line_y(np.arange(-5.0, 5.5, 1.0))
     config = RunConfig(grid=grid, frequencies=(2.0,), sources=sources, phantom=phantom)
     gx, gy = fl.make_grids(grid)
     support = fl.Support.of(phantom.sample_on(gx))
-    operator, _, u0 = support_tables(config, 2.0, gx, gy, fl.ModeLattice.for_grid(gx), support)
-    assert operator.form == form
-    fwd = fl.born_iterate(u0, operator)
+    inputs = support_inputs(config, 2.0, gx, gy, fl.ModeLattice.for_grid(gx), support)
+    got, fwd, _ = forward_frequency(config, inputs, gy, 0)
+    assert got == form
     exact = reference_solve(config, 2.0)
     assert np.max(np.abs(fwd.u_values - exact)) <= 1e-12 * np.max(np.abs(exact))
 
