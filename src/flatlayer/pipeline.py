@@ -7,14 +7,12 @@ inventory, so any reconstruction can be traced to the exact inputs that
 produced it. Synthesis works on S, the nodes where xi is nonzero, and L,
 the z-slabs that hold them: it solves for the internal field at S by GMRES,
 with the dense S x S kernel or the scatterer table's L rows and columns, and
-applies the receiver table's L columns (never cached, as they depend on
-xi). Inversion and the timing sweep
-use the full tables, cached on disk keyed by lattice period, z nodes and
-frequency, reusable across noise levels, regularizer sweeps and window
-positions. Cache files hold every mode's column, tables in memory one per
-class. Inversion takes one frequency at a time and, within it, one table at
-a time (invert_frequency), folding each frequency into the extraction's
-running sums, so that its memory does not grow with the frequencies.
+applies the receiver table's L columns. Inversion and the timing sweep
+build the full tables in memory, one per class; no stage reads or writes a
+kernel cache. Inversion takes one frequency at a time and, within it, one
+table at a time (invert_frequency), folding each frequency into the
+extraction's running sums, so that its memory does not grow with the
+frequencies.
 """
 
 from __future__ import annotations
@@ -55,12 +53,10 @@ from .medium import (
     GreenKernelTable,
     Support,
     build_green_kernel,
-    check_kernel_grids,
     check_sources,
     incident_field_nodes,
     incident_field_spectral,
     node_kernel,
-    trapezoid_weights,
 )
 from .metrics import TimingRecord, localization_report, slice_relative_error, timing_fit
 from .regularizers import RegularizerConfig
@@ -74,7 +70,7 @@ extract_xi_single = extract_xi_lsq
 # run_bench times each N at least this many passes and seconds, after one untimed warm-up pass
 _BENCH_PASSES = 3
 _BENCH_SECONDS = 0.2
-# arrays of a cached kernel table, in GreenKernelTable field order
+# arrays of a kernel cache file, in GreenKernelTable field order
 _TABLE_KEYS = ("omega", "row_z", "col_z", "offsets", "offset_index", "values")
 
 
@@ -88,20 +84,6 @@ def _kernel_cache_path(
     return cache_dir / f"kernel_{digest}.npz"
 
 
-def _read_columns(member, shape: tuple[int, int], columns: np.ndarray) -> np.ndarray:
-    """The given columns of the complex .npy array of this shape in member,
-    read a gather budget of rows at a time."""
-    header = np.lib.format.read_magic(member), np.lib.format.read_array_header_1_0(member)
-    if header != ((1, 0), (shape, False, np.dtype(complex))):
-        raise ValueError(f"kernel values are not a complex {shape} array")
-    out = np.empty((shape[0], columns.size), dtype=complex)
-    step = max(1, _GATHER_BYTES // (shape[1] * out.itemsize))
-    for start in range(0, shape[0], step):
-        rows = np.frombuffer(member.read(step * shape[1] * out.itemsize), dtype=complex)
-        np.take(rows.reshape(-1, shape[1]), columns, axis=1, out=out[start : start + step])
-    return out
-
-
 def _write_columns(member, values: np.ndarray, columns: np.ndarray) -> None:
     """values[:, columns] to member as one .npy array, a gather budget of rows at a time."""
     header = {"descr": np.lib.format.dtype_to_descr(values.dtype), "fortran_order": False,
@@ -110,40 +92,6 @@ def _write_columns(member, values: np.ndarray, columns: np.ndarray) -> None:
     step = max(1, _GATHER_BYTES // (columns.size * values.itemsize))
     for start in range(0, values.shape[0], step):
         member.write(np.take(values[start : start + step], columns, axis=1))
-
-
-def _load_kernel(
-    path: Path, src: Grid3D, recv: Grid3D, omega: float, lattice: ModeLattice
-) -> GreenKernelTable | None:
-    """The cached table at path, or None if it is missing, unreadable or off-grid.
-
-    Files store every mode's column; the table keeps its class
-    representatives' (ModeLattice.symmetry_classes).
-    """
-    rep, class_of = lattice.symmetry_classes()
-    try:
-        # np.load leaks the file it opens when the archive is corrupt
-        with open(path, "rb") as fh, np.load(fh) as data:
-            arrays = {key: data[key] for key in _TABLE_KEYS if key != "values"}
-            fits = (
-                float(arrays["omega"]) == omega
-                and np.array_equal(arrays["row_z"], recv.z_nodes)
-                and np.array_equal(arrays["col_z"], src.z_nodes)
-                and arrays["offset_index"].shape == (recv.nz, src.nz)
-                and np.allclose(arrays["offsets"][arrays["offset_index"]],
-                                recv.z_nodes[:, None] - src.z_nodes[None, :], rtol=0, atol=1e-9)
-            )
-            if not fits:
-                return None
-            with data.zip.open("values.npy") as member:
-                shape = (arrays["offsets"].size, class_of.size)
-                arrays["values"] = _read_columns(member, shape, rep)
-    except (OSError, ValueError, KeyError, TypeError, IndexError, EOFError,
-            zipfile.BadZipFile):
-        return None
-    arrays["omega"] = float(arrays["omega"])
-    return GreenKernelTable(**arrays, col_weights=trapezoid_weights(src.z_nodes),
-                            class_of=class_of)
 
 
 def _save_kernel(path: Path, table: GreenKernelTable) -> None:
@@ -169,22 +117,19 @@ def get_kernel(
     recv: Grid3D,
     omega: float,
     lattice: ModeLattice,
-    cache_dir: Path | None = None,
+    cache_dir: Path,
 ) -> GreenKernelTable:
-    """Build a kernel table, loading/saving a disk cache when enabled.
+    """Build a kernel table and write it to cache_dir.
 
-    A cache file that cannot be read or does not match the grids counts as
-    a miss and is rebuilt over. Each writer saves through its own temporary
-    file, so concurrent runs never read a partly written table.
+    No stage calls this: they build their tables with build_green_kernel.
+    It stays, with the writer above, only because the benchmark's set-up
+    (flbench/child.py) builds through it and its checks read the files it
+    writes; it goes when the benchmark builds its tables through src. Each
+    writer saves through its own temporary file, so concurrent runs never
+    see a partly written table.
     """
-    if cache_dir is None:
-        return build_green_kernel(src, recv, omega, lattice)
-    check_kernel_grids(src, recv, lattice)  # a cached table is folded by the lattice too
-    path = _kernel_cache_path(cache_dir, src, recv, omega)
-    table = _load_kernel(path, src, recv, omega, lattice)
-    if table is None:
-        table = build_green_kernel(src, recv, omega, lattice)
-        _save_kernel(path, table)
+    table = build_green_kernel(src, recv, omega, lattice)
+    _save_kernel(_kernel_cache_path(cache_dir, src, recv, omega), table)
     return table
 
 
@@ -221,13 +166,12 @@ def frequency_inputs(
     grid_x: Grid3D,
     grid_y: Grid3D,
     lattice: ModeLattice,
-    cache: Path | None,
 ) -> Iterator:
     """invert_frequency's inputs at omega, each made when it is taken: W's spectrum from
     the dump at w_path, the receiver table, the scatterer table and U0's spectrum."""
     yield forward_xy(_read_data(w_path, grid_y))
-    yield get_kernel(grid_x, grid_y, omega, lattice, cache)
-    yield get_kernel(grid_x, grid_x, omega, lattice, cache)
+    yield build_green_kernel(grid_x, grid_y, omega, lattice)
+    yield build_green_kernel(grid_x, grid_x, omega, lattice)
     yield _incident_spectrum(config, omega, grid_x)
 
 
@@ -392,7 +336,6 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
         )
 
     lattice = ModeLattice.for_grid(grid_x)
-    cache = Path(config.output.kernel_cache_dir) if config.output.kernel_cache else None
     manifest = ManifestBuilder("invert", config.config_hash())
     manifest.set("data_manifest_config_hash", data_manifest.get("config_hash"))
     manifest.set("grid_x", grid_x.content_key())
@@ -411,7 +354,7 @@ def run_invert(config: RunConfig, data_dir: str | Path, out_dir: str | Path) -> 
             t0 = time.perf_counter()
             omega = entries[i]["omega"]
             inputs = frequency_inputs(config, omega, data_dir / entries[i]["file"], grid_x,
-                                      grid_y, lattice, cache)
+                                      grid_y, lattice)
             ranked.append((f"{i:03d}", invert_frequency(inputs, omega, config.regularizer,
                                                         grid_x, sums)))
             manifest.add_time(f"invert_{entries[i]['index']:03d}", time.perf_counter() - t0)
@@ -505,12 +448,12 @@ def run_evaluate(config: RunConfig, recon_dir: str | Path, out_dir: str | Path) 
 def run_bench(config: RunConfig, out_dir: str | Path) -> Path:
     """Time the inverse solve over the transverse sizes N of config.bench_n.
 
-    Every N is prepared first, its tables built in memory (the kernel cache
-    is neither read nor written), with one untimed warm-up pass so that
-    first-call costs do not weigh on the short runs. The timed passes then
-    go round-robin over the N values until each has at least _BENCH_PASSES
-    passes and _BENCH_SECONDS of them, so that one slow spell of the machine
-    cannot cover all passes of a short N; each N records its fastest pass.
+    Every N is prepared first, its tables built in memory, with one untimed
+    warm-up pass so that first-call costs do not weigh on the short runs. The
+    timed passes then go round-robin over the N values until each has at least
+    _BENCH_PASSES passes and _BENCH_SECONDS of them, so that one slow spell of
+    the machine cannot cover all passes of a short N; each N records its
+    fastest pass.
     Writes the timing table and the fitted power law t = t0 * N^p.
     """
     n_list = list(config.bench_n)
@@ -541,13 +484,13 @@ def run_bench(config: RunConfig, out_dir: str | Path) -> Path:
         frequencies = []
         for i, omega in enumerate(config.frequencies):
             # the data's K_yL is the receiver table's L columns
-            kernel_xy = get_kernel(grid_x, grid_y, omega, lattice)
+            kernel_xy = build_green_kernel(grid_x, grid_y, omega, lattice)
             synth = iter([support_operator(omega, grid_x, lattice, support),
                           incident_field_nodes(config.sources, grid_x, omega, support),
                           kernel_xy.columns(support.slabs)])
             *_, w_field = forward_frequency(config, synth, grid_y, i)
             frequencies.append((omega, (forward_xy(w_field), kernel_xy,
-                                        get_kernel(grid_x, grid_x, omega, lattice),
+                                        build_green_kernel(grid_x, grid_x, omega, lattice),
                                         _incident_spectrum(config, omega, grid_x))))
         invert_pass(grid_x, frequencies)  # warm-up
         prepared.append((grid_x, frequencies))

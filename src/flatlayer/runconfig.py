@@ -49,6 +49,7 @@ class ExtractionOptions:
 
 @dataclass(frozen=True)
 class OutputOptions:
+    # read and ignored by every stage; flbench/child.py writes its tables to kernel_cache_dir
     kernel_cache: bool = True
     kernel_cache_dir: str = "kernel-cache"
 

@@ -657,6 +657,7 @@ def test_accepted_configs_run_or_exit_with_a_documented_code(run):
     that exits 0 records one finite residual per operator application, and a Tikhonov
     invert of its data exits 0. An invert that exits 0 lists one artifact per frequency
     or the combined field alone, each with one slice file per z-slab and no other slice
+    directory, lists the same files with the same sha256 when rerun into another
     directory, and an evaluate that exits 0 reports exactly those artifacts."""
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("ignore")  # an empty accuracy curve warns
@@ -690,6 +691,11 @@ def test_accepted_configs_run_or_exit_with_a_documented_code(run):
             listed = [e["path"] for e in recon["files"] if e["path"].startswith("slices_")]
             assert sorted(listed) == sorted(f"slices_{name}/{name}_z{iz:03d}.csv"
                                             for name in names for iz in range(nz)), listed
+            # criterion 10: a rerun is byte-identical
+            assert main(["invert", "--config", str(cfg), "--data", d, "--out", r + "2"]) == 0
+            rerun = read_manifest(Path(r + "2") / "manifest.json")
+            assert [(f["path"], f["sha256"]) for f in rerun["files"]] == [
+                (f["path"], f["sha256"]) for f in recon["files"]]
             if codes[2] == 0:
                 summary = read_manifest(Path(e) / "manifest.json")["summary"]
                 assert sorted(summary) == sorted(names), summary
@@ -1054,50 +1060,57 @@ def test_cli_malformed_manifest_entries_exit_code(staged_run, tmp_path, monkeypa
     assert code == (0 if edit is None else 4)
 
 
-def test_shifted_window_reuses_kernel_cache(tmp_path, monkeypatch):
-    """invert reads the full tables from the cache; synthesize builds its own for
-    xi's support and neither reads nor writes the cache."""
+def test_shifted_window_builds_the_same_tables_and_writes_no_cache(tmp_path, monkeypatch):
+    """A shifted window's kernel tables equal the centred window's bit for bit, and
+    invert builds them in memory: with output.kernel_cache on it makes no
+    kernel_cache_dir and writes nothing outside --out."""
     monkeypatch.chdir(tmp_path)
     output = {"kernel_cache": True, "kernel_cache_dir": "cache"}
-    cfg = write_config(tmp_path, output=output, phantom=NODE_BUMP)
-    assert main(["synthesize", "--config", str(cfg), "--out", "centred"]) == 0
-    assert not (tmp_path / "cache").exists()
-    assert main(["invert", "--config", str(cfg), "--data", "centred", "--out", "rc"]) == 0
-    tables = {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()}
-    assert len(tables) == 2
+    centred = write_config(tmp_path, output=output, phantom=NODE_BUMP)
     shifted = tiny_config_dict(output=output, phantom=NODE_BUMP)
     shifted["grid"].update(x_bounds=[-5.0, 15.0], y_bounds=[-11.25, 8.75])
-    cfg = tmp_path / "shifted.yaml"
-    cfg.write_text(yaml.safe_dump(shifted))
-    assert main(["synthesize", "--config", str(cfg), "--out", "shifted"]) == 0
+    shifted = write_config(tmp_path, name="shifted.yaml", **shifted)
+    tables = []
+    for cfg in (centred, shifted):
+        grid_x, grid_y = fl.make_grids(load_config(cfg).grid)
+        lattice = fl.ModeLattice.for_grid(grid_x)
+        tables.append([fl.build_green_kernel(grid_x, recv, 2.0, lattice)
+                       for recv in (grid_y, grid_x)])
+    for a, b in zip(*tables):
+        assert a.omega == b.omega
+        for name in ("row_z", "col_z", "col_weights", "offsets", "offset_index", "values",
+                     "class_of", "members"):
+            x, y = getattr(a, name), getattr(b, name)
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), name  # bitwise
+    for cfg in (centred, shifted):
+        assert main(["synthesize", "--config", str(cfg), "--out", f"d-{cfg.stem}"]) == 0
+        before = set(tmp_path.rglob("*"))
+        out = tmp_path / f"r-{cfg.stem}"
+        assert main(["invert", "--config", str(cfg), "--data", f"d-{cfg.stem}",
+                     "--out", out.name]) == 0
+        assert all(out in p.parents or p == out for p in set(tmp_path.rglob("*")) - before)
+    assert not (tmp_path / "cache").exists()
 
-    def rebuild(*args):
-        raise AssertionError("a shifted window rebuilt a cached kernel table")
 
-    monkeypatch.setattr(pipeline, "build_green_kernel", rebuild)
-    assert main(["invert", "--config", str(cfg), "--data", "shifted", "--out", "rs"]) == 0
-    assert {p.name: p.read_bytes() for p in (tmp_path / "cache").iterdir()} == tables
-
-
-def test_cli_corrupt_kernel_cache_is_rebuilt(tmp_path, monkeypatch):
+def test_invert_leaves_a_garbage_kernel_cache_file_alone(tmp_path, monkeypatch):
+    """No stage reads the kernel cache: a garbage file where invert's receiver table
+    would be cached leaves its xi byte-identical and the file untouched."""
     monkeypatch.chdir(tmp_path)
     cfg = write_config(
         tmp_path, output={"kernel_cache": True, "kernel_cache_dir": "cache"}, phantom=NODE_BUMP
     )
     assert main(["synthesize", "--config", str(cfg), "--out", "data"]) == 0
     assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "fresh"]) == 0
-    tables = sorted((tmp_path / "cache").glob("*.npz"))
-    assert len(tables) == 2
-    tables[0].write_bytes(tables[0].read_bytes()[:-100])  # truncated zip
-    tables[1].write_bytes(b"not a table")
-    for out in ("healed", "warm"):
-        assert main(["invert", "--config", str(cfg), "--data", "data", "--out", out]) == 0
-        assert (tmp_path / out / "xi_000.laf").read_bytes() == (
-            tmp_path / "fresh" / "xi_000.laf"
-        ).read_bytes()
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == [
-        p.name for p in tables
-    ]
+    grid_x, grid_y = fl.make_grids(load_config(cfg).grid)
+    garbage = pipeline._kernel_cache_path(tmp_path / "cache", grid_x, grid_y, 2.0)
+    garbage.parent.mkdir()
+    garbage.write_bytes(b"not a table")
+    assert main(["invert", "--config", str(cfg), "--data", "data", "--out", "garbage"]) == 0
+    assert (tmp_path / "garbage" / "xi_000.laf").read_bytes() == (
+        tmp_path / "fresh" / "xi_000.laf"
+    ).read_bytes()
+    assert list((tmp_path / "cache").iterdir()) == [garbage]
+    assert garbage.read_bytes() == b"not a table"
 
 
 def test_cli_unconverged_forward_writes_nothing(tmp_path, monkeypatch):
@@ -1156,7 +1169,7 @@ def test_cli_failed_mode_solve_writes_nothing(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "r").exists() and not (tmp_path / "b").exists()
 
 
-def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):
+def test_benchmark_reads_kernel_columns_from_cache(tmp_path):
     """The benchmark's kernel checks read per-mode columns from the cache files."""
     path = ROOT / "flbench" / "reference.py"
     spec = importlib.util.spec_from_file_location("flbench_reference", path)
@@ -1165,10 +1178,8 @@ def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):
     data = tiny_config_dict()
     grid_x, grid_y = fl.make_grids(config_from_dict(data).grid)
     lattice = fl.ModeLattice.for_grid(grid_x)
-    built = {
-        recv.nz: pipeline.get_kernel(grid_x, recv, 2.0, lattice, tmp_path)
-        for recv in (grid_x, grid_y)
-    }
+    for recv in (grid_x, grid_y):
+        pipeline.get_kernel(grid_x, recv, 2.0, lattice, tmp_path)
     # modes (k1, k2) = (0, 0), (1, 3), (3, 1), (-1, 3) and (-1, -1); the last
     # three are not their class representatives
     modes = np.array([0, 19, 49, 243, 255])
@@ -1184,30 +1195,20 @@ def test_benchmark_reads_kernel_columns_from_cache(tmp_path, monkeypatch):
         err = np.max(np.abs(values[:, modes] - direct), axis=1) / np.max(np.abs(direct), axis=1)
         assert np.all(err <= 1e-12)
 
-    def rebuild(*args):
-        raise AssertionError("a cached kernel table was rebuilt")
-
-    monkeypatch.setattr(pipeline, "build_green_kernel", rebuild)
-    for recv in (grid_x, grid_y):
-        table = pipeline.get_kernel(grid_x, recv, 2.0, lattice, tmp_path)
-        for name in ("row_z", "col_z", "offsets", "offset_index", "values", "class_of",
-                     "members"):
-            a, b = getattr(table, name), getattr(built[recv.nz], name)
-            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name  # bitwise
-        assert table.omega == built[recv.nz].omega
-
 
 def test_get_kernel_rejects_a_foreign_lattice_cold_and_warm(tmp_path):
-    """The lattice folds the table's modes onto its classes, so a lattice made for
-    other grids is refused on a cold cache, a warm one, and without a cache."""
+    """The lattice folds the table's modes onto its classes, so the build refuses a
+    lattice made for other grids, alone and through get_kernel, both with an empty
+    cache directory (no file is written) and after this grid's table has been written."""
     grid_x, grid_y = fl.make_grids(fl.GridConfig(y_bounds=(-6.0, 6.0), n_transverse=16,
                                                  scatterer_nz=7, receiver_nz=5))
     square_x, _ = fl.make_grids(fl.GridConfig(n_transverse=16, scatterer_nz=7, receiver_nz=5))
     lattice, square = fl.ModeLattice.for_grid(grid_x), fl.ModeLattice.for_grid(square_x)
     assert (lattice.symmetry_classes()[0].size, square.symmetry_classes()[0].size) == (81, 45)
-    for cache in (None, tmp_path):
-        with pytest.raises(ValueError, match="mode lattice"):
-            pipeline.get_kernel(grid_x, grid_y, 2.0, square, cache)
+    with pytest.raises(ValueError, match="mode lattice"):
+        fl.build_green_kernel(grid_x, grid_y, 2.0, square)
+    with pytest.raises(ValueError, match="mode lattice"):
+        pipeline.get_kernel(grid_x, grid_y, 2.0, square, tmp_path)
     assert not list(tmp_path.iterdir())
     pipeline.get_kernel(grid_x, grid_y, 2.0, lattice, tmp_path)
     assert len(list(tmp_path.glob("*.npz"))) == 1
@@ -1279,8 +1280,8 @@ def test_benchmark_entry_points_run(tmp_path, monkeypatch):
     assert "pipeline.get_kernel" not in synthesize
     assert synthesize.count("medium.build_green_kernel") == 1
     metrics = spans.layer_metrics(tracer.spans, "tsvd")
-    # the set-up's 2 builds and synthesize's 1
-    assert metrics["pipeline.cache_misses"] == 3 and metrics["pipeline.cache_hits"] == 2
+    # the set-up's 2 builds, synthesize's 1 and invert's 2; no stage loads a table
+    assert metrics["pipeline.cache_misses"] == 5 and metrics["pipeline.cache_hits"] == 0
     # forward.born_iterations counts GMRES's operator applications: at most |S| = 3
     assert 1 < metrics["forward.born_iterations"] <= 3
     assert metrics["medium.incident_s"] > 0 and metrics["spectral.fft_s"] > 0
